@@ -335,7 +335,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, NoSolutionsError, ValueError) as err:
+    except (CliError, NoSolutionsError, ValueError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -126,5 +126,4 @@ def assemble(g: Graph, k: int, prep: PrepMode, style: str = "checking",
     for _ in range(plan.iterations):
         circ = circ.compose(oracle_circuit).compose(diffusion_circuit)
     circ.layout = layout
-    circ.plan = plan
     return circ

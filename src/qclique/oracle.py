@@ -215,9 +215,3 @@ def build_oracle(g: Graph, k: int, mode: OracleMode = OracleMode()) -> Circuit:
 
     circ.layout = replace(layout, mc_ancilla_width=mc_ancilla_requirement(circ))
     return circ
-
-
-def oracle_layout(g: Graph, k: int, mode: OracleMode = OracleMode()) -> CounterLayout:
-    """Layout (with the multi-controlled-gate ancilla requirement filled in)."""
-    circ = build_oracle(g, k, mode)
-    return circ.layout

@@ -4,6 +4,17 @@ Basis-state index bit ``i`` is qubit ``i`` (qubit 0 least significant).
 Display strings print qubit ``n-1`` leftmost, so the node set {1,2,3,4} on six
 qubits reads ``011110``.  Multi-controlled gates are applied natively; no
 decomposition is needed for simulation.
+
+Every gate goes through one strided-view kernel, the amplitude-pair scheme of
+QuEST (Jones et al., Sci. Rep. 9, 10736, 2019) and of Haener & Steiger (SC17,
+arXiv:1704.01127).  The ``2**n`` amplitudes are viewed, without copying, as an
+array of shape ``(2,)*n`` in which axis ``n-1-q`` is qubit ``q``; runs of
+qubits a gate does not touch are merged into one axis.  Fixing each control
+axis to 1 and splitting the target axis into its 0 and 1 halves gives two views
+of the amplitude pairs the gate mixes: X-type gates swap the halves, Z-type
+gates negate the 1 half, and every other kind applies its 2x2 matrix.
+Marginal probabilities use the ``(2,)*n`` view and sum over the unmeasured
+axes.
 """
 from __future__ import annotations
 
@@ -26,13 +37,15 @@ class StateVector:
 
     @classmethod
     def zero(cls, n_qubits: int) -> StateVector:
-        amp = np.zeros(1 << n_qubits, dtype=np.complex128)
-        amp[0] = 1.0
-        return cls(n_qubits, amp)
+        return cls.basis(n_qubits, 0)
 
     @classmethod
     def basis(cls, n_qubits: int, index: int) -> StateVector:
-        amp = np.zeros(1 << n_qubits, dtype=np.complex128)
+        try:
+            amp = np.zeros(1 << n_qubits, dtype=np.complex128)
+        except MemoryError:
+            raise MemoryError(f"cannot allocate a {n_qubits}-qubit state: "
+                              f"{16 << n_qubits} bytes requested") from None
         amp[index] = 1.0
         return cls(n_qubits, amp)
 
@@ -41,11 +54,6 @@ class StateVector:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-
-@lru_cache(maxsize=4)
-def _indices(n_qubits: int) -> np.ndarray:
-    return np.arange(1 << n_qubits, dtype=np.int64)
 
 
 def _u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
@@ -72,72 +80,56 @@ def _gate_matrix_2x2(gate: Gate) -> np.ndarray:
     raise ValueError(f"no 2x2 matrix for {gate.kind}")  # pragma: no cover
 
 
-def _control_mask(controls: tuple[int, ...]) -> int:
-    mask = 0
-    for c in controls:
-        mask |= 1 << c
-    return mask
+_X_KINDS = frozenset({"X", "CX", "CCX", "MCX"})
+_Z_KINDS = frozenset({"Z", "CZ", "MCZ"})
 
 
-def _apply_swap(amp: np.ndarray, n: int, controls: tuple[int, ...], target: int) -> None:
-    tbit = 1 << target
-    if not controls:
-        view = amp.reshape(-1, 2, tbit)
-        tmp = view[:, 0, :].copy()
-        view[:, 0, :] = view[:, 1, :]
-        view[:, 1, :] = tmp
-        return
-    idx = _indices(n)
-    cmask = _control_mask(controls)
-    i0 = idx[((idx & cmask) == cmask) & ((idx & tbit) == 0)]
-    i1 = i0 | tbit
-    tmp = amp[i0].copy()
-    amp[i0] = amp[i1]
-    amp[i1] = tmp
+@lru_cache(maxsize=1024)
+def _pair_views(n_qubits: int, controls: tuple[int, ...], target: int):
+    """View shape and index tuples of a gate's target-0 and target-1 halves.
 
-
-def _apply_phase_flip(amp: np.ndarray, n: int, qubits: tuple[int, ...]) -> None:
-    if len(qubits) == 1:
-        view = amp.reshape(-1, 2, 1 << qubits[0])
-        view[:, 1, :] *= -1.0
-        return
-    idx = _indices(n)
-    mask = _control_mask(qubits)
-    amp[(idx & mask) == mask] *= -1.0
-
-
-def _apply_2x2(amp: np.ndarray, n: int, controls: tuple[int, ...], target: int,
-               m: np.ndarray) -> None:
-    tbit = 1 << target
-    if not controls:
-        view = amp.reshape(-1, 2, tbit)
-        a0 = view[:, 0, :].copy()
-        a1 = view[:, 1, :]
-        view[:, 0, :] = m[0, 0] * a0 + m[0, 1] * a1
-        view[:, 1, :] = m[1, 0] * a0 + m[1, 1] * a1
-        return
-    idx = _indices(n)
-    cmask = _control_mask(controls)
-    i0 = idx[((idx & cmask) == cmask) & ((idx & tbit) == 0)]
-    i1 = i0 | tbit
-    a0 = amp[i0]
-    a1 = amp[i1]
-    amp[i0] = m[0, 0] * a0 + m[0, 1] * a1
-    amp[i1] = m[1, 0] * a0 + m[1, 1] * a1
+    The shape is ``(2,)*n`` (axis ``n-1-q`` is qubit ``q``) with each run of
+    qubits the gate does not touch merged into one axis, so numpy iterates
+    over as few and as long axes as possible.  The index tuples fix every
+    control axis to 1 and the target axis to 0 or 1.  Each starts with
+    ``Ellipsis``: a gate that fixes every axis still yields a 0-d view rather
+    than a scalar copy, and the same tuples index a view with a leading batch
+    axis.
+    """
+    shape, lo, hi = [], [Ellipsis], [Ellipsis]
+    top = n_qubits
+    for q in (*sorted((*controls, target), reverse=True), -1):
+        if top > q + 1:  # qubits q+1 .. top-1 are untouched: one merged axis
+            shape.append(1 << (top - q - 1))
+            lo.append(slice(None))
+            hi.append(slice(None))
+        if q >= 0:
+            shape.append(2)
+            lo.append(0 if q == target else 1)
+            hi.append(1)
+        top = q
+    return tuple(shape), tuple(lo), tuple(hi)
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply one gate in place (exact unitary action) and return the state."""
     if max(gate.qubits) >= state.n_qubits:
         raise ValueError(f"gate {gate} exceeds state width {state.n_qubits}")
-    amp, n = state.amplitudes, state.n_qubits
+    shape, lo, hi = _pair_views(state.n_qubits, gate.controls, gate.target)
+    view = state.amplitudes.reshape(shape)
+    a0, a1 = view[lo], view[hi]
     kind = gate.kind
-    if kind in ("X", "CX", "CCX", "MCX"):
-        _apply_swap(amp, n, gate.qubits[:-1], gate.qubits[-1])
-    elif kind in ("Z", "CZ", "MCZ"):
-        _apply_phase_flip(amp, n, gate.qubits)
+    if kind in _X_KINDS:
+        tmp = a0.copy()
+        a0[...] = a1
+        a1[...] = tmp
+    elif kind in _Z_KINDS:
+        a1 *= -1.0
     else:
-        _apply_2x2(amp, n, gate.controls, gate.target, _gate_matrix_2x2(gate))
+        m = _gate_matrix_2x2(gate)
+        tmp = a0.copy()
+        a0[...] = m[0, 0] * tmp + m[0, 1] * a1
+        a1[...] = m[1, 0] * tmp + m[1, 1] * a1
     return state
 
 
@@ -162,12 +154,9 @@ def marginal_probabilities(state: StateVector, qubits: list[int] | None = None) 
     probs = state.probabilities()
     if qubits is None:
         return probs
-    qubits = sorted(qubits)
-    idx = _indices(state.n_qubits)
-    out = np.zeros(len(idx), dtype=np.int64)
-    for j, q in enumerate(qubits):
-        out |= ((idx >> q) & 1) << j
-    return np.bincount(out, weights=probs, minlength=1 << len(qubits))
+    n, kept = state.n_qubits, set(qubits)
+    dropped = tuple(n - 1 - q for q in range(n) if q not in kept)
+    return probs.reshape((2,) * n).sum(axis=dropped).reshape(-1)
 
 
 def bitstring(index: int, n_bits: int) -> str:
@@ -207,7 +196,10 @@ def sample_histogram(probs: np.ndarray, shots: int, rng: np.random.Generator,
                      n_bits: int) -> MeasurementHistogram:
     """Multinomial sampling from a probability vector; deterministic given rng."""
     p = np.clip(probs, 0.0, None)
-    p = p / p.sum()
+    total = p.sum()
+    if not total > 0.0:
+        raise ValueError(f"cannot sample: total probability mass is {total}")
+    p = p / total
     drawn = rng.multinomial(shots, p)
     counts = {bitstring(i, n_bits): int(c) for i, c in enumerate(drawn) if c}
     return MeasurementHistogram(shots, n_bits, counts)

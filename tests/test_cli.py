@@ -178,6 +178,16 @@ def test_state_dicke_requires_k(capsys):
     assert code == 1 and "--k" in err
 
 
+def test_state_too_wide_is_an_error_line(monkeypatch, capsys):
+    # numpy.zeros fails as it would for a 16 TiB request, without allocating anything
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr("qclique.sim.np.zeros", no_memory)
+    code, out, err = run_cli(capsys, "state", "--prep", "full", "--n", "40")
+    assert code == 1 and out == ""
+    assert err == f"error: cannot allocate a 40-qubit state: {16 << 40} bytes requested\n"
+
+
 def test_output_file_and_determinism(tmp_path, capsys):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     for path in (out1, out2):

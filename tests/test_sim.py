@@ -4,8 +4,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qclique.circuit import Circuit, Gate
+from qclique.circuit import _ARITY, _N_PARAMS, GATE_KINDS, Circuit, Gate
 from qclique.sim import (
     MeasurementHistogram,
     StateVector,
@@ -14,6 +16,7 @@ from qclique.sim import (
     marginal_probabilities,
     normalize_global_phase,
     run_ideal,
+    sample_histogram,
     statevector,
 )
 from helpers import dense_unitary
@@ -174,3 +177,72 @@ def test_histogram_helpers():
     payload = json.loads(hist.to_json())
     assert payload["schema"] == 1 and payload["counts"]["01"] == 7
     assert hist.to_rows() == [("01", 7, 0.7), ("10", 3, 0.3)]
+
+
+def test_sample_histogram_rejects_zero_mass():
+    with pytest.raises(ValueError, match="probability mass"):
+        sample_histogram(np.zeros(4), 10, np.random.default_rng(0), 2)
+
+
+# -- property tests of the kernel against the independent per-basis reference --
+
+_ANGLES = st.floats(-2 * math.pi, 2 * math.pi)
+
+
+@st.composite
+def gates_on(draw, n: int):
+    kind = draw(st.sampled_from(sorted(k for k in GATE_KINDS if _ARITY.get(k, 2) <= n)))
+    arity = _ARITY.get(kind) or draw(st.integers(2, n))  # MCX/MCZ take any width >= 2
+    qubits = tuple(draw(st.permutations(range(n)))[:arity])
+    return Gate(kind, qubits, tuple(draw(_ANGLES) for _ in range(_N_PARAMS.get(kind, 0))))
+
+
+@st.composite
+def states(draw, n: int) -> np.ndarray:
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return amp / np.linalg.norm(amp)
+
+
+def _check_against_reference(gate: Gate, n: int, amp: np.ndarray) -> None:
+    reference = np.array([_apply_reference(gate, b, n) for b in range(1 << n)]).T @ amp
+    state = StateVector(n, amp.copy())
+    apply_gate(state, gate)
+    if gate.kind in ("X", "CX", "CCX", "MCX", "Z", "CZ", "MCZ"):
+        # permutations and sign flips move amplitudes without arithmetic
+        assert np.array_equal(state.amplitudes, reference)
+    else:
+        assert np.allclose(state.amplitudes, reference, rtol=0.0, atol=1e-12)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_apply_gate_matches_reference_property(data):
+    n = data.draw(st.integers(1, 7), label="n")
+    _check_against_reference(data.draw(gates_on(n), label="gate"), n,
+                             data.draw(states(n), label="state"))
+
+
+@pytest.mark.parametrize("gate", [
+    Gate("CX", (1, 0)), Gate("CZ", (0, 1)), Gate("CRY", (0, 1), (0.3,)),
+    Gate("CCX", (2, 0, 1)), Gate("CCRY", (0, 1, 2), (1.1,)),
+    Gate("MCX", (3, 1, 0, 2)), Gate("MCZ", (0, 1, 2, 3, 4)),
+], ids=lambda g: f"{g.kind}{g.qubits}")
+def test_apply_gate_fixing_every_axis_writes_in_place(gate):
+    # every axis is a control or the target: the halves are 0-d views
+    n = len(gate.qubits)
+    amp = np.random.default_rng(n).normal(size=1 << n).astype(complex)
+    _check_against_reference(gate, n, amp)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_marginal_probabilities_matches_bincount_property(data):
+    n = data.draw(st.integers(1, 7), label="n")
+    subset = data.draw(st.lists(st.integers(0, n - 1), unique=True), label="qubits")
+    state = StateVector(n, data.draw(states(n), label="state"))
+    outcome = [sum((b >> q & 1) << j for j, q in enumerate(sorted(subset)))
+               for b in range(1 << n)]
+    reference = np.bincount(outcome, weights=np.abs(state.amplitudes) ** 2,
+                            minlength=1 << len(subset))
+    assert np.allclose(marginal_probabilities(state, subset), reference, rtol=1e-12, atol=0.0)
