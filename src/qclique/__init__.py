@@ -9,7 +9,7 @@ from .circuit import Circuit, Gate, decompose_mc
 from .graph import Graph, builtin_graph, find_cliques_bruteforce, parse_edge_list, subset_to_bitstring
 from .grover import GroverPlan, NoSolutionsError, assemble, diffusion, make_plan, opt_iter, success_probability_analytic
 from .noise import NoiseProfile, relaxation_channel, run_noisy
-from .oracle import CounterLayout, OracleMode, build_oracle, increment_circuit
+from .oracle import OracleMode, build_oracle, increment_circuit
 from .resources import ResourceReport, report, required_qv, year_estimate
 from .sim import MeasurementHistogram, StateVector, run_ideal, statevector
 from .stateprep import PrepMode, dicke_prep, full_superposition, prepare_state, search_space_size, w_complement, w_state
@@ -22,7 +22,7 @@ __all__ = [
     "GroverPlan", "NoSolutionsError", "assemble", "diffusion", "make_plan", "opt_iter",
     "success_probability_analytic",
     "NoiseProfile", "relaxation_channel", "run_noisy",
-    "CounterLayout", "OracleMode", "build_oracle", "increment_circuit",
+    "OracleMode", "build_oracle", "increment_circuit",
     "ResourceReport", "report", "required_qv", "year_estimate",
     "MeasurementHistogram", "StateVector", "run_ideal", "statevector",
     "PrepMode", "dicke_prep", "full_superposition", "prepare_state", "search_space_size",

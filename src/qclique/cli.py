@@ -281,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--graph", required=True,
                        help=f"edge-list file or builtin {sorted(BUILTIN_GRAPHS)}")
         p.add_argument("--k", type=int, required=True, help="clique size")
-        p.add_argument("--format", default="text", choices=["text", "json", "csv"])
         p.add_argument("--output", help="write to file instead of stdout")
         if with_run:
             p.add_argument("--prep", default="w", choices=PREPS)
@@ -313,11 +312,15 @@ def build_parser() -> argparse.ArgumentParser:
                          help="profile (builtin, 'T1:T2', or JSON file); repeatable")
     p_sweep.add_argument("--all-devices", action="store_true",
                          help="include the six bundled device profiles")
-    p_sweep.set_defaults(func=cmd_sweep, format_default="csv")
+    p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="classical brute-force clique search only")
     common(p_verify, with_run=False)
     p_verify.set_defaults(func=cmd_verify)
+
+    for p in (p_solve, p_res, p_verify):
+        p.add_argument("--format", default="text", choices=["text", "json"])
+    p_sweep.add_argument("--format", default="csv", choices=["csv", "json"])
 
     p_state = sub.add_parser("state", help="dump preparation amplitudes as CSV")
     p_state.add_argument("--prep", required=True,
@@ -335,7 +338,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, NoSolutionsError, ValueError, MemoryError) as err:
+    except (CliError, NoSolutionsError, ValueError, MemoryError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

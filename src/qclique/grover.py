@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, Gate
 from .graph import Graph, find_cliques_bruteforce, subset_to_bitstring
-from .oracle import OracleMode, build_oracle, make_layout
+from .oracle import OracleMode, build_oracle
 from .stateprep import PrepMode, prepare_state, search_space_size
 
 
@@ -110,20 +110,17 @@ def assemble(g: Graph, k: int, prep: PrepMode, style: str = "checking",
              plan: GroverPlan | None = None) -> Circuit:
     """Full search circuit: state prep, then `iterations` x (oracle, diffusion).
 
-    When opt_iter is 0 (N = m) the circuit is just the preparation.  The node
-    register is qubits [0, n); measure it to read the clique.
+    When opt_iter is 0 (N = m) the circuit is just the preparation.  Width and
+    registers are the oracle's; the node register is qubits [0, n), which the
+    preparation acts on exactly.  Measure it to read the clique.
     """
     if plan is None:
         plan = make_plan(g, k, prep, style, iterations, count_nodes)
     prep_circuit = prepare_state(plan.prep, g.n, k)
     oracle_circuit = build_oracle(g, k, plan.oracle)
-    layout = oracle_circuit.layout
-    diffusion_circuit = diffusion(prep_circuit, layout.nodes)
+    diffusion_circuit = diffusion(prep_circuit)
 
-    circ = Circuit(layout.total_qubits, layout.registers,
+    circ = Circuit(oracle_circuit.n_qubits, oracle_circuit.registers,
                    name=f"grover({plan.prep.value},{plan.oracle.style},k={k})")
-    circ = circ.compose(prep_circuit)
-    for _ in range(plan.iterations):
-        circ = circ.compose(oracle_circuit).compose(diffusion_circuit)
-    circ.layout = layout
+    circ.ops = prep_circuit.ops + plan.iterations * (oracle_circuit.ops + diffusion_circuit.ops)
     return circ

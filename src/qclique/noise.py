@@ -70,6 +70,11 @@ class NoiseProfile:
     @classmethod
     def from_json(cls, text: str) -> NoiseProfile:
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("noise profile JSON: the top level must be an object")
+        for key in ("name", "t1_us", "t2_us"):
+            if key not in data:
+                raise ValueError(f"noise profile JSON lacks the field {key!r}")
         gate_ns = data.get("gate_ns", {})
         return cls(
             name=data["name"], t1_us=float(data["t1_us"]), t2_us=float(data["t2_us"]),

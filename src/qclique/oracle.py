@@ -16,9 +16,9 @@ returned to |0> and the oracle is self-inverse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
-from .circuit import Circuit, Gate, mc_ancilla_requirement
+from .circuit import Circuit, Gate
 from .graph import Graph, clique_edge_target
 
 
@@ -38,84 +38,38 @@ class OracleMode:
             raise ValueError(f"unknown oracle style {self.style!r}")
 
 
-@dataclass(frozen=True)
-class CounterLayout:
-    """Qubit assignment for one oracle instance.
-
-    Counter widths use ceil(log2(count + 1)) so each counter can represent its
-    target value itself.  The edge counter is sized for the C(k,2) target,
-    which is exact on every Hamming-weight-k input; the node counter is sized
-    to tally all n nodes without wraparound, otherwise a state with, say, six
-    nodes selected would alias a two-node target modulo the counter capacity
-    and flip a non-clique.  ``mc_ancilla_width`` is what lowering the oracle's
-    multi-controlled gates will add; the oracle circuit itself does not
-    include those ancillas.
-    """
-
-    n_nodes: int
-    k: int
-    mode: OracleMode
-    registers: dict[str, range] = field(repr=False)
-    total_qubits: int = 0
-    mc_ancilla_width: int = 0
-
-    @property
-    def nodes(self) -> range:
-        return self.registers["nodes"]
-
-    @property
-    def edge_counter(self) -> range:
-        return self.registers["edge_counter"]
-
-    @property
-    def edge_flag(self) -> int:
-        return self.registers["edge_flag"][0]
-
-    @property
-    def node_counter(self) -> range | None:
-        span = self.registers.get("node_counter")
-        return span
-
-    @property
-    def node_flag(self) -> int | None:
-        span = self.registers.get("node_flag")
-        return span[0] if span else None
-
-    @property
-    def clique_flag(self) -> int:
-        return self.registers["clique_flag"][0]
-
-    @property
-    def edge_scratch(self) -> int | None:
-        span = self.registers.get("edge_scratch")
-        return span[0] if span else None
-
-
 def counter_width(count: int) -> int:
     """Qubits needed to hold values 0..count inclusive."""
     return max(1, math.ceil(math.log2(count + 1)))
 
 
-def make_layout(n: int, k: int, mode: OracleMode) -> CounterLayout:
-    registers: dict[str, range] = {"nodes": range(n)}
-    cursor = n
-    ew = counter_width(clique_edge_target(k))
-    registers["edge_counter"] = range(cursor, cursor + ew)
-    cursor += ew
-    registers["edge_flag"] = range(cursor, cursor + 1)
-    cursor += 1
+def make_layout(n: int, k: int, mode: OracleMode) -> Circuit:
+    """The empty oracle circuit: its ``registers`` are the qubit layout.
+
+    Registers in order: ``nodes``, ``edge_counter``, ``edge_flag``, then
+    ``node_counter`` and ``node_flag`` when counting nodes, ``clique_flag``,
+    and ``edge_scratch`` for the incremental style.  Counter widths use
+    ceil(log2(count + 1)) so each counter can represent its target value
+    itself.  The edge counter is sized for the C(k,2) target, which is exact
+    on every Hamming-weight-k input; the node counter is sized to tally all n
+    nodes without wraparound, otherwise a state with, say, six nodes selected
+    would alias a two-node target modulo the counter capacity and flip a
+    non-clique.  Lowering the finished oracle adds
+    ``mc_ancilla_requirement(circuit)`` qubits on top of ``n_qubits``.
+    """
+    widths = {"nodes": n, "edge_counter": counter_width(clique_edge_target(k)),
+              "edge_flag": 1}
     if mode.count_nodes:
-        nw = counter_width(n)  # wrap-free: the register can tally every node
-        registers["node_counter"] = range(cursor, cursor + nw)
-        cursor += nw
-        registers["node_flag"] = range(cursor, cursor + 1)
-        cursor += 1
-    registers["clique_flag"] = range(cursor, cursor + 1)
-    cursor += 1
+        widths.update(node_counter=counter_width(n), node_flag=1)
+    widths["clique_flag"] = 1
     if mode.style == "incremental":
-        registers["edge_scratch"] = range(cursor, cursor + 1)
-        cursor += 1
-    return CounterLayout(n, k, mode, registers, total_qubits=cursor)
+        widths["edge_scratch"] = 1
+    registers: dict[str, range] = {}
+    cursor = 0
+    for name, width in widths.items():
+        registers[name] = range(cursor, cursor + width)
+        cursor += width
+    return Circuit(cursor, registers, name=f"oracle({mode.style},k={k})")
 
 
 def increment_gates(counter, extra_controls=()) -> list[Gate]:
@@ -165,14 +119,14 @@ def equality_gates(counter, value: int, flag: int) -> list[Gate]:
     return conj + [hit] + conj
 
 
-def _edge_count_gates(g: Graph, layout: CounterLayout) -> list[Gate]:
+def _edge_count_gates(g: Graph, registers: dict[str, range], style: str) -> list[Gate]:
     gates: list[Gate] = []
-    counter = layout.edge_counter
-    if layout.mode.style == "checking":
+    counter = registers["edge_counter"]
+    if style == "checking":
         for u, v in g.edge_list():
             gates += increment_gates(counter, extra_controls=(u, v))
     else:
-        scratch = layout.edge_scratch
+        scratch = registers["edge_scratch"][0]
         for u, v in g.edge_list():
             gates.append(Gate("CCX", (u, v, scratch)))
             gates += increment_gates(counter, extra_controls=(scratch,))
@@ -186,7 +140,8 @@ def build_oracle(g: Graph, k: int, mode: OracleMode = OracleMode()) -> Circuit:
     With ``count_nodes`` the sign also requires Hamming weight k, making the
     oracle exact over the whole space; without it the oracle is exact on the
     weight-k subspace a restricted preparation confines the search to.  Work
-    qubits are compute/uncompute mirrored and end in |0>.
+    qubits are compute/uncompute mirrored and end in |0>.  The qubit layout is
+    the circuit's ``registers`` (see :func:`make_layout`).
     """
     if k < 2:
         raise ValueError("clique size k must be >= 2")
@@ -194,24 +149,22 @@ def build_oracle(g: Graph, k: int, mode: OracleMode = OracleMode()) -> Circuit:
         raise ValueError(f"k={k} exceeds node count {g.n}")
     if not g.edges:
         raise ValueError("oracle requires a graph with at least one edge")
-    layout = make_layout(g.n, k, mode)
-    circ = Circuit(layout.total_qubits, layout.registers,
-                   name=f"oracle({mode.style},k={k})")
+    circ = make_layout(g.n, k, mode)
+    regs = circ.registers
+    edge_flag, clique_flag = regs["edge_flag"][0], regs["clique_flag"][0]
 
-    compute: list[Gate] = []
-    compute += _edge_count_gates(g, layout)
-    compute += equality_gates(layout.edge_counter, clique_edge_target(k), layout.edge_flag)
+    compute = _edge_count_gates(g, regs, mode.style)
+    compute += equality_gates(regs["edge_counter"], clique_edge_target(k), edge_flag)
     if mode.count_nodes:
-        for node in layout.nodes:
-            compute += increment_gates(layout.node_counter, extra_controls=(node,))
-        compute += equality_gates(layout.node_counter, k, layout.node_flag)
-        compute.append(Gate("CCX", (layout.edge_flag, layout.node_flag, layout.clique_flag)))
+        node_counter, node_flag = regs["node_counter"], regs["node_flag"][0]
+        for node in regs["nodes"]:
+            compute += increment_gates(node_counter, extra_controls=(node,))
+        compute += equality_gates(node_counter, k, node_flag)
+        compute.append(Gate("CCX", (edge_flag, node_flag, clique_flag)))
     else:
-        compute.append(Gate("CX", (layout.edge_flag, layout.clique_flag)))
+        compute.append(Gate("CX", (edge_flag, clique_flag)))
 
     circ.extend(compute)
-    circ.add("Z", layout.clique_flag)
+    circ.add("Z", clique_flag)
     circ.extend(gate.inverse() for gate in reversed(compute))
-
-    circ.layout = replace(layout, mc_ancilla_width=mc_ancilla_requirement(circ))
     return circ

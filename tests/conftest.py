@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from qclique.graph import builtin_graph
+
+# Every run draws the same examples; wide circuits have no per-example deadline.
+settings.register_profile("qclique", derandomize=True, deadline=None)
+settings.load_profile("qclique")
 
 
 @pytest.fixture(scope="session")

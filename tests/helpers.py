@@ -1,12 +1,14 @@
-"""Shared test machinery: oracle phase extraction, random graphs, dense references."""
+"""Shared test machinery: oracle phase extraction, random graphs, dense references,
+hypothesis strategies."""
 from __future__ import annotations
 
 import math
 import random
 
 import numpy as np
+from hypothesis import strategies as st
 
-from qclique.circuit import Circuit
+from qclique.circuit import _ARITY, _N_PARAMS, GATE_KINDS, Circuit, Gate
 from qclique.graph import Graph
 from qclique.sim import StateVector, apply_gate
 
@@ -52,3 +54,15 @@ def dense_unitary(circuit: Circuit) -> np.ndarray:
             apply_gate(state, gate)
         cols.append(state.amplitudes.copy())
     return np.array(cols).T
+
+
+_ANGLES = st.floats(-2 * math.pi, 2 * math.pi)
+
+
+@st.composite
+def gates_on(draw, n: int, kinds=GATE_KINDS):
+    """A random gate of one of ``kinds`` on distinct qubits of an n-qubit register."""
+    kind = draw(st.sampled_from(sorted(k for k in kinds if _ARITY.get(k, 2) <= n)))
+    arity = _ARITY.get(kind) or draw(st.integers(2, n))  # MCX/MCZ take any width >= 2
+    qubits = tuple(draw(st.permutations(range(n)))[:arity])
+    return Gate(kind, qubits, tuple(draw(_ANGLES) for _ in range(_N_PARAMS.get(kind, 0))))

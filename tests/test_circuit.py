@@ -3,10 +3,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qclique.circuit import Circuit, Gate, decompose_mc, mc_ancilla_requirement
 from qclique.sim import StateVector, apply_gate, statevector
-from helpers import dense_unitary
+from helpers import dense_unitary, gates_on
 
 
 def random_circuit(rng: random.Random, n: int, length: int) -> Circuit:
@@ -94,6 +96,15 @@ def test_adjoint_is_inverse_unitary():
     u = dense_unitary(circ)
     u_inv = dense_unitary(circ.adjoint())
     assert np.allclose(u_inv @ u, np.eye(8), atol=1e-10)
+
+
+@given(st.data())
+def test_adjoint_after_circuit_is_identity_property(data):
+    n = data.draw(st.integers(1, 4), label="n")
+    circ = Circuit(n)
+    circ.extend(data.draw(st.lists(gates_on(n), max_size=12), label="gates"))
+    u = dense_unitary(circ.compose(circ.adjoint()))
+    assert np.allclose(u, np.eye(1 << n), atol=1e-10)
 
 
 def test_u2_adjoint_stays_u2():
@@ -214,3 +225,19 @@ def test_decompose_preserves_ry_semantics():
     u = dense_unitary(circ)
     v = dense_unitary(low)
     assert np.allclose(u, v, atol=1e-12)
+
+
+@given(st.data())
+def test_decompose_matches_original_property(data):
+    n = data.draw(st.integers(2, 5), label="n")
+    circ = Circuit(n)
+    circ.extend(data.draw(st.lists(gates_on(n, {"MCX", "MCZ", "CRY", "CCRY"}),
+                                   min_size=1, max_size=8), label="gates"))
+    low = decompose_mc(circ)
+    pad = low.n_qubits - n
+    for basis in range(1 << n):
+        ref = statevector(circ, initial=basis).amplitudes
+        got = statevector(low, initial=basis).amplitudes.reshape(1 << pad, 1 << n)
+        # ancillas are the high qubits and must return to zero
+        assert np.allclose(got[1:], 0.0, atol=1e-10)
+        assert np.allclose(got[0], ref, atol=1e-10)

@@ -151,6 +151,56 @@ def test_sweep_csv_shape_and_consistency(capsys):
     assert sweep_p == pytest.approx(solve_p, abs=1e-12)
 
 
+def test_sweep_csv_format_is_the_default(capsys):
+    args = ["sweep", "--graph", "g4", "--k", "3", "--shots", "100",
+            "--trajectories", "50", "--seed", "3", "--profile", "500:500"]
+    code, default_out, _ = run_cli(capsys, *args)
+    assert code == 0
+    code, csv_out, _ = run_cli(capsys, *args, "--format", "csv")
+    assert code == 0 and csv_out == default_out
+
+
+@pytest.mark.parametrize("command, bad, allowed", [
+    ("solve", "csv", "'text', 'json'"),
+    ("resources", "csv", "'text', 'json'"),
+    ("verify", "csv", "'text', 'json'"),
+    ("sweep", "text", "'csv', 'json'"),
+])
+def test_format_lists_only_written_formats(capsys, command, bad, allowed):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--graph", "g4", "--k", "3", "--format", bad])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --format: invalid choice: '{bad}' (choose from {allowed})" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"name": "x", "t2_us": 50.0}', "lacks the field 't1_us'"),
+    ("[83.0, 89.0]", "top level must be an object"),
+])
+def test_bad_profile_json_is_an_error_line(tmp_path, capsys, text, message):
+    path = tmp_path / "prof.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "solve", "--graph", "g4", "--k", "3",
+                             "--shots", "16", "--noise", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_graph_directory_is_an_error_line(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "verify", "--graph", str(tmp_path), "--k", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(tmp_path) in err and err.count("\n") == 1
+
+
+def test_output_in_missing_directory_is_an_error_line(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, "verify", "--graph", "g4", "--k", "3",
+                             "--output", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(target) in err and err.count("\n") == 1
+
+
 def test_sweep_requires_profiles(capsys):
     code, _, err = run_cli(capsys, "sweep", "--graph", "g4", "--k", "3")
     assert code == 1 and "profile" in err

@@ -3,6 +3,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qclique.graph import (
     Graph,
@@ -138,3 +140,16 @@ def test_edge_list_roundtrip(g6):
 def test_builtin_graph_unknown():
     with pytest.raises(ValueError, match="unknown builtin"):
         builtin_graph("missing")
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.from_edges(n, edges)
+
+
+@given(graphs())
+def test_edge_list_round_trip_property(g):
+    assert parse_edge_list(g.to_edge_list_text()) == g

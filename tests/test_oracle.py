@@ -4,10 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from qclique.circuit import Gate
+from qclique.circuit import Gate, mc_ancilla_requirement
 from qclique.graph import Graph, find_cliques_bruteforce, subset_to_bitstring
 from qclique.oracle import (
-    CounterLayout,
     OracleMode,
     build_oracle,
     counter_width,
@@ -79,9 +78,9 @@ def test_layout_registers_full_space():
     assert len(spans["edge_counter"]) == 2
     # node counter tallies up to n=4 nodes without wraparound
     assert len(spans["node_counter"]) == 3
-    assert layout.total_qubits == 4 + 2 + 1 + 3 + 1 + 1
+    assert layout.n_qubits == 4 + 2 + 1 + 3 + 1 + 1
     covered = sorted(q for span in spans.values() for q in span)
-    assert covered == list(range(layout.total_qubits))
+    assert covered == list(range(layout.n_qubits))
 
 
 def test_node_counter_never_aliases():
@@ -98,9 +97,9 @@ def test_node_counter_never_aliases():
 
 def test_layout_incremental_has_scratch():
     layout = make_layout(4, 3, OracleMode("incremental", False))
-    assert layout.edge_scratch is not None
-    assert layout.node_counter is None
-    assert layout.total_qubits == 4 + 2 + 1 + 1 + 1
+    assert "edge_scratch" in layout.registers
+    assert "node_counter" not in layout.registers
+    assert layout.n_qubits == 4 + 2 + 1 + 1 + 1
 
 
 def test_equality_capacity_guard():
@@ -146,7 +145,7 @@ def test_oracle_star_identity(star4, style):
 
 def test_oracle_g6_has_ten_edge_groups(g6):
     orc = build_oracle(g6, 4, OracleMode("checking", True))
-    counter = set(orc.layout.edge_counter)
+    counter = set(orc.registers["edge_counter"])
     node_pairs = set()
     for g in orc.ops:
         if g.kind in ("CCX", "MCX") and g.target in counter:
@@ -192,7 +191,5 @@ def test_oracle_matches_bruteforce_random(seed):
 
 def test_layout_reports_mc_ancilla(g6):
     orc = build_oracle(g6, 4, OracleMode("checking", True))
-    layout = orc.layout
-    assert isinstance(layout, CounterLayout)
     # widest gate: edge increment with 2 node controls + 2 counter controls
-    assert layout.mc_ancilla_width == 2
+    assert mc_ancilla_requirement(orc) == 2

@@ -4,10 +4,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from qclique.circuit import _ARITY, _N_PARAMS, GATE_KINDS, Circuit, Gate
+from qclique.circuit import Circuit, Gate
 from qclique.sim import (
     MeasurementHistogram,
     StateVector,
@@ -19,7 +19,7 @@ from qclique.sim import (
     sample_histogram,
     statevector,
 )
-from helpers import dense_unitary
+from helpers import dense_unitary, gates_on
 from test_circuit import random_circuit
 
 
@@ -186,17 +186,6 @@ def test_sample_histogram_rejects_zero_mass():
 
 # -- property tests of the kernel against the independent per-basis reference --
 
-_ANGLES = st.floats(-2 * math.pi, 2 * math.pi)
-
-
-@st.composite
-def gates_on(draw, n: int):
-    kind = draw(st.sampled_from(sorted(k for k in GATE_KINDS if _ARITY.get(k, 2) <= n)))
-    arity = _ARITY.get(kind) or draw(st.integers(2, n))  # MCX/MCZ take any width >= 2
-    qubits = tuple(draw(st.permutations(range(n)))[:arity])
-    return Gate(kind, qubits, tuple(draw(_ANGLES) for _ in range(_N_PARAMS.get(kind, 0))))
-
-
 @st.composite
 def states(draw, n: int) -> np.ndarray:
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -215,7 +204,6 @@ def _check_against_reference(gate: Gate, n: int, amp: np.ndarray) -> None:
         assert np.allclose(state.amplitudes, reference, rtol=0.0, atol=1e-12)
 
 
-@settings(deadline=None)
 @given(st.data())
 def test_apply_gate_matches_reference_property(data):
     n = data.draw(st.integers(1, 7), label="n")
@@ -235,7 +223,6 @@ def test_apply_gate_fixing_every_axis_writes_in_place(gate):
     _check_against_reference(gate, n, amp)
 
 
-@settings(deadline=None)
 @given(st.data())
 def test_marginal_probabilities_matches_bincount_property(data):
     n = data.draw(st.integers(1, 7), label="n")
