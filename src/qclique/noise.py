@@ -13,9 +13,13 @@ Two trajectory implementations realize it:
   Born-rule branch weights and renormalization, followed by a probabilistic
   phase flip for the residual pure dephasing.
 
-Trajectory runs are deterministic given the seed: trajectory ``i`` draws from
-``numpy.random.default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))``, so
-results do not depend on worker count or chunking.
+Trajectories run in fixed-size blocks, one ``(B, 2**n)`` array each: every
+scheduled gate is applied once to the whole block, and every relaxation step
+draws its branch for all rows at once.  Runs are deterministic given the seed:
+block ``b`` draws from
+``numpy.random.default_rng(SeedSequence(entropy=seed, spawn_key=(b,)))``, and
+the block size depends only on the width, so results do not depend on the
+worker count.
 """
 from __future__ import annotations
 
@@ -76,13 +80,26 @@ class NoiseProfile:
             if key not in data:
                 raise ValueError(f"noise profile JSON lacks the field {key!r}")
         gate_ns = data.get("gate_ns", {})
+        if not isinstance(gate_ns, dict):
+            raise ValueError(f"noise profile JSON: the field 'gate_ns' must be an object, "
+                             f"got {gate_ns!r}")
         return cls(
-            name=data["name"], t1_us=float(data["t1_us"]), t2_us=float(data["t2_us"]),
-            u2_ns=float(gate_ns.get("u2", 50.0)), u3_ns=float(gate_ns.get("u3", 100.0)),
-            cx_ns=float(gate_ns.get("cx", 300.0)),
-            readout_ns=float(data.get("readout_ns", 1000.0)),
+            name=data["name"], t1_us=_number(data, "t1_us"), t2_us=_number(data, "t2_us"),
+            u2_ns=_number(gate_ns, "u2", 50.0, "gate_ns.u2"),
+            u3_ns=_number(gate_ns, "u3", 100.0, "gate_ns.u3"),
+            cx_ns=_number(gate_ns, "cx", 300.0, "gate_ns.cx"),
+            readout_ns=_number(data, "readout_ns", 1000.0),
             apply_idle=bool(data.get("apply_idle", True)),
         )
+
+
+def _number(data: dict, key: str, default: float | None = None, field: str | None = None) -> float:
+    value = data.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"noise profile JSON: the field {field or key!r} must be a number, "
+                         f"got {value!r}") from None
 
 
 # Duration classes for directly timed gates; every other kind is lowered via
@@ -159,6 +176,8 @@ class RelaxationChannel:
             self.p_reset = self.gamma
             self.p_z = max((self.decay1 - self.decay2) / 2.0, 0.0)
         else:
+            # |0>, |1> amplitude factors without a jump, before renormalizing
+            self.no_jump = np.array([1.0, math.sqrt(self.decay1)])
             # residual pure dephasing after amplitude damping: T2 <= 2*T1
             self.p_phi = max((1.0 - self.decay2 / math.sqrt(self.decay1)) / 2.0, 0.0)
 
@@ -173,37 +192,59 @@ class RelaxationChannel:
         return out
 
     def apply(self, amplitudes: np.ndarray, qubit: int, rng: np.random.Generator) -> None:
-        """One stochastic application to a pure state, in place, renormalized."""
+        """One stochastic application, in place and renormalized.
+
+        ``amplitudes`` is one pure state ``(2**n,)`` or a block ``(B, 2**n)``
+        of them; each row draws its own branch from ``rng``.
+        """
         if self.t_ns == 0.0:
             return
-        view = amplitudes.reshape(-1, 2, 1 << qubit)
+        # (row, qubits above, qubit value, qubits below)
+        view = amplitudes.reshape(-1, amplitudes.shape[-1] >> (qubit + 1), 2, 1 << qubit)
         if self.implementation == "mixture":
-            u = rng.random()
-            if u < self.p_reset:
-                self._reset(view, rng)
-            elif u < self.p_reset + self.p_z:
-                view[:, 1, :] *= -1.0
+            u = rng.random(len(view))
+            event = u < self.p_reset + self.p_z
+            if not np.count_nonzero(event):
+                return
+            reset = u < self.p_reset
+            flip = event ^ reset
+            if np.count_nonzero(flip):
+                view[flip, :, 1] *= -1.0
+            if np.count_nonzero(reset):
+                view[reset] = self._reset(view[reset], rng)
             return
-        # kraus: amplitude damping with Born-weighted branch selection
-        p1 = float(np.sum(np.abs(view[:, 1, :]) ** 2))
-        if rng.random() < self.gamma * p1:
-            view[:, 0, :] = view[:, 1, :] / math.sqrt(p1)
-            view[:, 1, :] = 0.0
-        else:
-            view[:, 1, :] *= math.sqrt(1.0 - self.gamma)
-            amplitudes /= math.sqrt(1.0 - self.gamma * p1)
-        if rng.random() < self.p_phi:
-            view[:, 1, :] *= -1.0
+        # kraus: amplitude damping with Born-weighted branch selection, then a
+        # phase flip for the residual pure dephasing; one factor per row and half
+        draws = rng.random((2, len(view)))
+        p1 = _row_norms(view[:, :, 1])
+        jump = draws[0] < self.gamma * p1
+        factors = ((1.0 - self.gamma * p1) ** -0.5)[:, None] * self.no_jump
+        if np.count_nonzero(jump):
+            view[jump, :, 0] = view[jump, :, 1]
+            factors[jump, 0] = p1[jump] ** -0.5
+            factors[jump, 1] = 0.0
+        flip = draws[1] < self.p_phi
+        if np.count_nonzero(flip):
+            factors[flip, 1] *= -1.0
+        view *= factors[:, None, :, None]
 
     @staticmethod
-    def _reset(view: np.ndarray, rng: np.random.Generator) -> None:
-        # reset instruction: projective measurement, then set |0>
-        p1 = float(np.sum(np.abs(view[:, 1, :]) ** 2))
-        if rng.random() < p1:
-            view[:, 0, :] = view[:, 1, :] / math.sqrt(p1)
-        else:
-            view[:, 0, :] /= math.sqrt(max(1.0 - p1, 1e-300))
-        view[:, 1, :] = 0.0
+    def _reset(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        # reset instruction: projective measurement, then set |0>, per row.
+        # A row measured 0 has p1 <= its draw < 1, so 1 - p1 > 0.
+        p1 = _row_norms(rows[:, :, 1])
+        one = rng.random(len(rows)) < p1
+        if np.count_nonzero(one):
+            rows[one, :, 0] = rows[one, :, 1]
+        rows[:, :, 1] = 0.0
+        rows *= (np.where(one, p1, 1.0 - p1) ** -0.5)[:, None, None, None]
+        return rows
+
+
+def _row_norms(half: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of a ``(B, above, below)`` complex view."""
+    re_im = half.view(np.float64)  # the last axis is contiguous, so this is a view
+    return np.einsum("rij,rij->r", re_im, re_im)
 
 
 def relaxation_channel(t_ns: float, profile: NoiseProfile,
@@ -256,31 +297,36 @@ def compile_noisy_program(circuit: Circuit, profile: NoiseProfile,
     return steps
 
 
-def _shot_allocation(shots: int, trajectories: int) -> list[int]:
+# Amplitudes held by one block of trajectories: 2**15 (512 KiB), so 128
+# trajectories at 8 qubits, 8 at 12 and 1 from 15 qubits up.  Doubling it
+# raised the peak RSS of a 12-qubit noisy run by 4% and ran no faster.
+_BLOCK_AMPLITUDES = 1 << 15
+
+
+def _block_size(n_qubits: int) -> int:
+    """Trajectories per block at this width."""
+    return max(1, _BLOCK_AMPLITUDES >> n_qubits)
+
+
+def _run_trajectory_blocks(args) -> np.ndarray:
+    steps, n_qubits, measured, seed, shots, trajectories, blocks = args
+    size = _block_size(n_qubits)
     base, extra = divmod(shots, trajectories)
-    return [base + (1 if i < extra else 0) for i in range(trajectories)]
-
-
-def _run_trajectory_block(args) -> np.ndarray:
-    steps, n_qubits, measured, seed, start, alloc = args
     counts = np.zeros(1 << len(measured), dtype=np.int64)
-    state = StateVector.zero(n_qubits)
-    for offset, shots_i in enumerate(alloc):
-        if shots_i == 0:
-            continue
-        index = start + offset
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    for block in blocks:
+        first, stop = block * size, min((block + 1) * size, trajectories)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+        state = StateVector(n_qubits, np.zeros((stop - first, 1 << n_qubits), dtype=np.complex128))
         amp = state.amplitudes
-        amp[:] = 0.0
-        amp[0] = 1.0
+        amp[:, 0] = 1.0
         for step in steps:
             if step[0] == "gate":
                 apply_gate(state, step[1])
             else:
                 step[2].apply(amp, step[1], rng)
-        probs = marginal_probabilities(state, measured)
-        probs = np.clip(probs, 0.0, None)
-        counts += rng.multinomial(shots_i, probs / probs.sum())
+        probs = np.clip(marginal_probabilities(state, measured), 0.0, None)
+        row_shots = base + (np.arange(first, stop) < extra)  # round-robin shot allocation
+        counts += rng.multinomial(row_shots, probs / probs.sum(axis=1, keepdims=True)).sum(axis=0)
     return counts
 
 
@@ -291,28 +337,29 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, trajectories:
 
     Each trajectory replays the compiled schedule with stochastic channel
     applications, then contributes its share of the ``shots`` (round-robin
-    allocation).  Identical (circuit, profile, shots, trajectories, seed)
-    produce identical histograms for any ``workers`` count, because trajectory
-    ``i`` always uses the substream ``SeedSequence(entropy=seed, spawn_key=(i,))``
+    allocation).  Trajectories run in blocks of ``B = max(1, 2**15 >> n)``
+    rows, one ``(B, 2**n)`` array per block, and block ``b`` draws every
+    channel branch and its shots from ``SeedSequence(entropy=seed,
+    spawn_key=(b,))``.
+    Identical (circuit, profile, shots, trajectories, seed) produce identical
+    histograms for any ``workers`` count, because workers receive whole blocks
     and counts are aggregated by order-independent summation.
     """
     if shots < 1 or trajectories < 1:
         raise ValueError("shots and trajectories must be >= 1")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     steps = compile_noisy_program(circuit, profile, implementation)
     measured = sorted(measure) if measure is not None else list(range(circuit.n_qubits))
-    alloc = _shot_allocation(shots, trajectories)
-
-    workers = max(1, workers)
-    jobs = []
-    chunk = (trajectories + workers - 1) // workers
-    for start in range(0, trajectories, chunk):
-        jobs.append((steps, circuit.n_qubits, measured, seed, start,
-                     alloc[start:start + chunk]))
-    if workers == 1 or len(jobs) == 1:
-        blocks = [_run_trajectory_block(job) for job in jobs]
+    trajectories = min(trajectories, shots)  # a trajectory without a shot adds nothing
+    n_blocks = -(-trajectories // _block_size(circuit.n_qubits))
+    workers = min(workers, n_blocks)
+    jobs = [(steps, circuit.n_qubits, measured, seed, shots, trajectories,
+             range(w, n_blocks, workers)) for w in range(workers)]
+    if workers == 1:
+        totals = _run_trajectory_blocks(jobs[0])
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_run_trajectory_block, jobs))
-    totals = np.sum(blocks, axis=0)
+            totals = np.sum(list(pool.map(_run_trajectory_blocks, jobs)), axis=0)
     counts = {bitstring(i, len(measured)): int(c) for i, c in enumerate(totals) if c}
     return MeasurementHistogram(shots, len(measured), counts)

@@ -15,6 +15,10 @@ of the amplitude pairs the gate mixes: X-type gates swap the halves, Z-type
 gates negate the 1 half, and every other kind applies its 2x2 matrix.
 Marginal probabilities use the ``(2,)*n`` view and sum over the unmeasured
 axes.
+
+A state's amplitudes may also be a ``(B, 2**n)`` block of B states, one per
+row (the trajectory blocks of :mod:`qclique.noise`): the gate kernel and the
+marginals keep the leading axis, and a 1-D state is a block of one.
 """
 from __future__ import annotations
 
@@ -116,7 +120,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     if max(gate.qubits) >= state.n_qubits:
         raise ValueError(f"gate {gate} exceeds state width {state.n_qubits}")
     shape, lo, hi = _pair_views(state.n_qubits, gate.controls, gate.target)
-    view = state.amplitudes.reshape(shape)
+    view = state.amplitudes.reshape((-1, *shape))
     a0, a1 = view[lo], view[hi]
     kind = gate.kind
     if kind in _X_KINDS:
@@ -150,13 +154,16 @@ def normalize_global_phase(amplitudes: np.ndarray, tol: float = 1e-12) -> np.nda
 
 
 def marginal_probabilities(state: StateVector, qubits: list[int] | None = None) -> np.ndarray:
-    """Born probabilities over ``qubits`` (ascending order defines outcome bits)."""
+    """Born probabilities over ``qubits`` (ascending order defines outcome bits).
+
+    A block of states gives one row of marginals per state.
+    """
     probs = state.probabilities()
     if qubits is None:
         return probs
     n, kept = state.n_qubits, set(qubits)
-    dropped = tuple(n - 1 - q for q in range(n) if q not in kept)
-    return probs.reshape((2,) * n).sum(axis=dropped).reshape(-1)
+    dropped = tuple(n - q for q in range(n) if q not in kept)  # axis 0 is the block
+    return probs.reshape((-1,) + (2,) * n).sum(axis=dropped).reshape(probs.shape[:-1] + (-1,))
 
 
 def bitstring(index: int, n_bits: int) -> str:

@@ -177,6 +177,9 @@ def test_format_lists_only_written_formats(capsys, command, bad, allowed):
 @pytest.mark.parametrize("text, message", [
     ('{"name": "x", "t2_us": 50.0}', "lacks the field 't1_us'"),
     ("[83.0, 89.0]", "top level must be an object"),
+    ('{"name": "x", "t1_us": null, "t2_us": 50.0}', "the field 't1_us' must be a number"),
+    ('{"name": "x", "t1_us": 83.0, "t2_us": 89.0, "gate_ns": [50, 100, 300]}',
+     "the field 'gate_ns' must be an object"),
 ])
 def test_bad_profile_json_is_an_error_line(tmp_path, capsys, text, message):
     path = tmp_path / "prof.json"
@@ -185,6 +188,14 @@ def test_bad_profile_json_is_an_error_line(tmp_path, capsys, text, message):
                              "--shots", "16", "--noise", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_an_error_line(capsys, workers):
+    code, out, err = run_cli(capsys, "solve", "--graph", "g4", "--k", "3", "--shots", "16",
+                             "--trajectories", "4", "--noise", "500:500", "--workers", workers)
+    assert code == 1 and out == ""
+    assert err == f"error: workers must be >= 1, got {workers}\n"
 
 
 def test_graph_directory_is_an_error_line(tmp_path, capsys):

@@ -140,6 +140,27 @@ def test_both_implementations_agree_where_valid():
         assert rho[0, 1].real == pytest.approx(want01, abs=0.02)
 
 
+@pytest.mark.parametrize("implementation", ["mixture", "kraus"])
+def test_channel_on_a_block_matches_closed_form(implementation):
+    prof = NoiseProfile("p", 120.0, 90.0)
+    channel = relaxation_channel(60_000.0, prof, implementation)
+    init = np.array([math.sqrt(0.4), math.sqrt(0.6)], dtype=complex)
+    plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
+    ket0 = np.array([1.0, 0.0], dtype=complex)
+    rho = np.outer(init, init.conj())
+    # one qubit, and the middle qubit of three (index bit i is qubit i)
+    for single, qubit, expected in (
+        (init, 0, channel.evolve_density(rho)),
+        (np.kron(ket0, np.kron(init, plus)), 1,
+         np.kron(np.outer(ket0, ket0), np.kron(channel.evolve_density(rho), np.outer(plus, plus)))),
+    ):
+        block = np.tile(single, (20_000, 1))
+        channel.apply(block, qubit, np.random.default_rng(17))
+        assert np.allclose(np.linalg.norm(block, axis=1), 1.0)
+        average = block.T @ block.conj() / len(block)
+        assert np.abs(average - expected).max() < 0.02
+
+
 # -- schedule compilation --------------------------------------------------------
 
 def test_compile_applies_idle_and_readout():
@@ -169,12 +190,13 @@ def test_compile_without_idle_still_has_readout():
 def test_run_noisy_deterministic_and_worker_independent(g4):
     circ = assemble(g4, 3, "w", "checking")
     prof = NoiseProfile("t", 200.0, 200.0)
-    kwargs = dict(shots=400, trajectories=400, seed=11, measure=list(range(4)))
-    a = run_noisy(circ, prof, **kwargs)
-    b = run_noisy(circ, prof, **kwargs)
-    c = run_noisy(circ, prof, workers=2, **kwargs)
-    assert a.counts == b.counts == c.counts
-    assert sum(a.counts.values()) == 400
+    # 300 trajectories at 8 qubits end in a partial block of 44 rows (blocks
+    # hold 128); 100 shots leave 100 trajectories, one block, whatever the workers
+    for shots, trajectories in ((400, 400), (300, 300), (100, 300)):
+        kwargs = dict(shots=shots, trajectories=trajectories, seed=11, measure=list(range(4)))
+        runs = [run_noisy(circ, prof, workers=w, **kwargs).to_json() for w in (1, 1, 2, 3)]
+        assert runs == [runs[0]] * 4, (shots, trajectories)
+        assert sum(json.loads(runs[0])["counts"].values()) == shots
 
 
 def test_run_noisy_noiseless_limit_matches_ideal(g4):
@@ -217,3 +239,18 @@ def test_run_noisy_shot_allocation_more_shots_than_trajectories():
     hist = run_noisy(circ, prof, shots=103, trajectories=10, seed=2)
     assert sum(hist.counts.values()) == 103
     assert hist.counts["1"] >= 100
+
+
+@pytest.mark.parametrize("profile, exact", [
+    # exact density-matrix P of g4 w-checking, from perfbench/reference.json
+    # (computed by perfbench/reference.py)
+    (NoiseProfile("500:500", 500.0, 500.0), 0.480053),
+    (NoiseProfile("ibmq_singapore", 83.0, 89.0), 0.032166),
+], ids=["500:500", "ibmq_singapore"])
+def test_run_noisy_matches_exact_density_matrix(g4, profile, exact):
+    circ = assemble(g4, 3, "w", "checking")
+    shots = trajectories = 20_000
+    hist = run_noisy(circ, profile, shots=shots, trajectories=trajectories, seed=5,
+                     measure=list(range(4)))
+    sigma = math.sqrt(exact * (1 - exact) / shots)
+    assert abs(hist.success_probability("0111") - exact) < 4 * sigma
