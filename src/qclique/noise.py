@@ -13,13 +13,16 @@ Two trajectory implementations realize it:
   Born-rule branch weights and renormalization, followed by a probabilistic
   phase flip for the residual pure dephasing.
 
-Trajectories run in fixed-size blocks, one ``(B, 2**n)`` array each: every
-scheduled gate is applied once to the whole block, and every relaxation step
-draws its branch for all rows at once.  Runs are deterministic given the seed:
-block ``b`` draws from
-``numpy.random.default_rng(SeedSequence(entropy=seed, spawn_key=(b,)))``, and
-the block size depends only on the width, so results do not depend on the
-worker count.
+Trajectories run in fixed-size blocks, one ``(2**n, B)`` array each, column
+``b`` holding trajectory ``b``: every scheduled gate is applied once to the
+whole block, and every relaxation step draws its branch for all columns at
+once.  With the block axis last, every gate and relaxation view ends in one
+contiguous run of ``B * 2**q`` amplitudes.  Runs are deterministic given the
+seed: block ``b`` draws from
+``numpy.random.default_rng(SeedSequence(entropy=seed, spawn_key=(b,)))``, the
+calling process builds every block's ``SeedSequence`` before handing blocks
+to workers, and the block size depends only on the width, so results do not
+depend on the worker count.
 """
 from __future__ import annotations
 
@@ -177,7 +180,7 @@ class RelaxationChannel:
             self.p_z = max((self.decay1 - self.decay2) / 2.0, 0.0)
         else:
             # |0>, |1> amplitude factors without a jump, before renormalizing
-            self.no_jump = np.array([1.0, math.sqrt(self.decay1)])
+            self.no_jump = np.array([1.0, math.sqrt(self.decay1)]).reshape(2, 1, 1)
             # residual pure dephasing after amplitude damping: T2 <= 2*T1
             self.p_phi = max((1.0 - self.decay2 / math.sqrt(self.decay1)) / 2.0, 0.0)
 
@@ -194,57 +197,66 @@ class RelaxationChannel:
     def apply(self, amplitudes: np.ndarray, qubit: int, rng: np.random.Generator) -> None:
         """One stochastic application, in place and renormalized.
 
-        ``amplitudes`` is one pure state ``(2**n,)`` or a block ``(B, 2**n)``
-        of them; each row draws its own branch from ``rng``.
+        ``amplitudes`` is one pure state ``(2**n,)`` or a block ``(2**n, B)``
+        of them, one per column; each column draws its own branch from ``rng``.
         """
         if self.t_ns == 0.0:
             return
-        # (row, qubits above, qubit value, qubits below)
-        view = amplitudes.reshape(-1, amplitudes.shape[-1] >> (qubit + 1), 2, 1 << qubit)
+        # (qubits above, qubit value, qubits below, column)
+        view = amplitudes.reshape(amplitudes.shape[0] >> (qubit + 1), 2, 1 << qubit, -1)
         if self.implementation == "mixture":
-            u = rng.random(len(view))
+            u = rng.random(view.shape[-1])
             event = u < self.p_reset + self.p_z
             if not np.count_nonzero(event):
                 return
-            reset = u < self.p_reset
-            flip = event ^ reset
-            if np.count_nonzero(flip):
-                view[flip, :, 1] *= -1.0
-            if np.count_nonzero(reset):
-                view[reset] = self._reset(view[reset], rng)
+            # events are rare: each column that draws one is handled on its own view
+            for column in event.nonzero()[0]:
+                if u[column] < self.p_reset:
+                    _reset(view[..., column], rng)
+                else:
+                    view[:, 1, :, column] *= -1.0
             return
         # kraus: amplitude damping with Born-weighted branch selection, then a
-        # phase flip for the residual pure dephasing; one factor per row and half
-        draws = rng.random((2, len(view)))
-        p1 = _row_norms(view[:, :, 1])
-        jump = draws[0] < self.gamma * p1
-        factors = ((1.0 - self.gamma * p1) ** -0.5)[:, None] * self.no_jump
+        # phase flip for the residual pure dephasing; one factor per half and
+        # column, shaped (2, 1, B) to multiply the view
+        draws = rng.random((2, view.shape[-1]))
+        p1 = _column_norms(view[:, 1])
+        damped = self.gamma * p1
+        factors = self.no_jump * (1.0 - damped) ** -0.5
+        jump = draws[0] < damped
         if np.count_nonzero(jump):
-            view[jump, :, 0] = view[jump, :, 1]
-            factors[jump, 0] = p1[jump] ** -0.5
-            factors[jump, 1] = 0.0
+            for column in jump.nonzero()[0]:
+                view[:, 0, :, column] = view[:, 1, :, column]
+            factors[0, 0, jump] = p1[jump] ** -0.5
+            factors[1, 0, jump] = 0.0
         flip = draws[1] < self.p_phi
         if np.count_nonzero(flip):
-            factors[flip, 1] *= -1.0
-        view *= factors[:, None, :, None]
-
-    @staticmethod
-    def _reset(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        # reset instruction: projective measurement, then set |0>, per row.
-        # A row measured 0 has p1 <= its draw < 1, so 1 - p1 > 0.
-        p1 = _row_norms(rows[:, :, 1])
-        one = rng.random(len(rows)) < p1
-        if np.count_nonzero(one):
-            rows[one, :, 0] = rows[one, :, 1]
-        rows[:, :, 1] = 0.0
-        rows *= (np.where(one, p1, 1.0 - p1) ** -0.5)[:, None, None, None]
-        return rows
+            factors[1, 0, flip] *= -1.0
+        view *= factors
 
 
-def _row_norms(half: np.ndarray) -> np.ndarray:
-    """Squared norm of each row of a ``(B, above, below)`` complex view."""
+def _reset(state: np.ndarray, rng: np.random.Generator) -> None:
+    """Reset instruction on one state viewed as ``(above, 2, below)``: a
+    projective measurement of the qubit, then set |0>.
+
+    Measured 0 means p1 <= the draw < 1, so 1 - p1 > 0.
+    """
+    one = state[:, 1]
+    p1 = np.vdot(one, one).real
+    if rng.random() < p1:
+        state[:, 0] = one
+        scale = p1 ** -0.5
+    else:
+        scale = (1.0 - p1) ** -0.5
+    one[...] = 0.0
+    state *= scale
+
+
+def _column_norms(half: np.ndarray) -> np.ndarray:
+    """Squared norm of each column of an ``(above, below, B)`` complex view."""
     re_im = half.view(np.float64)  # the last axis is contiguous, so this is a view
-    return np.einsum("rij,rij->r", re_im, re_im)
+    squares = np.einsum("ijk,ijk->k", re_im, re_im)  # innermost loop: all 2B floats
+    return squares[0::2] + squares[1::2]
 
 
 def relaxation_channel(t_ns: float, profile: NoiseProfile,
@@ -309,22 +321,22 @@ def _block_size(n_qubits: int) -> int:
 
 
 def _run_trajectory_blocks(args) -> np.ndarray:
-    steps, n_qubits, measured, seed, shots, trajectories, blocks = args
+    steps, n_qubits, measured, shots, trajectories, blocks = args
     size = _block_size(n_qubits)
     base, extra = divmod(shots, trajectories)
     counts = np.zeros(1 << len(measured), dtype=np.int64)
-    for block in blocks:
+    for block, seed_sequence in blocks:
         first, stop = block * size, min((block + 1) * size, trajectories)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
-        state = StateVector(n_qubits, np.zeros((stop - first, 1 << n_qubits), dtype=np.complex128))
+        rng = np.random.default_rng(seed_sequence)
+        state = StateVector(n_qubits, np.zeros((1 << n_qubits, stop - first), dtype=np.complex128))
         amp = state.amplitudes
-        amp[:, 0] = 1.0
+        amp[0] = 1.0
         for step in steps:
             if step[0] == "gate":
                 apply_gate(state, step[1])
             else:
                 step[2].apply(amp, step[1], rng)
-        probs = np.clip(marginal_probabilities(state, measured), 0.0, None)
+        probs = np.clip(marginal_probabilities(state, measured), 0.0, None).T  # a row per trajectory
         row_shots = base + (np.arange(first, stop) < extra)  # round-robin shot allocation
         counts += rng.multinomial(row_shots, probs / probs.sum(axis=1, keepdims=True)).sum(axis=0)
     return counts
@@ -338,9 +350,10 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, trajectories:
     Each trajectory replays the compiled schedule with stochastic channel
     applications, then contributes its share of the ``shots`` (round-robin
     allocation).  Trajectories run in blocks of ``B = max(1, 2**15 >> n)``
-    rows, one ``(B, 2**n)`` array per block, and block ``b`` draws every
+    columns, one ``(2**n, B)`` array per block, and block ``b`` draws every
     channel branch and its shots from ``SeedSequence(entropy=seed,
-    spawn_key=(b,))``.
+    spawn_key=(b,))``.  Those seed sequences are built here, before any worker
+    starts, so ``numpy.random`` is imported once rather than in every worker.
     Identical (circuit, profile, shots, trajectories, seed) produce identical
     histograms for any ``workers`` count, because workers receive whole blocks
     and counts are aggregated by order-independent summation.
@@ -354,8 +367,9 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, trajectories:
     trajectories = min(trajectories, shots)  # a trajectory without a shot adds nothing
     n_blocks = -(-trajectories // _block_size(circuit.n_qubits))
     workers = min(workers, n_blocks)
-    jobs = [(steps, circuit.n_qubits, measured, seed, shots, trajectories,
-             range(w, n_blocks, workers)) for w in range(workers)]
+    blocks = [(b, np.random.SeedSequence(entropy=seed, spawn_key=(b,))) for b in range(n_blocks)]
+    jobs = [(steps, circuit.n_qubits, measured, shots, trajectories, blocks[w::workers])
+            for w in range(workers)]
     if workers == 1:
         totals = _run_trajectory_blocks(jobs[0])
     else:

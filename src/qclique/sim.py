@@ -16,9 +16,12 @@ gates negate the 1 half, and every other kind applies its 2x2 matrix.
 Marginal probabilities use the ``(2,)*n`` view and sum over the unmeasured
 axes.
 
-A state's amplitudes may also be a ``(B, 2**n)`` block of B states, one per
-row (the trajectory blocks of :mod:`qclique.noise`): the gate kernel and the
-marginals keep the leading axis, and a 1-D state is a block of one.
+A state's amplitudes may also be a ``(2**n, B)`` block of B states, one per
+column (the trajectory blocks of :mod:`qclique.noise`).  The gate kernel's
+views then keep the block as their trailing axis, so each ends in one
+contiguous run of ``B * 2**q`` amplitudes (``q`` the lowest qubit the gate
+touches), and the marginals have one column per state.  A 1-D state is a
+block of one.
 """
 from __future__ import annotations
 
@@ -95,12 +98,11 @@ def _pair_views(n_qubits: int, controls: tuple[int, ...], target: int):
     The shape is ``(2,)*n`` (axis ``n-1-q`` is qubit ``q``) with each run of
     qubits the gate does not touch merged into one axis, so numpy iterates
     over as few and as long axes as possible.  The index tuples fix every
-    control axis to 1 and the target axis to 0 or 1.  Each starts with
-    ``Ellipsis``: a gate that fixes every axis still yields a 0-d view rather
-    than a scalar copy, and the same tuples index a view with a leading batch
-    axis.
+    control axis to 1 and the target axis to 0 or 1.  Each ends with
+    ``Ellipsis``, which stands for the trailing block axis: a gate that fixes
+    every qubit axis still yields a view rather than a scalar copy.
     """
-    shape, lo, hi = [], [Ellipsis], [Ellipsis]
+    shape, lo, hi = [], [], []
     top = n_qubits
     for q in (*sorted((*controls, target), reverse=True), -1):
         if top > q + 1:  # qubits q+1 .. top-1 are untouched: one merged axis
@@ -112,7 +114,7 @@ def _pair_views(n_qubits: int, controls: tuple[int, ...], target: int):
             lo.append(0 if q == target else 1)
             hi.append(1)
         top = q
-    return tuple(shape), tuple(lo), tuple(hi)
+    return tuple(shape), (*lo, Ellipsis), (*hi, Ellipsis)
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -120,7 +122,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     if max(gate.qubits) >= state.n_qubits:
         raise ValueError(f"gate {gate} exceeds state width {state.n_qubits}")
     shape, lo, hi = _pair_views(state.n_qubits, gate.controls, gate.target)
-    view = state.amplitudes.reshape((-1, *shape))
+    view = state.amplitudes.reshape((*shape, -1))
     a0, a1 = view[lo], view[hi]
     kind = gate.kind
     if kind in _X_KINDS:
@@ -156,14 +158,16 @@ def normalize_global_phase(amplitudes: np.ndarray, tol: float = 1e-12) -> np.nda
 def marginal_probabilities(state: StateVector, qubits: list[int] | None = None) -> np.ndarray:
     """Born probabilities over ``qubits`` (ascending order defines outcome bits).
 
-    A block of states gives one row of marginals per state.
+    A ``(2**n, B)`` block of states gives one column of marginals per state.
+    Each state's probabilities are laid out contiguously before the sum, so a
+    state sums in the same order, to the same bits, in a block as alone.
     """
-    probs = state.probabilities()
     if qubits is None:
-        return probs
+        return state.probabilities()
+    probs = np.abs(state.amplitudes.T, order="C") ** 2  # one row per state
     n, kept = state.n_qubits, set(qubits)
     dropped = tuple(n - q for q in range(n) if q not in kept)  # axis 0 is the block
-    return probs.reshape((-1,) + (2,) * n).sum(axis=dropped).reshape(probs.shape[:-1] + (-1,))
+    return probs.reshape((-1,) + (2,) * n).sum(axis=dropped).reshape(probs.shape[:-1] + (-1,)).T
 
 
 def bitstring(index: int, n_bits: int) -> str:

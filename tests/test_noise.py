@@ -154,8 +154,9 @@ def test_channel_on_a_block_matches_closed_form(implementation):
         (np.kron(ket0, np.kron(init, plus)), 1,
          np.kron(np.outer(ket0, ket0), np.kron(channel.evolve_density(rho), np.outer(plus, plus)))),
     ):
-        block = np.tile(single, (20_000, 1))
-        channel.apply(block, qubit, np.random.default_rng(17))
+        columns = np.tile(single[:, None], (1, 20_000))  # one trajectory per column
+        channel.apply(columns, qubit, np.random.default_rng(17))
+        block = columns.T
         assert np.allclose(np.linalg.norm(block, axis=1), 1.0)
         average = block.T @ block.conj() / len(block)
         assert np.abs(average - expected).max() < 0.02

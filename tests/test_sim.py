@@ -233,3 +233,35 @@ def test_marginal_probabilities_matches_bincount_property(data):
     reference = np.bincount(outcome, weights=np.abs(state.amplitudes) ** 2,
                             minlength=1 << len(subset))
     assert np.allclose(marginal_probabilities(state, subset), reference, rtol=1e-12, atol=0.0)
+
+
+# -- a (2**n, B) block of states against its columns one at a time --------------
+
+@st.composite
+def blocks(draw, n: int) -> np.ndarray:
+    """A ``(2**n, B)`` block of 1 to 5 random states, one per column."""
+    columns = draw(st.integers(1, 5))
+    return np.stack([draw(states(n)) for _ in range(columns)], axis=1)
+
+
+@given(st.data())
+def test_apply_gate_on_a_block_matches_each_column_property(data):
+    n = data.draw(st.integers(1, 7), label="n")
+    gate = data.draw(gates_on(n), label="gate")
+    amp = data.draw(blocks(n), label="block")
+    block = apply_gate(StateVector(n, amp.copy()), gate)
+    for column in range(amp.shape[1]):
+        one = apply_gate(StateVector(n, amp[:, column].copy()), gate)
+        assert np.array_equal(block.amplitudes[:, column], one.amplitudes)
+
+
+@given(st.data())
+def test_marginal_probabilities_on_a_block_matches_each_column_property(data):
+    n = data.draw(st.integers(1, 7), label="n")
+    subset = data.draw(st.lists(st.integers(0, n - 1), unique=True), label="qubits")
+    amp = data.draw(blocks(n), label="block")
+    marginals = marginal_probabilities(StateVector(n, amp), subset)
+    assert marginals.shape == (1 << len(subset), amp.shape[1])
+    for column in range(amp.shape[1]):
+        one = marginal_probabilities(StateVector(n, amp[:, column].copy()), subset)
+        assert np.array_equal(marginals[:, column], one)
