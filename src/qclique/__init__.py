@@ -8,7 +8,7 @@ relaxation, and circuit resource accounting.
 from .circuit import Circuit, Gate, decompose_mc
 from .graph import Graph, builtin_graph, find_cliques_bruteforce, parse_edge_list, subset_to_bitstring
 from .grover import GroverPlan, NoSolutionsError, assemble, diffusion, make_plan, opt_iter, success_probability_analytic
-from .noise import NoiseProfile, relaxation_channel, run_noisy
+from .noise import NoiseProfile, RelaxationChannel, run_noisy
 from .oracle import OracleMode, build_oracle, increment_circuit
 from .resources import ResourceReport, report, required_qv, year_estimate
 from .sim import MeasurementHistogram, StateVector, run_ideal, statevector
@@ -21,7 +21,7 @@ __all__ = [
     "Graph", "builtin_graph", "find_cliques_bruteforce", "parse_edge_list", "subset_to_bitstring",
     "GroverPlan", "NoSolutionsError", "assemble", "diffusion", "make_plan", "opt_iter",
     "success_probability_analytic",
-    "NoiseProfile", "relaxation_channel", "run_noisy",
+    "NoiseProfile", "RelaxationChannel", "run_noisy",
     "OracleMode", "build_oracle", "increment_circuit",
     "ResourceReport", "report", "required_qv", "year_estimate",
     "MeasurementHistogram", "StateVector", "run_ideal", "statevector",

@@ -31,6 +31,11 @@ _ARITY = {
 _N_PARAMS = {"RY": 1, "CRY": 1, "CCRY": 1, "U3": 3, "U2": 2}
 _N_CONTROLS = {"CX": 1, "CZ": 1, "CRY": 1, "CCX": 2, "CCRY": 2}
 
+# Lowering of multi-controlled gates: the native gate for short operand lists,
+# otherwise the AND ladder's mid gate and how many trailing operands it keeps.
+_MC_SHORT_FORMS = {("MCX", 2): "CX", ("MCX", 3): "CCX", ("MCZ", 2): "CZ"}
+_MC_LADDER_MID = {"MCX": ("CCX", 2), "MCZ": ("CZ", 1)}
+
 
 @dataclass(frozen=True)
 class Gate:
@@ -192,11 +197,9 @@ def mc_ancilla_requirement(circuit: Circuit) -> int:
     """Clean ancillas :func:`decompose_mc` will need for ``circuit``."""
     need = 0
     for g in circuit.ops:
-        if g.kind == "MCX":
-            need = max(need, len(g.qubits) - 1 - 2)
-        elif g.kind == "MCZ":
-            need = max(need, len(g.qubits) - 2)
-    return max(need, 0)
+        if g.kind in _MC_LADDER_MID:
+            need = max(need, len(g.qubits) - _MC_LADDER_MID[g.kind][1] - 1)
+    return need
 
 
 def _lower_gate(gate: Gate, anc: range) -> list[Gate]:
@@ -218,28 +221,19 @@ def _lower_gate(gate: Gate, anc: range) -> list[Gate]:
         half = gate.params[0] / 2.0
         return [Gate("U3", (t,), (half, 0.0, 0.0)), Gate("CCX", (c1, c2, t)),
                 Gate("U3", (t,), (-half, 0.0, 0.0)), Gate("CCX", (c1, c2, t))]
-    if kind == "MCX":
-        ctl, t = gate.qubits[:-1], gate.qubits[-1]
-        if len(ctl) == 1:
-            return [Gate("CX", (ctl[0], t))]
-        if len(ctl) == 2:
-            return [Gate("CCX", (*ctl, t))]
-        # AND-ladder over clean ancillas: 2c-3 CCX gates for c controls
-        chain = [Gate("CCX", (ctl[0], ctl[1], anc[0]))]
-        for j in range(len(ctl) - 3):
-            chain.append(Gate("CCX", (anc[j], ctl[j + 2], anc[j + 1])))
-        mid = Gate("CCX", (anc[len(ctl) - 3], ctl[-1], t))
-        return chain + [mid] + [g for g in reversed(chain)]
-    if kind == "MCZ":
-        qs = gate.qubits
-        if len(qs) == 2:
-            return [Gate("CZ", qs)]
-        # 1 CZ + 2m-4 CCX for an m-qubit MCZ, matching the standard ladder cost
-        chain = [Gate("CCX", (qs[0], qs[1], anc[0]))]
-        for j in range(len(qs) - 3):
-            chain.append(Gate("CCX", (anc[j], qs[j + 2], anc[j + 1])))
-        mid = Gate("CZ", (anc[len(qs) - 3], qs[-1]))
-        return chain + [mid] + [g for g in reversed(chain)]
+    if (kind, len(gate.qubits)) in _MC_SHORT_FORMS:
+        return [Gate(_MC_SHORT_FORMS[kind, len(gate.qubits)], gate.qubits)]
+    if kind in _MC_LADDER_MID:
+        # AND ladder over clean ancillas (Barenco et al., PRA 52, 3457, 1995):
+        # chain the leading operands into the ancillas, apply the mid gate to
+        # the last ancilla and the kept operands, then mirror the chain
+        mid_kind, keep = _MC_LADDER_MID[kind]
+        ands = gate.qubits[:-keep]
+        chain = [Gate("CCX", (ands[0], ands[1], anc[0]))]
+        for j in range(len(ands) - 2):
+            chain.append(Gate("CCX", (anc[j], ands[j + 2], anc[j + 1])))
+        mid = Gate(mid_kind, (anc[len(ands) - 2], *gate.qubits[-keep:]))
+        return chain + [mid] + chain[::-1]
     raise ValueError(f"cannot lower gate kind {kind}")  # pragma: no cover
 
 

@@ -87,17 +87,16 @@ def _iterations(value: str) -> int | str:
 
 def cmd_solve(args) -> int:
     g = load_graph(args.graph)
-    solutions = find_cliques_bruteforce(g, args.k) if 1 <= args.k <= g.n else None
-    if solutions is None:
+    if not 1 <= args.k <= g.n:
         raise CliError(f"k={args.k} out of range [1, {g.n}]")
-    if not solutions:
+    try:
+        plan = make_plan(g, args.k, args.prep, args.oracle, args.iters)
+    except NoSolutionsError:
         payload = {"schema": 1, "command": "solve", "k": args.k, "m": 0,
                    "message": f"no {args.k}-clique exists"}
         _emit(json.dumps(payload, indent=2) if args.format == "json"
               else f"no {args.k}-clique exists (m = 0); nothing to search", args.output)
         return 0
-
-    plan = make_plan(g, args.k, args.prep, args.oracle, args.iters)
     circ = assemble(g, args.k, args.prep, args.oracle, plan=plan)
     nodes = list(range(g.n))
     hist = run_ideal(circ, shots=args.shots, seed=args.seed, measure=nodes)
@@ -128,7 +127,9 @@ def cmd_solve(args) -> int:
                           seed=args.seed, measure=nodes, workers=args.workers)
         result["noise_profile"] = {"name": profile.name, "t1_us": profile.t1_us,
                                    "t2_us": profile.t2_us}
-        result["noisy"] = {"shots": noisy.shots, "trajectories": args.trajectories,
+        # run_noisy runs at most one trajectory per shot
+        result["noisy"] = {"shots": noisy.shots,
+                           "trajectories": min(args.trajectories, args.shots),
                            "success_probability": noisy.success_probability(targets),
                            "counts": {k: noisy.counts[k] for k in sorted(noisy.counts)}}
 
@@ -150,7 +151,7 @@ def cmd_solve(args) -> int:
             lines.append(
                 f"noisy ({result['noise_profile']['name']}): success probability "
                 f"{result['noisy']['success_probability']:.6f} "
-                f"({args.trajectories} trajectories)")
+                f"({result['noisy']['trajectories']} trajectories)")
         _emit("\n".join(lines), args.output)
     return 0 if ok else 1
 

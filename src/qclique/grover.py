@@ -79,20 +79,19 @@ class GroverPlan:
 
 
 def make_plan(g: Graph, k: int, prep: PrepMode, style: str = "checking",
-              iterations: int | str = "auto",
-              count_nodes: bool | None = None) -> GroverPlan:
+              iterations: int | str = "auto") -> GroverPlan:
     """Classical sizing pass: brute-force m, pick N from the prep mode, fix j.
 
-    ``count_nodes`` defaults to True exactly when searching the full space.
-    Raises :class:`NoSolutionsError` when the graph has no k-clique.
+    The oracle counts nodes exactly when the preparation spans the full space;
+    a weight-k preparation already fixes the node count.  Raises
+    :class:`ValueError` for the W-state preparation unless k = n - 1, and then
+    :class:`NoSolutionsError` when the graph has no k-clique.
     """
     prep = PrepMode(prep)
     if prep is PrepMode.W_COMPLEMENT and k != g.n - 1:
         raise ValueError(
             f"W-state preparation works only for clique size k = n-1 (k={k}, n={g.n})")
-    if count_nodes is None:
-        count_nodes = prep is PrepMode.FULL
-    mode = OracleMode(style=style, count_nodes=count_nodes)
+    mode = OracleMode(style, count_nodes=prep is PrepMode.FULL)
     solutions = find_cliques_bruteforce(g, k)
     if not solutions:
         raise NoSolutionsError(f"graph has no {k}-clique")
@@ -106,7 +105,6 @@ def make_plan(g: Graph, k: int, prep: PrepMode, style: str = "checking",
 
 def assemble(g: Graph, k: int, prep: PrepMode, style: str = "checking",
              iterations: int | str = "auto",
-             count_nodes: bool | None = None,
              plan: GroverPlan | None = None) -> Circuit:
     """Full search circuit: state prep, then `iterations` x (oracle, diffusion).
 
@@ -115,7 +113,7 @@ def assemble(g: Graph, k: int, prep: PrepMode, style: str = "checking",
     preparation acts on exactly.  Measure it to read the clique.
     """
     if plan is None:
-        plan = make_plan(g, k, prep, style, iterations, count_nodes)
+        plan = make_plan(g, k, prep, style, iterations)
     prep_circuit = prepare_state(plan.prep, g.n, k)
     oracle_circuit = build_oracle(g, k, plan.oracle)
     diffusion_circuit = diffusion(prep_circuit)

@@ -158,7 +158,11 @@ def _duration_by_shape(kind: str, arity: int, profile: NoiseProfile) -> float:
 
 
 class RelaxationChannel:
-    """Single-qubit thermal relaxation over ``t_ns`` for a given profile."""
+    """Single-qubit thermal relaxation over ``t_ns`` for a given profile.
+
+    Its average action matches the closed-form T1/T2 decay.  ``implementation``
+    defaults to ``profile.default_implementation``.
+    """
 
     def __init__(self, t_ns: float, profile: NoiseProfile, implementation: str | None = None):
         if t_ns < 0:
@@ -259,20 +263,15 @@ def _column_norms(half: np.ndarray) -> np.ndarray:
     return squares[0::2] + squares[1::2]
 
 
-def relaxation_channel(t_ns: float, profile: NoiseProfile,
-                       implementation: str | None = None) -> RelaxationChannel:
-    """Channel whose average action matches the closed-form T1/T2 decay."""
-    return RelaxationChannel(t_ns, profile, implementation)
-
-
-def compile_noisy_program(circuit: Circuit, profile: NoiseProfile,
-                          implementation: str | None = None) -> list:
+def compile_noisy_program(circuit: Circuit, profile: NoiseProfile) -> list:
     """ASAP-schedule a circuit into (gate | relax) steps shared by all trajectories.
 
     Per-qubit clocks advance by each gate's duration; idle gaps (when
     ``apply_idle`` is set) and gate intervals become relaxation steps, merged
     per qubit until the next gate touches it.  A final step per qubit covers
-    the idle tail plus the readout interval.
+    the idle tail plus the readout interval.  Every channel follows
+    ``profile.default_implementation``: the mixture when T2 <= T1, Kraus
+    otherwise.
     """
     n = circuit.n_qubits
     ready = [0.0] * n
@@ -285,7 +284,7 @@ def compile_noisy_program(circuit: Circuit, profile: NoiseProfile,
         if t <= 0.0:
             return
         if t not in channels:
-            channels[t] = RelaxationChannel(t, profile, implementation)
+            channels[t] = RelaxationChannel(t, profile)
         steps.append(("relax", q, channels[t]))
         pending[q] = 0.0
 
@@ -344,16 +343,18 @@ def _run_trajectory_blocks(args) -> np.ndarray:
 
 def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, trajectories: int,
               seed: int, measure: list[int] | None = None,
-              implementation: str | None = None, workers: int = 1) -> MeasurementHistogram:
+              workers: int = 1) -> MeasurementHistogram:
     """Monte-Carlo trajectory execution under thermal relaxation.
 
     Each trajectory replays the compiled schedule with stochastic channel
     applications, then contributes its share of the ``shots`` (round-robin
-    allocation).  Trajectories run in blocks of ``B = max(1, 2**15 >> n)``
-    columns, one ``(2**n, B)`` array per block, and block ``b`` draws every
-    channel branch and its shots from ``SeedSequence(entropy=seed,
-    spawn_key=(b,))``.  Those seed sequences are built here, before any worker
-    starts, so ``numpy.random`` is imported once rather than in every worker.
+    allocation), so at most ``shots`` trajectories run.  The channel follows
+    the profile's T1/T2, as in :func:`compile_noisy_program`.  Trajectories
+    run in blocks of ``B = max(1, 2**15 >> n)`` columns, one ``(2**n, B)``
+    array per block, and block ``b`` draws every channel branch and its shots
+    from ``SeedSequence(entropy=seed, spawn_key=(b,))``.  Those seed sequences
+    are built here, before any worker starts, so ``numpy.random`` is imported
+    once rather than in every worker.
     Identical (circuit, profile, shots, trajectories, seed) produce identical
     histograms for any ``workers`` count, because workers receive whole blocks
     and counts are aggregated by order-independent summation.
@@ -362,7 +363,7 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, trajectories:
         raise ValueError("shots and trajectories must be >= 1")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    steps = compile_noisy_program(circuit, profile, implementation)
+    steps = compile_noisy_program(circuit, profile)
     measured = sorted(measure) if measure is not None else list(range(circuit.n_qubits))
     trajectories = min(trajectories, shots)  # a trajectory without a shot adds nothing
     n_blocks = -(-trajectories // _block_size(circuit.n_qubits))

@@ -72,26 +72,19 @@ def make_layout(n: int, k: int, mode: OracleMode) -> Circuit:
     return Circuit(cursor, registers, name=f"oracle({mode.style},k={k})")
 
 
+def _x_gate(operands: tuple[int, ...]) -> Gate:
+    """X on the last operand, controlled by the others: X, CX, CCX or MCX."""
+    return Gate({1: "X", 2: "CX", 3: "CCX"}.get(len(operands), "MCX"), operands)
+
+
 def increment_gates(counter, extra_controls=()) -> list[Gate]:
     """+1 (mod 2^width) on ``counter``, optionally under extra controls.
 
     The MCX ladder of the increment circuit: the top counter bit flips when
     all lower bits are set, down to a bare flip of bit 0.
     """
-    counter = list(counter)
-    extra = tuple(extra_controls)
-    gates: list[Gate] = []
-    for j in range(len(counter) - 1, -1, -1):
-        operands = extra + tuple(counter[:j]) + (counter[j],)
-        if len(operands) == 1:
-            gates.append(Gate("X", operands))
-        elif len(operands) == 2:
-            gates.append(Gate("CX", operands))
-        elif len(operands) == 3:
-            gates.append(Gate("CCX", operands))
-        else:
-            gates.append(Gate("MCX", operands))
-    return gates
+    counter, extra = tuple(counter), tuple(extra_controls)
+    return [_x_gate(extra + counter[:j + 1]) for j in range(len(counter) - 1, -1, -1)]
 
 
 def increment_circuit(width: int) -> Circuit:
@@ -109,14 +102,7 @@ def equality_gates(counter, value: int, flag: int) -> list[Gate]:
     if value >= 1 << len(counter):
         raise ValueError(f"target {value} exceeds {len(counter)}-bit counter capacity")
     conj = [Gate("X", (q,)) for i, q in enumerate(counter) if not (value >> i) & 1]
-    operands = tuple(counter) + (flag,)
-    if len(operands) == 2:
-        hit = Gate("CX", operands)
-    elif len(operands) == 3:
-        hit = Gate("CCX", operands)
-    else:
-        hit = Gate("MCX", operands)
-    return conj + [hit] + conj
+    return conj + [_x_gate((*counter, flag))] + conj
 
 
 def _edge_count_gates(g: Graph, registers: dict[str, range], style: str) -> list[Gate]:

@@ -147,14 +147,6 @@ def statevector(circuit: Circuit, initial: int = 0) -> StateVector:
     return state
 
 
-def normalize_global_phase(amplitudes: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Rotate so the first amplitude with |a| > tol is real positive."""
-    for a in amplitudes:
-        if abs(a) > tol:
-            return amplitudes * (abs(a) / a)
-    return amplitudes
-
-
 def marginal_probabilities(state: StateVector, qubits: list[int] | None = None) -> np.ndarray:
     """Born probabilities over ``qubits`` (ascending order defines outcome bits).
 
@@ -198,9 +190,6 @@ class MeasurementHistogram:
         payload = {"schema": 1, "shots": self.shots, "n_bits": self.n_bits,
                    "counts": {k: self.counts[k] for k in sorted(self.counts)}}
         return json.dumps(payload, indent=2, sort_keys=True)
-
-    def to_rows(self) -> list[tuple[str, int, float]]:
-        return [(b, c, c / self.shots) for b, c in sorted(self.counts.items())]
 
 
 def sample_histogram(probs: np.ndarray, shots: int, rng: np.random.Generator,

@@ -14,7 +14,7 @@ import pytest
 from qclique.circuit import decompose_mc
 from qclique.graph import Graph, builtin_graph, find_cliques_bruteforce, subset_to_bitstring
 from qclique.grover import assemble, make_plan, opt_iter, success_probability_analytic
-from qclique.noise import NoiseProfile, relaxation_channel, run_noisy
+from qclique.noise import NoiseProfile, RelaxationChannel, run_noisy
 from qclique.oracle import OracleMode, build_oracle
 from qclique.resources import linear_fit_r2, report
 from qclique.sim import apply_gate, marginal_probabilities, run_ideal, statevector
@@ -124,7 +124,7 @@ def test_criterion_06_channel_matches_closed_form():
         for t_over_t1 in (0.05, 0.15, 0.3, 0.6, 1.0):
             for ratio in (1.0, 1.25, 1.6, 2.0, 3.0):  # T2 = T1 / ratio <= T1
                 profile = NoiseProfile("grid", t1_us, t1_us / ratio)
-                channel = relaxation_channel(t_over_t1 * t1_us * 1000.0, profile, impl)
+                channel = RelaxationChannel(t_over_t1 * t1_us * 1000.0, profile, impl)
                 rng = np.random.default_rng(1234)
                 rho = np.zeros((2, 2), dtype=complex)
                 for _ in range(trajectories):

@@ -163,13 +163,15 @@ def test_dumps_golden():
 
 # -- decompose_mc ------------------------------------------------------------
 
-def test_decompose_mcz_four_qubits_cost():
-    circ = Circuit(4)
-    circ.add("MCZ", 0, 1, 2, 3)
-    low = decompose_mc(circ)
-    counts = low.metrics().counts
-    assert counts == {"CZ": 1, "CCX": 4}
-    assert low.n_qubits == 4 + 2
+def test_decompose_mcz_cost_formula():
+    for m in range(2, 8):
+        circ = Circuit(m)
+        circ.add("MCZ", *range(m))
+        low = decompose_mc(circ)
+        expected = {"CZ": 1, "CCX": 2 * m - 4} if m > 2 else {"CZ": 1}
+        assert low.metrics().counts == expected
+        assert mc_ancilla_requirement(circ) == m - 2
+        assert low.n_qubits == 2 * m - 2
 
 
 def test_decompose_leaves_cx_alone():

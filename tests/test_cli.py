@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qclique import cli, grover
 from qclique.cli import BUILTIN_PROFILES, load_graph, load_profile, main
 from qclique.noise import NoiseProfile
 
@@ -80,6 +81,27 @@ def test_solve_no_clique_preflight(capsys):
     assert "no 3-clique exists" in out
 
 
+def test_solve_brute_forces_once(capsys, monkeypatch):
+    calls = []
+    original = grover.find_cliques_bruteforce
+
+    def counting(g, k):
+        calls.append(k)
+        return original(g, k)
+
+    for module in (cli, grover):
+        monkeypatch.setattr(module, "find_cliques_bruteforce", counting)
+    code, _, _ = run_cli(capsys, "solve", "--graph", "g4", "--k", "3", "--shots", "64")
+    assert code == 0 and calls == [3]
+
+
+def test_solve_w_prep_checks_k_before_cliques(capsys):
+    # star4 has no 4-clique, but k = 4 != n-1 fails the W-state check first
+    code, out, err = run_cli(capsys, "solve", "--graph", "star4", "--k", "4", "--prep", "w")
+    assert code == 1 and out == ""
+    assert err.startswith("error: W-state preparation works only for clique size k = n-1")
+
+
 def test_solve_invalid_k_errors(capsys):
     code, _, err = run_cli(capsys, "solve", "--graph", "g4", "--k", "9")
     assert code == 1 and "out of range" in err
@@ -94,6 +116,17 @@ def test_solve_with_noise_reports_damping(capsys):
     data = json.loads(out)
     assert data["noise_profile"]["name"] == "ibmq_singapore"
     assert data["noisy"]["success_probability"] < data["ideal"]["success_probability"]
+
+
+def test_solve_with_noise_reports_the_trajectories_that_ran(capsys):
+    argv = ("solve", "--graph", "g4", "--k", "3", "--noise", "500:500",
+            "--shots", "50", "--trajectories", "5000", "--seed", "3")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["noisy"]["trajectories"] == 50  # one per shot at most
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "(50 trajectories)" in out
 
 
 def test_resources_table_six_rows(capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qclique.circuit import Circuit, Gate
+from qclique.cli import load_profile
 from qclique.graph import builtin_graph
 from qclique.grover import assemble
 from qclique.noise import (
@@ -12,7 +13,6 @@ from qclique.noise import (
     RelaxationChannel,
     compile_noisy_program,
     gate_duration_ns,
-    relaxation_channel,
     run_noisy,
 )
 from qclique.sim import run_ideal
@@ -78,7 +78,7 @@ def test_compound_gate_durations_come_from_lowering():
 
 def test_channel_zero_time_is_identity():
     prof = NoiseProfile("p", 100.0, 100.0)
-    ch = relaxation_channel(0.0, prof)
+    ch = RelaxationChannel(0.0, prof)
     rho = np.array([[0.25, 0.1j], [-0.1j, 0.75]])
     assert np.allclose(ch.evolve_density(rho), rho)
     amp = np.array([0.6, 0.8], dtype=complex)
@@ -88,7 +88,7 @@ def test_channel_zero_time_is_identity():
 
 def test_channel_closed_form():
     prof = NoiseProfile("p", 100.0, 160.0)
-    ch = relaxation_channel(30_000.0, prof)
+    ch = RelaxationChannel(30_000.0, prof)
     rho = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.7]])
     out = ch.evolve_density(rho)
     assert out[1, 1] == pytest.approx(0.7 * math.exp(-30 / 100))
@@ -98,14 +98,14 @@ def test_channel_closed_form():
 
 def test_excited_state_decays_to_one_over_e():
     prof = NoiseProfile("p", 80.0, 80.0)
-    ch = relaxation_channel(80_000.0, prof)  # t = T1
+    ch = RelaxationChannel(80_000.0, prof)  # t = T1
     rho = average_density(ch, np.array([0.0, 1.0]), 6000, seed=5)
     assert rho[1, 1].real == pytest.approx(math.exp(-1), abs=0.02)
 
 
 def test_plus_state_coherence_decays_to_half_over_e():
     prof = NoiseProfile("p", 200.0, 100.0)
-    ch = relaxation_channel(100_000.0, prof)  # t = T2
+    ch = RelaxationChannel(100_000.0, prof)  # t = T2
     plus = np.array([1.0, 1.0]) / math.sqrt(2)
     rho = average_density(ch, plus, 6000, seed=6)
     assert abs(rho[0, 1]) == pytest.approx(0.5 * math.exp(-1), abs=0.02)
@@ -114,13 +114,13 @@ def test_plus_state_coherence_decays_to_half_over_e():
 def test_mixture_requires_t2_below_t1():
     prof = NoiseProfile("p", 83.0, 89.0)
     with pytest.raises(ValueError, match="mixture"):
-        relaxation_channel(100.0, prof, implementation="mixture")
+        RelaxationChannel(100.0, prof, implementation="mixture")
 
 
 def test_kraus_valid_beyond_t1():
     # T1 < T2 <= 2*T1 exercises the general branch
     prof = NoiseProfile("p", 100.0, 180.0)
-    ch = relaxation_channel(40_000.0, prof, implementation="kraus")
+    ch = RelaxationChannel(40_000.0, prof, implementation="kraus")
     plus = np.array([1.0, 1.0]) / math.sqrt(2)
     rho = average_density(ch, plus, 8000, seed=7)
     assert abs(rho[0, 1]) == pytest.approx(0.5 * math.exp(-40 / 180), abs=0.02)
@@ -131,8 +131,8 @@ def test_both_implementations_agree_where_valid():
     prof = NoiseProfile("p", 120.0, 90.0)
     init = np.array([math.sqrt(0.4), math.sqrt(0.6)], dtype=complex)
     t = 60_000.0
-    rho_mix = average_density(relaxation_channel(t, prof, "mixture"), init, 8000, seed=8)
-    rho_kraus = average_density(relaxation_channel(t, prof, "kraus"), init, 8000, seed=8)
+    rho_mix = average_density(RelaxationChannel(t, prof, "mixture"), init, 8000, seed=8)
+    rho_kraus = average_density(RelaxationChannel(t, prof, "kraus"), init, 8000, seed=8)
     want11 = 0.6 * math.exp(-60 / 120)
     want01 = math.sqrt(0.24) * math.exp(-60 / 90)
     for rho in (rho_mix, rho_kraus):
@@ -143,7 +143,7 @@ def test_both_implementations_agree_where_valid():
 @pytest.mark.parametrize("implementation", ["mixture", "kraus"])
 def test_channel_on_a_block_matches_closed_form(implementation):
     prof = NoiseProfile("p", 120.0, 90.0)
-    channel = relaxation_channel(60_000.0, prof, implementation)
+    channel = RelaxationChannel(60_000.0, prof, implementation)
     init = np.array([math.sqrt(0.4), math.sqrt(0.6)], dtype=complex)
     plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
     ket0 = np.array([1.0, 0.0], dtype=complex)
@@ -184,6 +184,14 @@ def test_compile_without_idle_still_has_readout():
     relaxes = [(s[1], s[2].t_ns) for s in steps if s[0] == "relax"]
     assert (1, 100.0) not in relaxes
     assert relaxes[-2:] == [(0, 1300.0), (1, 1300.0)]
+
+
+@pytest.mark.parametrize("spec, implementation", [
+    ("500:500", "mixture"), ("ibmq_cambridge", "mixture"), ("ibmq_singapore", "kraus")])
+def test_compile_channel_follows_the_profile(g4, spec, implementation):
+    steps = compile_noisy_program(assemble(g4, 3, "w", "checking"), load_profile(spec))
+    channels = [s[2] for s in steps if s[0] == "relax"]
+    assert channels and {ch.implementation for ch in channels} == {implementation}
 
 
 # -- trajectory runs --------------------------------------------------------------

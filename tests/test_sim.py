@@ -14,7 +14,6 @@ from qclique.sim import (
     apply_gate,
     bitstring,
     marginal_probabilities,
-    normalize_global_phase,
     run_ideal,
     sample_histogram,
     statevector,
@@ -133,13 +132,6 @@ def test_marginal_probabilities_subset():
     assert np.allclose(marginal_probabilities(state, [1]), [1.0, 0.0], atol=1e-12)
 
 
-def test_normalize_global_phase():
-    amps = np.array([0, 1j * 0.6, 0.8j], dtype=complex)
-    fixed = normalize_global_phase(amps)
-    assert fixed[1] == pytest.approx(0.6)
-    assert fixed[2] == pytest.approx(0.8)
-
-
 def test_run_ideal_empty_circuit():
     hist = run_ideal(Circuit(3), shots=50, seed=1)
     assert hist.counts == {"000": 50}
@@ -176,7 +168,6 @@ def test_histogram_helpers():
     assert hist.top() == ("01", 7)
     payload = json.loads(hist.to_json())
     assert payload["schema"] == 1 and payload["counts"]["01"] == 7
-    assert hist.to_rows() == [("01", 7, 0.7), ("10", 3, 0.3)]
 
 
 def test_sample_histogram_rejects_zero_mass():
