@@ -5,13 +5,17 @@ Conventions used throughout the package:
 * Qubit ``i`` of a circuit corresponds to bit ``i`` of a basis-state index
   (qubit 0 is the least significant bit).
 * Multi-qubit gate operands are ordered controls first, target last.
-* Circuits are built once and treated as immutable afterwards; builders are
-  single-threaded, finished circuits are safe to share between workers.
+* Every circuit is built whole: ``Circuit(n, registers, name, ops)`` takes its
+  gate list in the one constructor call (``compose``, ``adjoint`` and
+  ``decompose_mc`` included), and nothing assigns ``ops`` or ``name`` later.
+  Builders append to a circuit they have just made; finished circuits are
+  treated as immutable and are safe to share between workers.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 #: Gates equal to their own inverse.
 SELF_INVERSE = frozenset({"H", "X", "Z", "CX", "CZ", "CCX", "MCX", "MCZ"})
@@ -29,7 +33,6 @@ _ARITY = {
     "CCX": 3, "CCRY": 3,
 }
 _N_PARAMS = {"RY": 1, "CRY": 1, "CCRY": 1, "U3": 3, "U2": 2}
-_N_CONTROLS = {"CX": 1, "CZ": 1, "CRY": 1, "CCX": 2, "CCRY": 2}
 
 # Lowering of multi-controlled gates: the native gate for short operand lists,
 # otherwise the AND ladder's mid gate and how many trailing operands it keeps.
@@ -68,9 +71,7 @@ class Gate:
 
     @property
     def controls(self) -> tuple[int, ...]:
-        if self.kind in ("MCX", "MCZ"):
-            return self.qubits[:-1]
-        return self.qubits[: _N_CONTROLS.get(self.kind, 0)]
+        return self.qubits[:-1]
 
     @property
     def target(self) -> int:
@@ -110,10 +111,11 @@ class Circuit:
 
     Registers are contiguous, disjoint qubit ranges (``dict`` name -> ``range``)
     used by builders to address the node register, counters and flags.
+    ``ops`` is the initial gate list, each gate checked as by :meth:`append`.
     """
 
     def __init__(self, n_qubits: int, registers: dict[str, range] | None = None,
-                 name: str = "") -> None:
+                 name: str = "", ops=()) -> None:
         if n_qubits < 1:
             raise ValueError("circuit needs at least one qubit")
         self.n_qubits = n_qubits
@@ -128,6 +130,7 @@ class Circuit:
                 if q >= n_qubits:
                     raise ValueError(f"register {reg!r} exceeds circuit width")
                 seen.add(q)
+        self.extend(ops)
 
     # -- construction -------------------------------------------------------
 
@@ -148,34 +151,19 @@ class Circuit:
         if other.n_qubits > self.n_qubits:
             raise ValueError(
                 f"cannot compose a {other.n_qubits}-qubit circuit into {self.n_qubits} qubits")
-        out = self.copy()
-        out.ops.extend(other.ops)
-        return out
-
-    def copy(self) -> Circuit:
-        out = Circuit(self.n_qubits, self.registers, self.name)
-        out.ops = list(self.ops)
-        return out
+        return Circuit(self.n_qubits, self.registers, self.name, self.ops + other.ops)
 
     def adjoint(self) -> Circuit:
         """Reverse gate order and invert each gate."""
-        out = Circuit(self.n_qubits, self.registers,
-                      self.name + "^-1" if self.name else "")
-        out.ops = [g.inverse() for g in reversed(self.ops)]
-        return out
+        return Circuit(self.n_qubits, self.registers, self.name + "^-1" if self.name else "",
+                       [g.inverse() for g in reversed(self.ops)])
 
     # -- inspection ---------------------------------------------------------
 
     def metrics(self) -> CircuitMetrics:
         """Gate count, ASAP depth (gates conflict iff they share a qubit) and counts."""
-        level = [0] * self.n_qubits
-        counts: dict[str, int] = {}
-        for g in self.ops:
-            step = 1 + max(level[q] for q in g.qubits)
-            for q in g.qubits:
-                level[q] = step
-            counts[g.kind] = counts.get(g.kind, 0) + 1
-        depth = max(level) if self.ops else 0
+        counts = dict(Counter(g.kind for g in self.ops))
+        depth = _critical_path(self.ops, lambda g: 1)
         return CircuitMetrics(len(self.ops), depth, counts, self.n_qubits)
 
     def dumps(self) -> str:
@@ -191,6 +179,20 @@ class Circuit:
 
     def __repr__(self) -> str:
         return f"Circuit({self.n_qubits} qubits, {len(self.ops)} gates{', ' + self.name if self.name else ''})"
+
+
+def _critical_path(gates, duration):
+    """ASAP end time of ``gates``: each starts once every qubit it touches is free.
+
+    ``duration(gate)`` is 1 for circuit depth and nanoseconds for wall-clock
+    timing; an empty sequence takes 0.
+    """
+    ready: dict[int, float] = {}
+    for gate in gates:
+        end = max(ready.get(q, 0) for q in gate.qubits) + duration(gate)
+        for q in gate.qubits:
+            ready[q] = end
+    return max(ready.values(), default=0)
 
 
 def mc_ancilla_requirement(circuit: Circuit) -> int:
@@ -252,7 +254,5 @@ def decompose_mc(circuit: Circuit) -> Circuit:
     anc = range(circuit.n_qubits, circuit.n_qubits + extra)
     if extra:
         registers["mc_ancilla"] = anc
-    out = Circuit(circuit.n_qubits + extra, registers, circuit.name)
-    for gate in circuit.ops:
-        out.extend(_lower_gate(gate, anc))
-    return out
+    return Circuit(circuit.n_qubits + extra, registers, circuit.name,
+                   [low for gate in circuit.ops for low in _lower_gate(gate, anc)])

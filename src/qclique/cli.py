@@ -1,5 +1,10 @@
 """Command-line front end: solve / resources / sweep / verify / state.
 
+Each command returns ``(exit code, JSON payload, text)`` and writes nothing
+itself.  :func:`main` is the one output path: with ``--format json`` it
+writes ``{"schema": 1, "command": ...}`` followed by the payload, otherwise
+the text (CSV for ``sweep`` and ``state``), to stdout or ``--output``.
+
 Bundled noise profiles carry average T1/T2 values of six IBM Q devices
 (microseconds): melbourne (55, 59), poughkeepsie (64, 65), singapore (83, 89),
 paris (76, 67), cambridge (81, 39), rochester (55, 59).
@@ -25,7 +30,7 @@ from .graph import (
 from .grover import NoSolutionsError, assemble, make_plan
 from .noise import NoiseProfile, run_noisy
 from .resources import format_table, report
-from .sim import run_ideal, statevector
+from .sim import bitstring, run_ideal, statevector
 from .stateprep import PrepMode, dicke_prep, full_superposition, w_complement, w_state
 
 BUILTIN_PROFILES = {
@@ -61,8 +66,13 @@ def load_profile(spec: str) -> NoiseProfile:
     if "ibmq_" + key in BUILTIN_PROFILES:
         return BUILTIN_PROFILES["ibmq_" + key]
     if ":" in spec:  # inline "T1:T2" in microseconds
-        t1, t2 = spec.split(":", 1)
-        return NoiseProfile(f"t1={t1},t2={t2}", float(t1), float(t2))
+        t1, _, t2 = spec.partition(":")
+        try:
+            t1_us, t2_us = float(t1), float(t2)
+        except ValueError:
+            raise CliError(f"noise profile {spec!r} is not 'T1:T2', "
+                           f"two numbers in microseconds") from None
+        return NoiseProfile(f"t1={t1},t2={t2}", t1_us, t2_us)
     path = Path(spec)
     if not path.exists():
         raise CliError(f"noise profile {spec!r} is neither builtin, 'T1:T2', nor a file")
@@ -85,18 +95,15 @@ def _iterations(value: str) -> int | str:
     return iters
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple[int, dict, str]:
     g = load_graph(args.graph)
     if not 1 <= args.k <= g.n:
         raise CliError(f"k={args.k} out of range [1, {g.n}]")
     try:
         plan = make_plan(g, args.k, args.prep, args.oracle, args.iters)
     except NoSolutionsError:
-        payload = {"schema": 1, "command": "solve", "k": args.k, "m": 0,
-                   "message": f"no {args.k}-clique exists"}
-        _emit(json.dumps(payload, indent=2) if args.format == "json"
-              else f"no {args.k}-clique exists (m = 0); nothing to search", args.output)
-        return 0
+        return (0, {"k": args.k, "m": 0, "message": f"no {args.k}-clique exists"},
+                f"no {args.k}-clique exists (m = 0); nothing to search")
     circ = assemble(g, args.k, args.prep, args.oracle, plan=plan)
     nodes = list(range(g.n))
     hist = run_ideal(circ, shots=args.shots, seed=args.seed, measure=nodes)
@@ -107,15 +114,13 @@ def cmd_solve(args) -> int:
     ok = top_bits in targets
 
     result = {
-        "schema": 1, "command": "solve",
         "graph": {"n": g.n, "edges": len(g.edges)},
         "k": args.k, "prep": plan.prep.value, "oracle": plan.oracle.style,
         "count_nodes": plan.oracle.count_nodes,
         "search_space": plan.n_space, "m": plan.m_solutions,
         "iterations": plan.iterations,
         "analytic_success_probability": analytic,
-        "ideal": {"shots": hist.shots,
-                  "counts": {k: hist.counts[k] for k in sorted(hist.counts)},
+        "ideal": {"shots": hist.shots, "counts": hist.counts,
                   "success_probability": hist.success_probability(targets),
                   "top_outcome": top_bits, "decoded_nodes": decoded},
         "solutions": sorted(targets),
@@ -131,29 +136,25 @@ def cmd_solve(args) -> int:
         result["noisy"] = {"shots": noisy.shots,
                            "trajectories": min(args.trajectories, args.shots),
                            "success_probability": noisy.success_probability(targets),
-                           "counts": {k: noisy.counts[k] for k in sorted(noisy.counts)}}
+                           "counts": noisy.counts}
 
-    if args.format == "json":
-        _emit(json.dumps(result, indent=2), args.output)
-    else:
-        lines = [
-            f"graph: n={g.n}, |E|={len(g.edges)}; k={args.k}",
-            f"prep={plan.prep.value} oracle={plan.oracle.style} "
-            f"count_nodes={plan.oracle.count_nodes} N={plan.n_space} m={plan.m_solutions} "
-            f"iterations={plan.iterations}",
-            f"analytic success probability: {analytic:.6f}",
-            f"ideal success probability:    {result['ideal']['success_probability']:.6f} "
-            f"({hist.shots} shots)",
-            f"top outcome |{top_bits}> -> nodes {decoded}",
-            f"matches brute force: {'PASS' if ok else 'FAIL'}",
-        ]
-        if args.noise:
-            lines.append(
-                f"noisy ({result['noise_profile']['name']}): success probability "
-                f"{result['noisy']['success_probability']:.6f} "
-                f"({result['noisy']['trajectories']} trajectories)")
-        _emit("\n".join(lines), args.output)
-    return 0 if ok else 1
+    lines = [
+        f"graph: n={g.n}, |E|={len(g.edges)}; k={args.k}",
+        f"prep={plan.prep.value} oracle={plan.oracle.style} "
+        f"count_nodes={plan.oracle.count_nodes} N={plan.n_space} m={plan.m_solutions} "
+        f"iterations={plan.iterations}",
+        f"analytic success probability: {analytic:.6f}",
+        f"ideal success probability:    {result['ideal']['success_probability']:.6f} "
+        f"({hist.shots} shots)",
+        f"top outcome |{top_bits}> -> nodes {decoded}",
+        f"matches brute force: {'PASS' if ok else 'FAIL'}",
+    ]
+    if args.noise:
+        lines.append(
+            f"noisy ({result['noise_profile']['name']}): success probability "
+            f"{result['noisy']['success_probability']:.6f} "
+            f"({result['noisy']['trajectories']} trajectories)")
+    return (0 if ok else 1), result, "\n".join(lines)
 
 
 def _config_grid(style_arg: str, prep_arg: str) -> list[tuple[str, str]]:
@@ -162,7 +163,7 @@ def _config_grid(style_arg: str, prep_arg: str) -> list[tuple[str, str]]:
     return [(style, prep) for style in styles for prep in preps]
 
 
-def cmd_resources(args) -> int:
+def cmd_resources(args) -> tuple[int, dict, str]:
     g = load_graph(args.graph)
     rows = []
     reports = []
@@ -186,19 +187,12 @@ def cmd_resources(args) -> int:
                         for cat in ("NOT", "CNOT", "CCNOT", "U", "other")})
         rows.append(row)
     rows.sort(key=lambda r: (r["size*"], r["oracle"], r["prep"]))
-
-    if args.format == "json":
-        _emit(json.dumps({"schema": 1, "command": "resources",
-                          "reports": [r.to_dict() for r in reports]}, indent=2),
-              args.output)
-    else:
-        columns = list(rows[0].keys())
-        legend = "columns marked * are after lowering to {X, CX, CCX, CZ, H, U3, U2}"
-        _emit(format_table(rows, columns) + "\n" + legend, args.output)
-    return 0
+    legend = "columns marked * are after lowering to {X, CX, CCX, CZ, H, U3, U2}"
+    return (0, {"reports": [r.to_dict() for r in reports]},
+            format_table(rows, list(rows[0])) + "\n" + legend)
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[int, dict, str]:
     g = load_graph(args.graph)
     profiles: list[NoiseProfile] = []
     if args.all_devices:
@@ -221,38 +215,25 @@ def cmd_sweep(args) -> int:
         rows.append({"name": profile.name, "t1_us": profile.t1_us, "t2_us": profile.t2_us,
                      "success_prob": f"{p:.6f}", "stderr": f"{stderr:.6f}"})
 
-    if args.format == "json":
-        _emit(json.dumps({"schema": 1, "command": "sweep",
-                          "config": {"prep": args.prep, "oracle": args.oracle, "k": args.k},
-                          "rows": rows}, indent=2), args.output)
-    else:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=["name", "t1_us", "t2_us",
-                                                 "success_prob", "stderr"])
-        writer.writeheader()
-        writer.writerows(rows)
-        _emit(buf.getvalue(), args.output)
-    return 0
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
+    return (0, {"config": {"prep": args.prep, "oracle": args.oracle, "k": args.k},
+                "rows": rows}, buf.getvalue())
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, dict, str]:
     g = load_graph(args.graph)
-    if not 1 <= args.k <= g.n:
-        raise CliError(f"k={args.k} out of range [1, {g.n}]")
     cliques = find_cliques_bruteforce(g, args.k)
     entries = [{"nodes": sorted(c), "bitstring": subset_to_bitstring(c, g.n)[1]}
                for c in cliques]
-    if args.format == "json":
-        _emit(json.dumps({"schema": 1, "command": "verify", "k": args.k,
-                          "m": len(cliques), "cliques": entries}, indent=2), args.output)
-    else:
-        lines = [f"{len(cliques)} clique(s) of size {args.k}"]
-        lines += [f"  {e['nodes']} -> |{e['bitstring']}>" for e in entries]
-        _emit("\n".join(lines), args.output)
-    return 0
+    lines = [f"{len(cliques)} clique(s) of size {args.k}"]
+    lines += [f"  {e['nodes']} -> |{e['bitstring']}>" for e in entries]
+    return 0, {"k": args.k, "m": len(cliques), "cliques": entries}, "\n".join(lines)
 
 
-def cmd_state(args) -> int:
+def cmd_state(args) -> tuple[int, None, str]:
     builders = {
         "full": lambda: full_superposition(args.n),
         "w": lambda: w_state(args.n),
@@ -267,9 +248,8 @@ def cmd_state(args) -> int:
     writer = csv.writer(buf)
     writer.writerow(["index", "bitstring", "re", "im"])
     for i, a in enumerate(state.amplitudes):
-        writer.writerow([i, format(i, f"0{args.n}b"), f"{a.real:.12g}", f"{a.imag:.12g}"])
-    _emit(buf.getvalue(), args.output)
-    return 0
+        writer.writerow([i, bitstring(i, args.n), f"{a.real:.12g}", f"{a.imag:.12g}"])
+    return 0, None, buf.getvalue()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_state.add_argument("--n", type=int, required=True)
     p_state.add_argument("--k", type=int)
     p_state.add_argument("--output")
-    p_state.set_defaults(func=cmd_state)
+    p_state.set_defaults(func=cmd_state, format="csv")
 
     return parser
 
@@ -338,7 +318,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, payload, text = args.func(args)
+        if args.format == "json":
+            text = json.dumps({"schema": 1, "command": args.command, **payload}, indent=2)
+        _emit(text, args.output)
+        return code
     except (CliError, NoSolutionsError, ValueError, MemoryError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

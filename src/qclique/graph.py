@@ -141,7 +141,6 @@ def subset_to_bitstring(members, n: int) -> tuple[int, str]:
 
 def bitstring_to_subset(display: str) -> NodeSubset:
     """Inverse of :func:`subset_to_bitstring`'s display form."""
-    n = len(display)
     return frozenset(i for i, ch in enumerate(reversed(display)) if ch == "1")
 
 

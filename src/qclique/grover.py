@@ -47,17 +47,10 @@ def diffusion(prep: Circuit, nodes: range | None = None) -> Circuit:
     span = nodes if nodes is not None else range(prep.n_qubits)
     if any(q not in span for g in prep.ops for q in g.qubits):
         raise ValueError("state preparation must act only on the node register")
-    circ = prep.adjoint()
-    circ.name = f"diffusion({prep.name})"
-    for q in span:
-        circ.add("X", q)
-    if len(span) == 1:
-        circ.add("Z", span[0])
-    else:
-        circ.append(Gate("MCZ", tuple(span)))
-    for q in span:
-        circ.add("X", q)
-    return circ.compose(prep)
+    flips = [Gate("X", (q,)) for q in span]
+    core = Gate("Z", (span[0],)) if len(span) == 1 else Gate("MCZ", tuple(span))
+    return Circuit(prep.n_qubits, prep.registers, f"diffusion({prep.name})",
+                   [*prep.adjoint().ops, *flips, core, *flips, *prep.ops])
 
 
 @dataclass(frozen=True)
@@ -118,7 +111,6 @@ def assemble(g: Graph, k: int, prep: PrepMode, style: str = "checking",
     oracle_circuit = build_oracle(g, k, plan.oracle)
     diffusion_circuit = diffusion(prep_circuit)
 
-    circ = Circuit(oracle_circuit.n_qubits, oracle_circuit.registers,
-                   name=f"grover({plan.prep.value},{plan.oracle.style},k={k})")
-    circ.ops = prep_circuit.ops + plan.iterations * (oracle_circuit.ops + diffusion_circuit.ops)
-    return circ
+    return Circuit(oracle_circuit.n_qubits, oracle_circuit.registers,
+                   f"grover({plan.prep.value},{plan.oracle.style},k={k})",
+                   prep_circuit.ops + plan.iterations * (oracle_circuit.ops + diffusion_circuit.ops))

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import Circuit, Gate, _lower_gate
+from .circuit import Circuit, Gate, _critical_path, _lower_gate
 from .sim import MeasurementHistogram, StateVector, apply_gate, bitstring, marginal_probabilities
 
 
@@ -92,17 +92,24 @@ class NoiseProfile:
             u3_ns=_number(gate_ns, "u3", 100.0, "gate_ns.u3"),
             cx_ns=_number(gate_ns, "cx", 300.0, "gate_ns.cx"),
             readout_ns=_number(data, "readout_ns", 1000.0),
-            apply_idle=bool(data.get("apply_idle", True)),
+            apply_idle=_boolean(data, "apply_idle", True),
         )
 
 
 def _number(data: dict, key: str, default: float | None = None, field: str | None = None) -> float:
     value = data.get(key, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"noise profile JSON: the field {field or key!r} must be a number, "
-                         f"got {value!r}") from None
+                         f"got {value!r}")
+    return float(value)
+
+
+def _boolean(data: dict, key: str, default: bool) -> bool:
+    value = data.get(key, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"noise profile JSON: the field {key!r} must be true or false, "
+                         f"got {value!r}")
+    return value
 
 
 # Duration classes for directly timed gates; every other kind is lowered via
@@ -123,16 +130,6 @@ _CCX_TIMING_NET = [
 ]
 
 
-def _sequence_duration_ns(gates, profile: NoiseProfile) -> float:
-    ready: dict[int, float] = {}
-    for gate in gates:
-        d = gate_duration_ns(gate, profile)
-        start = max((ready.get(q, 0.0) for q in gate.qubits), default=0.0)
-        for q in gate.qubits:
-            ready[q] = start + d
-    return max(ready.values(), default=0.0)
-
-
 def gate_duration_ns(gate: Gate, profile: NoiseProfile) -> float:
     """Wall-clock duration of one gate under the profile's gate-class timings.
 
@@ -148,13 +145,13 @@ def _duration_by_shape(kind: str, arity: int, profile: NoiseProfile) -> float:
     if kind in _TIMED_CLASS:
         return {"u2": profile.u2_ns, "u3": profile.u3_ns, "cx": profile.cx_ns}[_TIMED_CLASS[kind]]
     if kind == "CCX":
-        return _sequence_duration_ns(
-            (Gate(k, q, p) for k, q, p in _CCX_TIMING_NET), profile)
-    # representative gate of this shape; lowering shape is angle-independent
-    params = {"CRY": (1.0,), "CCRY": (1.0,)}.get(kind, ())
-    probe = Gate(kind, tuple(range(arity)), params)
-    anc = range(arity, arity + max(arity, 2))
-    return _sequence_duration_ns(_lower_gate(probe, anc), profile)
+        gates = [Gate(k, q, p) for k, q, p in _CCX_TIMING_NET]
+    else:
+        # representative gate of this shape; lowering shape is angle-independent
+        params = {"CRY": (1.0,), "CCRY": (1.0,)}.get(kind, ())
+        probe = Gate(kind, tuple(range(arity)), params)
+        gates = _lower_gate(probe, range(arity, arity + max(arity, 2)))
+    return _critical_path(gates, lambda gate: gate_duration_ns(gate, profile))
 
 
 class RelaxationChannel:

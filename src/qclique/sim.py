@@ -147,15 +147,13 @@ def statevector(circuit: Circuit, initial: int = 0) -> StateVector:
     return state
 
 
-def marginal_probabilities(state: StateVector, qubits: list[int] | None = None) -> np.ndarray:
+def marginal_probabilities(state: StateVector, qubits: list[int]) -> np.ndarray:
     """Born probabilities over ``qubits`` (ascending order defines outcome bits).
 
     A ``(2**n, B)`` block of states gives one column of marginals per state.
     Each state's probabilities are laid out contiguously before the sum, so a
     state sums in the same order, to the same bits, in a block as alone.
     """
-    if qubits is None:
-        return state.probabilities()
     probs = np.abs(state.amplitudes.T, order="C") ** 2  # one row per state
     n, kept = state.n_qubits, set(qubits)
     dropped = tuple(n - q for q in range(n) if q not in kept)  # axis 0 is the block
@@ -174,9 +172,6 @@ class MeasurementHistogram:
     shots: int
     n_bits: int
     counts: dict[str, int]
-
-    def probability(self, outcome: str) -> float:
-        return self.counts.get(outcome, 0) / self.shots
 
     def success_probability(self, targets) -> float:
         """Fraction of shots landing on any of the target bitstrings."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .circuit import Circuit
+from .circuit import Circuit, Gate
 
 
 class PrepMode(str, Enum):
@@ -75,11 +75,9 @@ def w_state(n: int) -> Circuit:
 
 def w_complement(n: int) -> Circuit:
     """W state followed by n NOT gates: uniform over Hamming weight n - 1."""
-    circ = w_state(n)
-    circ.name = f"w_complement({n})"
-    for q in range(n):
-        circ.add("X", q)
-    return circ
+    w = w_state(n)
+    return Circuit(n, w.registers, f"w_complement({n})",
+                   w.ops + [Gate("X", (q,)) for q in range(n)])
 
 
 def _dicke_stage(circ: Circuit, p: int, k: int) -> None:

@@ -1,0 +1,58 @@
+"""The benchmark tracer's hook points still resolve and record their spans.
+
+``perfbench/tracing.py`` patches qclique functions by module and name.  A
+renamed or removed hook would otherwise fail only when the benchmark runs, so
+this loads the tracer by path and checks the spans each traced call opens.
+"""
+import importlib.util
+from pathlib import Path
+
+from qclique import grover, noise, sim
+from qclique.cli import load_profile
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_hooks_record_their_spans(g4):
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    nodes = list(range(g4.n))
+    calls: dict[str, int] = {}
+
+    def grown() -> tuple[set, set]:
+        """Spans called since the last look, split into (gate spans, the rest)."""
+        now = {name: s.count for name, s in tracer.spans.items()}
+        names = {name for name, count in now.items() if count > calls.get(name, 0)}
+        calls.update(now)
+        gates = {name for name in names if name.startswith("sim.apply_gate.")}
+        return gates, names - gates
+
+    with tracing.installed(tracer):
+        plan = grover.make_plan(g4, 3, "w", "checking")
+        assert grown() == (set(), {"grover.make_plan", "graph.find_cliques_bruteforce"})
+        circ = grover.assemble(g4, 3, "w", "checking", plan=plan)
+        assert grown() == (set(), {"grover.assemble", "stateprep.prepare_state",
+                                   "oracle.build_oracle"})
+        sim.run_ideal(circ, shots=64, seed=1, measure=nodes)
+        gates, rest = grown()
+        assert gates and rest == {"run.run_ideal", "sim.marginal_probabilities", "sim.sample"}
+        noise.run_noisy(circ, load_profile("ibmq_singapore"), shots=16, trajectories=16,
+                        seed=1, measure=nodes)
+        gates, rest = grown()
+        assert gates and rest == {"run.run_noisy", "noise.compile_noisy_program",
+                                  "noise.relax_apply.kraus", "sim.marginal_probabilities",
+                                  "sim.sample"}
+    for counter in ("graph.subsets_checked", "stateprep.gates", "oracle.gates",
+                    "sim.bytes_moved_computed", "noise.steps.gate", "noise.steps.relax"):
+        assert tracer.counters[counter] > 0
+    # every patched name is restored on exit
+    for fn in (grover.make_plan, grover.assemble, sim.run_ideal, noise.run_noisy,
+               noise.RelaxationChannel.apply, sim.apply_gate):
+        assert not hasattr(fn, "__wrapped__")

@@ -213,6 +213,12 @@ def test_format_lists_only_written_formats(capsys, command, bad, allowed):
     ('{"name": "x", "t1_us": null, "t2_us": 50.0}', "the field 't1_us' must be a number"),
     ('{"name": "x", "t1_us": 83.0, "t2_us": 89.0, "gate_ns": [50, 100, 300]}',
      "the field 'gate_ns' must be an object"),
+    ('{"name": "x", "t1_us": 83.0, "t2_us": 89.0, "apply_idle": "false"}',
+     "the field 'apply_idle' must be true or false, got 'false'"),
+    ('{"name": "x", "t1_us": true, "t2_us": 50.0}', "the field 't1_us' must be a number, got True"),
+    ('{"name": "x", "t1_us": "83", "t2_us": 50.0}', "the field 't1_us' must be a number, got '83'"),
+    ('{"name": "x", "t1_us": 83.0, "t2_us": 89.0, "gate_ns": {"cx": false}}',
+     "the field 'gate_ns.cx' must be a number, got False"),
 ])
 def test_bad_profile_json_is_an_error_line(tmp_path, capsys, text, message):
     path = tmp_path / "prof.json"
@@ -221,6 +227,14 @@ def test_bad_profile_json_is_an_error_line(tmp_path, capsys, text, message):
                              "--shots", "16", "--noise", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", [":", "1:2:3", "abc:1", "83:"])
+def test_bad_inline_profile_is_an_error_line(capsys, spec):
+    code, out, err = run_cli(capsys, "solve", "--graph", "g4", "--k", "3", "--shots", "16",
+                             "--noise", spec)
+    assert code == 1 and out == ""
+    assert err == f"error: noise profile {spec!r} is not 'T1:T2', two numbers in microseconds\n"
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -254,6 +268,68 @@ def test_verify_g6(capsys):
     code, out, _ = run_cli(capsys, "verify", "--graph", "g6", "--k", "4")
     assert code == 0
     assert "|011110>" in out and "1 clique(s)" in out
+
+
+def test_verify_json(capsys):
+    code, out, err = run_cli(capsys, "verify", "--graph", "g6", "--k", "4", "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"schema": 1, "command": "verify", "k": 4, "m": 1,
+                               "cliques": [{"nodes": [1, 2, 3, 4], "bitstring": "011110"}]}
+
+
+@pytest.mark.parametrize("k", ["0", "5"])
+def test_verify_k_out_of_range_is_an_error_line(capsys, k):
+    code, out, err = run_cli(capsys, "verify", "--graph", "g4", "--k", k)
+    assert code == 1 and out == ""
+    assert err == f"error: k={k} out of range [1, 4]\n"
+
+
+def test_sweep_json(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--graph", "g4", "--k", "3", "--shots", "100",
+                             "--trajectories", "50", "--seed", "3", "--profile", "500:500",
+                             "--profile", "cambridge", "--format", "json")
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["config"] == {"prep": "w", "oracle": "checking", "k": 3}
+    assert [r["name"] for r in data["rows"]] == ["t1=500,t2=500", "ibmq_cambridge"]
+    assert set(data["rows"][0]) == {"name", "t1_us", "t2_us", "success_prob", "stderr"}
+    # the same rows as the CSV form
+    code, csv_out, _ = run_cli(capsys, "sweep", "--graph", "g4", "--k", "3", "--shots", "100",
+                               "--trajectories", "50", "--seed", "3", "--profile", "500:500",
+                               "--profile", "cambridge")
+    assert code == 0
+    assert [{k: str(v) for k, v in r.items()} for r in data["rows"]] == \
+        list(csv.DictReader(io.StringIO(csv_out)))
+
+
+def test_solve_explicit_iterations(capsys):
+    code, out, _ = run_cli(capsys, "solve", "--graph", "g4", "--k", "3", "--prep", "full",
+                           "--iters", "1", "--shots", "64", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["iterations"] == 1 and data["ideal"]["top_outcome"] == "0111"
+    assert data["analytic_success_probability"] == pytest.approx(
+        grover.success_probability_analytic(16, 1, 1))
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--graph", "g4", "--k", "3", "--iters", "-1"])
+    assert exc.value.code == 2
+    assert "iterations must be 'auto' or >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--graph", "g4", "--k", "3", "--shots", "64"],
+    ["solve", "--graph", "star4", "--k", "3", "--prep", "dicke"],
+    ["resources", "--graph", "g4", "--k", "3"],
+    ["sweep", "--graph", "g4", "--k", "3", "--shots", "32", "--trajectories", "8",
+     "--profile", "500:500"],
+    ["verify", "--graph", "g4", "--k", "3"],
+])
+def test_json_starts_with_schema_and_command(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert list(data)[:2] == ["schema", "command"]
+    assert (data["schema"], data["command"]) == (1, argv[0])
 
 
 def test_state_dicke_csv(capsys):

@@ -208,6 +208,18 @@ def test_run_noisy_deterministic_and_worker_independent(g4):
         assert sum(json.loads(runs[0])["counts"].values()) == shots
 
 
+def test_counts_are_keyed_in_ascending_outcome_order(g4):
+    # the CLI writes counts in the order the runners build them
+    nodes = list(range(g4.n))
+    ideal = run_ideal(assemble(g4, 3, "full", "checking"), shots=4096, seed=3, measure=nodes)
+    circ = assemble(g4, 3, "w", "checking")
+    noisy = [run_noisy(circ, load_profile("ibmq_singapore"), shots=600, trajectories=300,
+                       seed=3, measure=nodes, workers=w) for w in (1, 2)]
+    for hist in (ideal, *noisy):
+        assert len(hist.counts) > 2
+        assert list(hist.counts) == sorted(hist.counts)
+
+
 def test_run_noisy_noiseless_limit_matches_ideal(g4):
     circ = assemble(g4, 3, "w", "checking")
     quiet = NoiseProfile("quiet", 1e9, 1e9)

@@ -162,7 +162,7 @@ def test_run_ideal_validates_shots():
 
 def test_histogram_helpers():
     hist = MeasurementHistogram(10, 2, {"01": 7, "10": 3})
-    assert hist.probability("01") == pytest.approx(0.7)
+    assert hist.success_probability("01") == pytest.approx(0.7)
     assert hist.success_probability(["01", "10"]) == pytest.approx(1.0)
     assert hist.success_probability("11") == 0.0
     assert hist.top() == ("01", 7)
