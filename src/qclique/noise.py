@@ -56,12 +56,13 @@ class NoiseProfile:
     apply_idle: bool = True
 
     def __post_init__(self) -> None:
-        if self.t1_us <= 0:
-            raise ValueError("T1 must be positive")
-        if not 0 < self.t2_us <= 2 * self.t1_us:
+        for field in ("t1_us", "t2_us", "u2_ns", "u3_ns", "cx_ns", "readout_ns"):
+            value = getattr(self, field)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"noise profile field {field!r} must be a finite positive "
+                                 f"number, got {value!r}")
+        if self.t2_us > 2 * self.t1_us:
             raise ValueError(f"T2 must satisfy 0 < T2 <= 2*T1, got T1={self.t1_us}, T2={self.t2_us}")
-        if min(self.u2_ns, self.u3_ns, self.cx_ns, self.readout_ns) <= 0:
-            raise ValueError("gate durations must be positive")
 
     @property
     def default_implementation(self) -> str:

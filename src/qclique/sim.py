@@ -22,6 +22,16 @@ views then keep the block as their trailing axis, so each ends in one
 contiguous run of ``B * 2**q`` amplitudes (``q`` the lowest qubit the gate
 touches), and the marginals have one column per state.  A 1-D state is a
 block of one.
+
+:func:`run_ideal` simulates only the kept register: the measured qubits and
+every qubit that a gate other than an X/Z-type one touches.  The oracle's
+counters and flags are touched only by X/Z-type gates, so they hold |0> at
+every other gate and need no amplitudes of their own.  Each maximal X/Z-type
+run that touches them is evaluated once, by pushing basis labels through
+:func:`apply_gate` at full width, and then applied to the kept amplitudes as a
+gather and a sign; a run that leaves one of them set sends the whole call
+back to the full kernel.  :func:`statevector` and the noisy trajectories of
+:mod:`qclique.noise` always run at full width.
 """
 from __future__ import annotations
 
@@ -29,6 +39,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -89,6 +100,7 @@ def _gate_matrix_2x2(gate: Gate) -> np.ndarray:
 
 _X_KINDS = frozenset({"X", "CX", "CCX", "MCX"})
 _Z_KINDS = frozenset({"Z", "CZ", "MCZ"})
+_CLASSICAL_KINDS = _X_KINDS | _Z_KINDS
 
 
 @lru_cache(maxsize=1024)
@@ -200,6 +212,62 @@ def sample_histogram(probs: np.ndarray, shots: int, rng: np.random.Generator,
     return MeasurementHistogram(shots, n_bits, counts)
 
 
+def _scatter(kept: list[int]) -> np.ndarray:
+    """Full-width basis index of each basis state of the kept register, work qubits 0."""
+    index = np.arange(1 << len(kept))
+    full = np.zeros_like(index)
+    for i, q in enumerate(kept):
+        full |= ((index >> i) & 1) << q
+    return full
+
+
+def _signed_gather(run: tuple[Gate, ...], n_qubits: int, slice_index: np.ndarray):
+    """A classical run's action on the work = 0 slice, as ``(source, sign)``.
+
+    Label ``j + 1`` is placed at the ``j``-th index of ``slice_index`` and the run
+    is applied to the labels through :func:`apply_gate` at full width.  X/Z-type
+    gates permute basis states and flip signs, so slot ``i`` ends up holding
+    ``sign[i] * (source[i] + 1)``.  Returns ``None`` when a label left the slice,
+    that is when the run leaves some work qubit set.
+    """
+    labels = StateVector.zero(n_qubits)  # its 1 at index 0 = slice_index[0] is relabelled
+    labels.amplitudes[slice_index] = np.arange(1, len(slice_index) + 1)
+    for gate in run:
+        apply_gate(labels, gate)
+    landed = labels.amplitudes[slice_index].real
+    if np.count_nonzero(landed) < len(landed):
+        return None
+    return np.abs(landed).astype(np.intp) - 1, np.sign(landed)
+
+
+def _kept_register_state(circuit: Circuit, kept: list[int]) -> StateVector | None:
+    """Run ``circuit`` on the kept register only, or ``None`` if it cannot be.
+
+    Gates on kept qubits only run at width ``len(kept)``, renumbered to their
+    positions in ``kept``.  Each maximal run of X/Z-type gates that touches a
+    work qubit is applied as one signed gather of the kept amplitudes, and each
+    distinct run is evaluated once.
+    """
+    position = {q: i for i, q in enumerate(kept)}
+    slice_index = _scatter(kept)
+    state = StateVector.zero(len(kept))
+    gathers = {}
+    for classical, run in groupby(circuit.ops, key=lambda g: g.kind in _CLASSICAL_KINDS):
+        run = tuple(run)
+        if classical and any(q not in position for g in run for q in g.qubits):
+            if run not in gathers:
+                gathers[run] = _signed_gather(run, circuit.n_qubits, slice_index)
+            if gathers[run] is None:
+                return None
+            source, sign = gathers[run]
+            state.amplitudes = state.amplitudes[source] * sign
+            continue
+        for gate in run:
+            apply_gate(state, Gate(gate.kind, tuple(position[q] for q in gate.qubits),
+                                   gate.params))
+    return state
+
+
 def run_ideal(circuit: Circuit, shots: int, seed: int,
               measure: list[int] | None = None,
               return_state: bool = False):
@@ -208,11 +276,37 @@ def run_ideal(circuit: Circuit, shots: int, seed: int,
     ``measure`` defaults to all qubits; pass the node register to read out a
     Grover result.  Returns a :class:`MeasurementHistogram`, or a
     ``(histogram, state)`` pair when ``return_state`` is set.
+
+    Only the kept register is simulated: the measured qubits and every qubit
+    a gate other than an X/Z-type one touches, ``m`` qubits in all.  The
+    other (work) qubits are touched only by X/Z-type gates, which permute
+    basis states and flip signs, so each maximal X/Z-type run that touches
+    them is evaluated once, by label (see :func:`_signed_gather`), and applied
+    to the ``2**m`` kept amplitudes as a gather and a sign.  If a run leaves a
+    work qubit set, or no qubit is a work qubit, the whole circuit runs at
+    full width through :func:`statevector`.  Either way the amplitudes at
+    work = 0 are those of the full kernel, bit for bit, and so are the
+    marginals and the histogram when every kept qubit is measured (each
+    marginal then has one nonzero term).  The returned state is full width,
+    with the kept amplitudes at work = 0 and +0.0 elsewhere, where the full
+    kernel may leave -0.0.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    state = statevector(circuit)
-    qubits = sorted(measure) if measure is not None else list(range(circuit.n_qubits))
-    probs = marginal_probabilities(state, qubits)
+    n = circuit.n_qubits
+    qubits = sorted(measure) if measure is not None else list(range(n))
+    if any(not 0 <= q < n for q in qubits):
+        raise ValueError(f"measured qubits {qubits} exceed the {n}-qubit circuit")
+    kept = sorted({q for g in circuit.ops if g.kind not in _CLASSICAL_KINDS for q in g.qubits}
+                  | set(qubits))
+    narrow = _kept_register_state(circuit, kept) if len(kept) < n else None
+    if narrow is None:
+        state = statevector(circuit)
+        probs = marginal_probabilities(state, qubits)
+    else:
+        probs = marginal_probabilities(narrow, [kept.index(q) for q in qubits])
+        if return_state:
+            state = StateVector.zero(n)  # _scatter(kept)[0] is 0, so its 1 is overwritten
+            state.amplitudes[_scatter(kept)] = narrow.amplitudes
     hist = sample_histogram(probs, shots, np.random.default_rng(seed), len(qubits))
     return (hist, state) if return_state else hist

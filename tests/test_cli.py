@@ -219,6 +219,14 @@ def test_format_lists_only_written_formats(capsys, command, bad, allowed):
     ('{"name": "x", "t1_us": "83", "t2_us": 50.0}', "the field 't1_us' must be a number, got '83'"),
     ('{"name": "x", "t1_us": 83.0, "t2_us": 89.0, "gate_ns": {"cx": false}}',
      "the field 'gate_ns.cx' must be a number, got False"),
+    ('{"name": "x", "t1_us": NaN, "t2_us": 50.0}',
+     "field 't1_us' must be a finite positive number, got nan"),
+    ('{"name": "x", "t1_us": 83.0, "t2_us": Infinity}',
+     "field 't2_us' must be a finite positive number, got inf"),
+    ('{"name": "x", "t1_us": 83.0, "t2_us": 89.0, "gate_ns": {"u3": Infinity}}',
+     "field 'u3_ns' must be a finite positive number, got inf"),
+    ('{"name": "x", "t1_us": 83.0, "t2_us": 89.0, "readout_ns": -Infinity}',
+     "field 'readout_ns' must be a finite positive number, got -inf"),
 ])
 def test_bad_profile_json_is_an_error_line(tmp_path, capsys, text, message):
     path = tmp_path / "prof.json"
@@ -229,12 +237,19 @@ def test_bad_profile_json_is_an_error_line(tmp_path, capsys, text, message):
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("spec", [":", "1:2:3", "abc:1", "83:"])
-def test_bad_inline_profile_is_an_error_line(capsys, spec):
+@pytest.mark.parametrize("spec, message", [
+    *(pytest.param(spec, f"noise profile {spec!r} is not 'T1:T2', two numbers in microseconds",
+                   id=spec) for spec in (":", "1:2:3", "abc:1", "83:")),
+    *(pytest.param(spec, f"noise profile field {field!r} must be a finite positive number, "
+                         f"got {value}", id=spec)
+      for spec, field, value in (("inf:inf", "t1_us", "inf"), ("nan:nan", "t1_us", "nan"),
+                                 ("100:inf", "t2_us", "inf"), ("0:1", "t1_us", "0.0"))),
+])
+def test_bad_inline_profile_is_an_error_line(capsys, spec, message):
     code, out, err = run_cli(capsys, "solve", "--graph", "g4", "--k", "3", "--shots", "16",
                              "--noise", spec)
     assert code == 1 and out == ""
-    assert err == f"error: noise profile {spec!r} is not 'T1:T2', two numbers in microseconds\n"
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from qclique.circuit import Gate, mc_ancilla_requirement
+from qclique.circuit import Circuit, Gate, mc_ancilla_requirement
 from qclique.graph import Graph, find_cliques_bruteforce, subset_to_bitstring
 from qclique.oracle import (
     OracleMode,
@@ -14,7 +14,7 @@ from qclique.oracle import (
     increment_circuit,
     make_layout,
 )
-from qclique.sim import StateVector, apply_gate, statevector
+from qclique.sim import StateVector, apply_gate, run_ideal, statevector
 from helpers import oracle_action, random_graph
 
 
@@ -187,6 +187,30 @@ def test_oracle_matches_bruteforce_random(seed):
             patterns.setdefault(count_nodes, flipped)
             # style equivalence: identical sign pattern for the same setting
             assert patterns[count_nodes] == flipped
+
+
+def test_oracle_sign_is_exhaustively_the_clique_set():
+    """H on every node, then the oracle, through the ideal engine: the amplitude
+    at work = 0 is negative exactly on the k-cliques, over all 2**n inputs with
+    node counting and over the weight-k inputs without it."""
+    rng = random.Random(20261018)
+    for _ in range(30):
+        n = rng.randint(4, 8)
+        k = rng.randint(2, min(n, 5 if n < 8 else 4))  # label states of at most 19 qubits
+        g = random_graph(rng, n, rng.uniform(0.3, 0.9))
+        solutions = bruteforce_indices(g, k)
+        for style in ("checking", "incremental"):
+            for count_nodes in (False, True):
+                orc = build_oracle(g, k, OracleMode(style, count_nodes))
+                circ = Circuit(orc.n_qubits, ops=[*(Gate("H", (q,)) for q in range(n)), *orc.ops])
+                _, state = run_ideal(circ, shots=1, seed=0, measure=list(range(n)),
+                                     return_state=True)
+                amp = state.amplitudes
+                assert not np.any(amp[1 << n:]), (g, k, style, count_nodes)
+                negative = {i for i in range(1 << n) if amp[i].real < 0}
+                if not count_nodes:
+                    negative = {i for i in negative if weight(i) == k}
+                assert negative == solutions, (g, k, style, count_nodes)
 
 
 def test_layout_reports_mc_ancilla(g6):

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qclique import sim
 from qclique.circuit import Circuit, Gate
+from qclique.graph import builtin_graph
+from qclique.grover import assemble
 from qclique.sim import (
     MeasurementHistogram,
     StateVector,
@@ -256,3 +259,77 @@ def test_marginal_probabilities_on_a_block_matches_each_column_property(data):
     for column in range(amp.shape[1]):
         one = marginal_probabilities(StateVector(n, amp[:, column].copy()), subset)
         assert np.array_equal(marginals[:, column], one)
+
+
+# -- ideal runs on the kept register against the full kernel --------------------
+
+def _assert_same_as_full_kernel(circ: Circuit, measure: list[int], shots: int = 256,
+                                seed: int = 7) -> tuple[StateVector, StateVector]:
+    """``run_ideal`` against ``statevector``; returns both full-width states."""
+    hist, state = run_ideal(circ, shots=shots, seed=seed, measure=measure, return_state=True)
+    full = statevector(circ)
+    probs = marginal_probabilities(full, measure)
+    expected = sample_histogram(probs, shots, np.random.default_rng(seed), len(measure))
+    assert hist.counts == expected.counts
+    assert np.array_equal(state.amplitudes, full.amplitudes)
+    assert np.array_equal(state.probabilities(), full.probabilities())
+    assert np.array_equal(marginal_probabilities(state, measure), probs)
+    return state, full
+
+
+BUNDLED_CONFIGURATIONS = [
+    (graph, k, prep, style)
+    for graph, k, preps in [("g4", 3, ("full", "w", "dicke")), ("g6", 3, ("full", "dicke")),
+                            ("g6", 4, ("full", "dicke"))]
+    for prep in preps for style in ("checking", "incremental")
+]
+
+
+@pytest.mark.parametrize("graph, k, prep, style", BUNDLED_CONFIGURATIONS,
+                         ids=lambda value: str(value))
+def test_run_ideal_on_the_kept_register_equals_the_full_kernel(graph, k, prep, style):
+    g = builtin_graph(graph)
+    circ = assemble(g, k, prep, style)
+    assert circ.n_qubits > g.n  # the counters and flags are work qubits
+    state, full = _assert_same_as_full_kernel(circ, list(range(g.n)))
+    # byte for byte at work = 0; off it both are zeros, which the full kernel
+    # may leave as -0.0
+    node_slice = slice(0, 1 << g.n)
+    assert state.amplitudes[node_slice].tobytes() == full.amplitudes[node_slice].tobytes()
+
+
+def _gate_widths(monkeypatch) -> list[int]:
+    """The state width of every ``apply_gate`` call ``run_ideal`` makes from now on."""
+    widths = []
+    kernel = sim.apply_gate
+    monkeypatch.setattr(sim, "apply_gate",
+                        lambda state, gate: widths.append(state.n_qubits) or kernel(state, gate))
+    return widths
+
+
+def test_run_ideal_falls_back_when_a_work_qubit_is_left_set(monkeypatch):
+    circ = Circuit(3, ops=[Gate("H", (0,)), Gate("CX", (0, 2)), Gate("H", (1,))])
+    widths = _gate_widths(monkeypatch)
+    hist = run_ideal(circ, shots=400, seed=3, measure=[0, 1])
+    # H on the kept pair, the CX by label (qubit 2 is left set), then all three at full width
+    assert widths == [2, 3, 3, 3, 3]
+    assert set(hist.counts) == {"00", "01", "10", "11"}
+    _assert_same_as_full_kernel(circ, [0, 1])
+
+
+def test_run_ideal_applies_a_run_that_returns_its_work_qubit_with_a_sign(monkeypatch):
+    signed = [Gate("CX", (0, 2)), Gate("Z", (2,)), Gate("CX", (0, 2))]  # Z on qubit 0
+    circ = Circuit(3, ops=[Gate("H", (0,)), Gate("H", (1,)), *signed, Gate("H", (0,)), *signed])
+    widths = _gate_widths(monkeypatch)
+    hist, state = run_ideal(circ, shots=64, seed=5, measure=[0, 1], return_state=True)
+    # two H on the kept pair, the run by label once, the last H; the repeated run is reused
+    assert widths == [2, 2, 3, 3, 3, 2]
+    # H Z H = X, then Z: qubit 0 reads 1 with amplitude -1/sqrt(2) on either value of qubit 1
+    assert set(hist.counts) <= {"01", "11"}
+    assert np.allclose(state.amplitudes, [0, -0.5 ** 0.5, 0, -0.5 ** 0.5, 0, 0, 0, 0], atol=1e-12)
+    _assert_same_as_full_kernel(circ, [0, 1])
+
+
+def test_run_ideal_rejects_measured_qubits_outside_the_circuit():
+    with pytest.raises(ValueError, match="exceed the 2-qubit circuit"):
+        run_ideal(Circuit(2), shots=1, seed=1, measure=[0, 2])
