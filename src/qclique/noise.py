@@ -23,19 +23,30 @@ seed: block ``b`` draws from
 calling process builds every block's ``SeedSequence`` before handing blocks
 to workers, and the block size depends only on the width, so results do not
 depend on the worker count.
+
+A run with more than one job hands them to a worker pool that is started
+once per process and reused by later runs, so a sweep over many profiles
+forks once; the pool is replaced only when a run needs more processes than
+it has, and stopped when the process exits.  Its workers also exit on their
+own when that process is killed.
 """
 from __future__ import annotations
 
 import json
 import math
+import signal
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 from functools import lru_cache
+from os import _exit, getpid, getppid
 
 import numpy as np
 
 from .circuit import Circuit, Gate, _critical_path, _lower_gate
-from .sim import MeasurementHistogram, StateVector, apply_gate, bitstring, marginal_probabilities
+from .sim import MeasurementHistogram, StateVector, _histogram, apply_gate, marginal_probabilities
 
 
 @dataclass(frozen=True)
@@ -339,6 +350,66 @@ def _run_trajectory_blocks(args) -> np.ndarray:
     return counts
 
 
+# This process's trajectory worker pool, as {pid: (processes, executor)}.  The
+# pid key makes a forked child start a pool of its own: it drops the entry it
+# inherited without shutting the parent's pool down.
+_POOLS: dict[int, tuple[int, ProcessPoolExecutor]] = {}
+
+
+def _pool(size: int) -> ProcessPoolExecutor:
+    """A worker pool of at least ``size`` processes, started once and reused.
+
+    A cached pool with enough processes serves any smaller request too.  A
+    smaller one is shut down, and waited for, before the new pool forks, so no
+    fork happens while an executor thread runs.  ``concurrent.futures`` joins
+    the pool when the process exits.  The cache is not guarded against calls
+    from several threads at once.
+    """
+    pid = getpid()
+    cached = _POOLS.get(pid)
+    if cached is not None and cached[0] >= size:
+        return cached[1]
+    _POOLS.clear()
+    if cached is not None:
+        cached[1].shutdown(wait=True)
+    pool = ProcessPoolExecutor(max_workers=size, initializer=_exit_with_parent)
+    _POOLS[pid] = size, pool
+    return pool
+
+
+def _exit_with_parent() -> None:
+    """Pool worker initializer: end this worker once the process that forked it
+    is gone.
+
+    An idle worker waits on a queue whose write end its sibling workers hold
+    too, so it would never see a parent that was killed outright (say by the
+    out-of-memory killer) and would wait for ever.
+    """
+    parent = getppid()
+
+    def watch() -> None:
+        while getppid() == parent:
+            time.sleep(1.0)
+        _exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _lost_worker(pool: ProcessPoolExecutor) -> ChildProcessError:
+    """Drop a broken pool from the cache and name the worker that died.
+
+    The pool terminates its other workers once one dies, so the lost one is
+    the worker that did not end by SIGTERM.
+    """
+    workers = dict(pool._processes or {})  # {pid: Process}; no public API lists them
+    _POOLS.pop(getpid(), None)
+    pool.shutdown(wait=True)
+    ended = {pid: process.exitcode for pid, process in sorted(workers.items())}
+    lost = [pid for pid, code in ended.items() if code != -signal.SIGTERM] or list(ended)
+    named = ", ".join(f"pid {pid} (exit code {ended[pid]})" for pid in lost)
+    return ChildProcessError(f"a trajectory worker died: {named}; the next run starts a new pool")
+
+
 def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, trajectories: int,
               seed: int, measure: list[int] | None = None,
               workers: int = 1) -> MeasurementHistogram:
@@ -351,11 +422,18 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, trajectories:
     run in blocks of ``B = max(1, 2**15 >> n)`` columns, one ``(2**n, B)``
     array per block, and block ``b`` draws every channel branch and its shots
     from ``SeedSequence(entropy=seed, spawn_key=(b,))``.  Those seed sequences
-    are built here, before any worker starts, so ``numpy.random`` is imported
+    are built here, in the calling process, so ``numpy.random`` is imported
     once rather than in every worker.
     Identical (circuit, profile, shots, trajectories, seed) produce identical
     histograms for any ``workers`` count, because workers receive whole blocks
     and counts are aggregated by order-independent summation.
+
+    ``min(workers, blocks)`` jobs run; one runs in this process.  More go to
+    the process's worker pool, which the first such call starts and later
+    calls reuse; a call that needs more processes than the pool has replaces
+    it.  The pool stops when the process exits, and its workers exit on their
+    own if the process is killed.  A worker that dies mid-run raises
+    :class:`ChildProcessError`, and the next call starts a new pool.
     """
     if shots < 1 or trajectories < 1:
         raise ValueError("shots and trajectories must be >= 1")
@@ -372,7 +450,9 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, trajectories:
     if workers == 1:
         totals = _run_trajectory_blocks(jobs[0])
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool = _pool(workers)
+        try:
             totals = np.sum(list(pool.map(_run_trajectory_blocks, jobs)), axis=0)
-    counts = {bitstring(i, len(measured)): int(c) for i, c in enumerate(totals) if c}
-    return MeasurementHistogram(shots, len(measured), counts)
+        except BrokenProcessPool as err:
+            raise _lost_worker(pool) from err
+    return _histogram(shots, len(measured), totals)

@@ -206,9 +206,14 @@ def sample_histogram(probs: np.ndarray, shots: int, rng: np.random.Generator,
     total = p.sum()
     if not total > 0.0:
         raise ValueError(f"cannot sample: total probability mass is {total}")
-    p = p / total
-    drawn = rng.multinomial(shots, p)
-    counts = {bitstring(i, n_bits): int(c) for i, c in enumerate(drawn) if c}
+    return _histogram(shots, n_bits, rng.multinomial(shots, p / total))
+
+
+def _histogram(shots: int, n_bits: int, drawn: np.ndarray) -> MeasurementHistogram:
+    """The histogram of ``drawn[i]`` shots on outcome ``i``, keyed in ascending
+    outcome order; only the outcomes drawn are visited."""
+    hit = np.flatnonzero(drawn)
+    counts = {bitstring(i, n_bits): c for i, c in zip(hit.tolist(), drawn[hit].tolist())}
     return MeasurementHistogram(shots, n_bits, counts)
 
 

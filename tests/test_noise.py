@@ -1,11 +1,19 @@
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
+from multiprocessing.connection import wait
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qclique import noise
 from qclique.circuit import Circuit, Gate
-from qclique.cli import load_profile
+from qclique.cli import load_profile, main
 from qclique.graph import builtin_graph
 from qclique.grover import assemble
 from qclique.noise import (
@@ -218,6 +226,135 @@ def test_counts_are_keyed_in_ascending_outcome_order(g4):
     for hist in (ideal, *noisy):
         assert len(hist.counts) > 2
         assert list(hist.counts) == sorted(hist.counts)
+
+
+def _shut_pools() -> None:
+    for _, pool in noise._POOLS.values():
+        pool.shutdown(wait=True)
+    noise._POOLS.clear()
+
+
+@pytest.fixture
+def fresh_pool():
+    """No cached worker pool when the test starts, and none left when it ends."""
+    _shut_pools()
+    yield
+    _shut_pools()
+
+
+def _cached_pool():
+    entry = noise._POOLS.get(os.getpid())
+    return entry and entry[1]
+
+
+def test_run_noisy_reuses_one_worker_pool(g4, fresh_pool):
+    circ = assemble(g4, 3, "w", "checking")
+    prof = NoiseProfile("t", 200.0, 200.0)
+    # 400 trajectories at 8 qubits are 4 blocks of up to 128: up to 4 jobs
+    kwargs = dict(shots=400, trajectories=400, seed=11, measure=list(range(4)))
+    runs = []
+
+    def run(workers):
+        runs.append(run_noisy(circ, prof, workers=workers, **kwargs).to_json())
+        return _cached_pool()
+
+    # one block is one job, which runs in this process whatever the workers
+    run_noisy(circ, prof, workers=3, **{**kwargs, "shots": 100, "trajectories": 100})
+    assert run(1) is None and noise._POOLS == {}
+    two = run(2)
+    pids = set(two._processes)
+    assert len(pids) == 2
+    assert run(2) is two and set(two._processes) == pids
+    old_workers = list(two._processes.values())
+    three = run(3)  # a larger request replaces the pool
+    assert three is not two and len(three._processes) == 3
+    assert all(w.exitcode == 0 for w in old_workers)
+    assert run(2) is three  # a smaller one reuses it
+    assert runs == [runs[0]] * 5
+
+
+def test_a_forked_child_starts_its_own_pool(g4, fresh_pool, monkeypatch):
+    circ = assemble(g4, 3, "w", "checking")
+    kwargs = dict(shots=400, trajectories=400, seed=11, measure=list(range(4)), workers=2)
+    run_noisy(circ, NoiseProfile("t", 200.0, 200.0), **kwargs)
+    inherited = _cached_pool()
+    # what a forked child sees: the parent's entry under a pid that is not its own
+    monkeypatch.setattr(noise, "getpid", lambda: -1)
+    run_noisy(circ, NoiseProfile("t", 200.0, 200.0), **kwargs)
+    assert list(noise._POOLS) == [-1] and noise._POOLS[-1][1] is not inherited
+    # the child drops the entry without shutting the parent's pool down
+    assert all(w.is_alive() for w in inherited._processes.values())
+    inherited.shutdown(wait=True)
+
+
+def _kill_a_worker(pool) -> int:
+    victim = min(pool._processes)
+    os.kill(victim, signal.SIGKILL)
+    # wait on its sentinel: reaping it here would race the pool's own thread
+    assert wait([pool._processes[victim].sentinel], timeout=30)
+    return victim
+
+
+def test_a_dead_worker_is_an_error_and_the_next_run_starts_a_new_pool(g4, fresh_pool,
+                                                                      capsys):
+    circ = assemble(g4, 3, "w", "checking")
+    prof = load_profile("ibmq_singapore")
+    kwargs = dict(shots=400, trajectories=400, seed=11, measure=list(range(4)), workers=2)
+    expected = run_noisy(circ, prof, **kwargs).to_json()
+    broken = _cached_pool()
+    victim = _kill_a_worker(broken)
+    with pytest.raises(ChildProcessError, match=rf"pid {victim} \(exit code -9\)"):
+        run_noisy(circ, prof, **kwargs)
+    assert noise._POOLS == {}
+    assert run_noisy(circ, prof, **kwargs).to_json() == expected
+    assert _cached_pool() is not broken
+    # the command line reports a lost worker as one error line
+    victim = _kill_a_worker(_cached_pool())
+    code = main(["solve", "--graph", "g4", "--k", "3", "--shots", "400",
+                 "--trajectories", "400", "--noise", "500:500", "--workers", "2"])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert out.err.startswith(f"error: a trajectory worker died: pid {victim} (exit code -9)")
+    assert out.err.count("\n") == 1
+
+
+def _running(pid: int) -> bool:
+    """Whether a process exists and has not exited (a zombie has exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_workers_exit_when_their_parent_is_killed():
+    # a process that starts a pool, prints its worker pids and dies by SIGKILL
+    script = (
+        "import os, signal\n"
+        "from qclique import noise\n"
+        "from qclique.circuit import Circuit\n"
+        "circ = Circuit(8)\n"
+        "circ.add('X', 0)\n"
+        "noise.run_noisy(circ, noise.NoiseProfile('t', 100.0, 100.0), shots=400,\n"
+        "                trajectories=400, seed=1, workers=2)\n"
+        "print(*noise._POOLS[os.getpid()][1]._processes, flush=True)\n"
+        "os.kill(os.getpid(), signal.SIGKILL)\n")
+    src = str(Path(noise.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    with subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+                          env=env) as proc:
+        workers = [int(pid) for pid in proc.stdout.readline().split()]
+        assert proc.wait(timeout=120) == -signal.SIGKILL
+    assert len(workers) == 2
+    try:
+        deadline = time.monotonic() + 30
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(map(_running, workers))
+    finally:
+        for pid in filter(_running, workers):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_run_noisy_noiseless_limit_matches_ideal(g4):

@@ -173,6 +173,19 @@ def test_histogram_helpers():
     assert payload["schema"] == 1 and payload["counts"]["01"] == 7
 
 
+def test_sample_histogram_keys_match_a_loop_over_every_outcome():
+    # 16 measured bits, 560 outcomes with mass: the counts visit only the
+    # outcomes drawn, in the order a loop over all 2**16 outcomes gives
+    rng = np.random.default_rng(4)
+    probs = np.zeros(1 << 16)
+    probs[rng.choice(1 << 16, 560, replace=False)] = rng.random(560)
+    hist = sample_histogram(probs, 4096, np.random.default_rng(9), 16)
+    drawn = np.random.default_rng(9).multinomial(4096, probs / probs.sum())
+    loop = {bitstring(i, 16): int(c) for i, c in enumerate(drawn) if c}
+    assert list(hist.counts.items()) == list(loop.items())
+    assert all(type(c) is int for c in hist.counts.values())
+
+
 def test_sample_histogram_rejects_zero_mass():
     with pytest.raises(ValueError, match="probability mass"):
         sample_histogram(np.zeros(4), 10, np.random.default_rng(0), 2)
