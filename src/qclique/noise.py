@@ -17,8 +17,11 @@ Trajectories run in fixed-size blocks, one ``(2**n, B)`` array each, column
 ``b`` holding trajectory ``b``: every scheduled gate is applied once to the
 whole block, and every relaxation step draws its branch for all columns at
 once.  With the block axis last, every gate and relaxation view ends in one
-contiguous run of ``B * 2**q`` amplitudes.  Runs are deterministic given the
-seed: block ``b`` draws from
+contiguous run of ``B * 2**q`` amplitudes.  A block has the circuit's
+amplitude dtype (:func:`qclique.sim._amplitude_dtype`): float64 for every
+circuit whose gates all have real matrices, which both channels keep real,
+since their flips, resets, no-jump factors and jump copies are all real.
+Runs are deterministic given the seed: block ``b`` draws from
 ``numpy.random.default_rng(SeedSequence(entropy=seed, spawn_key=(b,)))``, the
 calling process builds every block's ``SeedSequence`` before handing blocks
 to workers, and the block size depends only on the width, so results do not
@@ -46,7 +49,15 @@ from os import _exit, getpid, getppid
 import numpy as np
 
 from .circuit import Circuit, Gate, _critical_path, _lower_gate
-from .sim import MeasurementHistogram, StateVector, _histogram, apply_gate, marginal_probabilities
+from .sim import (
+    MeasurementHistogram,
+    StateVector,
+    _amplitude_dtype,
+    _histogram,
+    _measured_qubits,
+    apply_gate,
+    marginal_probabilities,
+)
 
 
 @dataclass(frozen=True)
@@ -212,6 +223,8 @@ class RelaxationChannel:
 
         ``amplitudes`` is one pure state ``(2**n,)`` or a block ``(2**n, B)``
         of them, one per column; each column draws its own branch from ``rng``.
+        They may be complex128 or float64: every factor the channel applies is
+        real, so a real state stays real.
         """
         if self.t_ns == 0.0:
             return
@@ -266,7 +279,10 @@ def _reset(state: np.ndarray, rng: np.random.Generator) -> None:
 
 
 def _column_norms(half: np.ndarray) -> np.ndarray:
-    """Squared norm of each column of an ``(above, below, B)`` complex view."""
+    """Squared norm of each column of an ``(above, below, B)`` float64 or
+    complex128 view."""
+    if half.dtype == np.float64:
+        return np.einsum("ijk,ijk->k", half, half)
     re_im = half.view(np.float64)  # the last axis is contiguous, so this is a view
     squares = np.einsum("ijk,ijk->k", re_im, re_im)  # innermost loop: all 2B floats
     return squares[0::2] + squares[1::2]
@@ -329,14 +345,14 @@ def _block_size(n_qubits: int) -> int:
 
 
 def _run_trajectory_blocks(args) -> np.ndarray:
-    steps, n_qubits, measured, shots, trajectories, blocks = args
+    steps, n_qubits, dtype, measured, shots, trajectories, blocks = args
     size = _block_size(n_qubits)
     base, extra = divmod(shots, trajectories)
     counts = np.zeros(1 << len(measured), dtype=np.int64)
     for block, seed_sequence in blocks:
         first, stop = block * size, min((block + 1) * size, trajectories)
         rng = np.random.default_rng(seed_sequence)
-        state = StateVector(n_qubits, np.zeros((1 << n_qubits, stop - first), dtype=np.complex128))
+        state = StateVector(n_qubits, np.zeros((1 << n_qubits, stop - first), dtype=dtype))
         amp = state.amplitudes
         amp[0] = 1.0
         for step in steps:
@@ -420,10 +436,13 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, trajectories:
     allocation), so at most ``shots`` trajectories run.  The channel follows
     the profile's T1/T2, as in :func:`compile_noisy_program`.  Trajectories
     run in blocks of ``B = max(1, 2**15 >> n)`` columns, one ``(2**n, B)``
-    array per block, and block ``b`` draws every channel branch and its shots
-    from ``SeedSequence(entropy=seed, spawn_key=(b,))``.  Those seed sequences
-    are built here, in the calling process, so ``numpy.random`` is imported
-    once rather than in every worker.
+    array per block of the circuit's amplitude dtype (float64 unless a gate
+    has a complex matrix), and block ``b`` draws every channel branch and its
+    shots from ``SeedSequence(entropy=seed, spawn_key=(b,))``.  Those seed
+    sequences are built here, in the calling process, so ``numpy.random`` is
+    imported once rather than in every worker.  ``measure`` is checked before
+    anything runs: a qubit outside the circuit or listed twice raises
+    :class:`ValueError`.
     Identical (circuit, profile, shots, trajectories, seed) produce identical
     histograms for any ``workers`` count, because workers receive whole blocks
     and counts are aggregated by order-independent summation.
@@ -439,13 +458,14 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, trajectories:
         raise ValueError("shots and trajectories must be >= 1")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    measured = _measured_qubits(measure, circuit.n_qubits)
     steps = compile_noisy_program(circuit, profile)
-    measured = sorted(measure) if measure is not None else list(range(circuit.n_qubits))
     trajectories = min(trajectories, shots)  # a trajectory without a shot adds nothing
     n_blocks = -(-trajectories // _block_size(circuit.n_qubits))
     workers = min(workers, n_blocks)
     blocks = [(b, np.random.SeedSequence(entropy=seed, spawn_key=(b,))) for b in range(n_blocks)]
-    jobs = [(steps, circuit.n_qubits, measured, shots, trajectories, blocks[w::workers])
+    dtype = _amplitude_dtype(circuit.ops)
+    jobs = [(steps, circuit.n_qubits, dtype, measured, shots, trajectories, blocks[w::workers])
             for w in range(workers)]
     if workers == 1:
         totals = _run_trajectory_blocks(jobs[0])

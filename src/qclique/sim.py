@@ -16,6 +16,15 @@ gates negate the 1 half, and every other kind applies its 2x2 matrix.
 Marginal probabilities use the ``(2,)*n`` view and sum over the unmeasured
 axes.
 
+Amplitudes are float64 or complex128.  X/Z-type gates, H, RY, CRY and CCRY
+have real matrices, so a circuit made only of them keeps a real state real:
+:func:`_amplitude_dtype` picks float64 for it and complex128 for any circuit
+with a U3 or U2 (every :func:`~qclique.circuit.decompose_mc` output).  On a
+float64 state the kernel applies the real part of the 2x2 matrix, which gives
+the real parts of the complex128 run bit for bit, in half the bytes.
+:func:`run_ideal` and the trajectories of :mod:`qclique.noise` run on that
+dtype; :func:`statevector` and every state handed back stay complex128.
+
 A state's amplitudes may also be a ``(2**n, B)`` block of B states, one per
 column (the trajectory blocks of :mod:`qclique.noise`).  The gate kernel's
 views then keep the block as their trailing axis, so each ends in one
@@ -48,22 +57,23 @@ from .circuit import Circuit, Gate
 
 @dataclass
 class StateVector:
-    """``2**n_qubits`` complex amplitudes; index bit i corresponds to qubit i."""
+    """``2**n_qubits`` amplitudes, complex128 or float64; index bit i corresponds
+    to qubit i."""
 
     n_qubits: int
     amplitudes: np.ndarray
 
     @classmethod
-    def zero(cls, n_qubits: int) -> StateVector:
-        return cls.basis(n_qubits, 0)
+    def zero(cls, n_qubits: int, dtype=np.complex128) -> StateVector:
+        return cls.basis(n_qubits, 0, dtype)
 
     @classmethod
-    def basis(cls, n_qubits: int, index: int) -> StateVector:
+    def basis(cls, n_qubits: int, index: int, dtype=np.complex128) -> StateVector:
         try:
-            amp = np.zeros(1 << n_qubits, dtype=np.complex128)
+            amp = np.zeros(1 << n_qubits, dtype=dtype)
         except MemoryError:
             raise MemoryError(f"cannot allocate a {n_qubits}-qubit state: "
-                              f"{16 << n_qubits} bytes requested") from None
+                              f"{np.dtype(dtype).itemsize << n_qubits} bytes requested") from None
         amp[index] = 1.0
         return cls(n_qubits, amp)
 
@@ -101,6 +111,13 @@ def _gate_matrix_2x2(gate: Gate) -> np.ndarray:
 _X_KINDS = frozenset({"X", "CX", "CCX", "MCX"})
 _Z_KINDS = frozenset({"Z", "CZ", "MCZ"})
 _CLASSICAL_KINDS = _X_KINDS | _Z_KINDS
+#: Kinds whose matrix is real: they keep a float64 state real.
+_REAL_KINDS = _CLASSICAL_KINDS | {"H", "RY", "CRY", "CCRY"}
+
+
+def _amplitude_dtype(gates) -> type:
+    """float64 when every gate has a real matrix, otherwise complex128."""
+    return np.float64 if all(g.kind in _REAL_KINDS for g in gates) else np.complex128
 
 
 @lru_cache(maxsize=1024)
@@ -130,9 +147,16 @@ def _pair_views(n_qubits: int, controls: tuple[int, ...], target: int):
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate in place (exact unitary action) and return the state."""
+    """Apply one gate in place (exact unitary action) and return the state.
+
+    A float64 state takes only the kinds in ``_REAL_KINDS``; any other kind
+    raises :class:`ValueError` rather than drop its imaginary part.
+    """
     if max(gate.qubits) >= state.n_qubits:
         raise ValueError(f"gate {gate} exceeds state width {state.n_qubits}")
+    real = state.amplitudes.dtype == np.float64
+    if real and gate.kind not in _REAL_KINDS:
+        raise ValueError(f"{gate.kind} has a complex matrix and cannot act on a float64 state")
     shape, lo, hi = _pair_views(state.n_qubits, gate.controls, gate.target)
     view = state.amplitudes.reshape((*shape, -1))
     a0, a1 = view[lo], view[hi]
@@ -145,6 +169,8 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         a1 *= -1.0
     else:
         m = _gate_matrix_2x2(gate)
+        if real:
+            m = m.real  # its imaginary parts are zeros
         tmp = a0.copy()
         a0[...] = m[0, 0] * tmp + m[0, 1] * a1
         a1[...] = m[1, 0] * tmp + m[1, 1] * a1
@@ -230,16 +256,17 @@ def _signed_gather(run: tuple[Gate, ...], n_qubits: int, slice_index: np.ndarray
     """A classical run's action on the work = 0 slice, as ``(source, sign)``.
 
     Label ``j + 1`` is placed at the ``j``-th index of ``slice_index`` and the run
-    is applied to the labels through :func:`apply_gate` at full width.  X/Z-type
-    gates permute basis states and flip signs, so slot ``i`` ends up holding
+    is applied to the labels through :func:`apply_gate` at full width, on a
+    float64 state, since the labels are real.  X/Z-type gates permute basis
+    states and flip signs, so slot ``i`` ends up holding
     ``sign[i] * (source[i] + 1)``.  Returns ``None`` when a label left the slice,
     that is when the run leaves some work qubit set.
     """
-    labels = StateVector.zero(n_qubits)  # its 1 at index 0 = slice_index[0] is relabelled
+    labels = StateVector.zero(n_qubits, np.float64)  # its 1 at slice_index[0] = 0 is relabelled
     labels.amplitudes[slice_index] = np.arange(1, len(slice_index) + 1)
     for gate in run:
         apply_gate(labels, gate)
-    landed = labels.amplitudes[slice_index].real
+    landed = labels.amplitudes[slice_index]
     if np.count_nonzero(landed) < len(landed):
         return None
     return np.abs(landed).astype(np.intp) - 1, np.sign(landed)
@@ -251,11 +278,12 @@ def _kept_register_state(circuit: Circuit, kept: list[int]) -> StateVector | Non
     Gates on kept qubits only run at width ``len(kept)``, renumbered to their
     positions in ``kept``.  Each maximal run of X/Z-type gates that touches a
     work qubit is applied as one signed gather of the kept amplitudes, and each
-    distinct run is evaluated once.
+    distinct run is evaluated once.  The kept amplitudes have the circuit's
+    :func:`_amplitude_dtype`.
     """
     position = {q: i for i, q in enumerate(kept)}
     slice_index = _scatter(kept)
-    state = StateVector.zero(len(kept))
+    state = StateVector.zero(len(kept), _amplitude_dtype(circuit.ops))
     gathers = {}
     for classical, run in groupby(circuit.ops, key=lambda g: g.kind in _CLASSICAL_KINDS):
         run = tuple(run)
@@ -273,13 +301,33 @@ def _kept_register_state(circuit: Circuit, kept: list[int]) -> StateVector | Non
     return state
 
 
+def _measured_qubits(measure: list[int] | None, n_qubits: int) -> list[int]:
+    """``measure`` in ascending order, or every qubit when it is ``None``.
+
+    Raises one :class:`ValueError` naming every qubit outside the circuit and
+    every qubit listed more than once.
+    """
+    qubits = sorted(measure) if measure is not None else list(range(n_qubits))
+    outside = [q for q in qubits if not 0 <= q < n_qubits]
+    repeated = sorted({q for q, after in zip(qubits, qubits[1:]) if q == after})
+    problems = []
+    if outside:
+        problems.append(f"measured qubits {outside} exceed the {n_qubits}-qubit circuit")
+    if repeated:
+        problems.append(f"measured qubits {repeated} are listed more than once")
+    if problems:
+        raise ValueError("; ".join(problems))
+    return qubits
+
+
 def run_ideal(circuit: Circuit, shots: int, seed: int,
               measure: list[int] | None = None,
               return_state: bool = False):
     """Noiseless execution: statevector, then Born sampling of ``measure`` qubits.
 
     ``measure`` defaults to all qubits; pass the node register to read out a
-    Grover result.  Returns a :class:`MeasurementHistogram`, or a
+    Grover result.  A qubit outside the circuit or listed twice raises
+    :class:`ValueError` before anything runs.  Returns a :class:`MeasurementHistogram`, or a
     ``(histogram, state)`` pair when ``return_state`` is set.
 
     Only the kept register is simulated: the measured qubits and every qubit
@@ -292,16 +340,15 @@ def run_ideal(circuit: Circuit, shots: int, seed: int,
     full width through :func:`statevector`.  Either way the amplitudes at
     work = 0 are those of the full kernel, bit for bit, and so are the
     marginals and the histogram when every kept qubit is measured (each
-    marginal then has one nonzero term).  The returned state is full width,
-    with the kept amplitudes at work = 0 and +0.0 elsewhere, where the full
-    kernel may leave -0.0.
+    marginal then has one nonzero term).  The kept register is float64 when
+    every gate of the circuit has a real matrix (see :func:`_amplitude_dtype`).
+    The returned state is full width and complex128, with the kept amplitudes
+    at work = 0 and +0.0 elsewhere, where the full kernel may leave -0.0.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     n = circuit.n_qubits
-    qubits = sorted(measure) if measure is not None else list(range(n))
-    if any(not 0 <= q < n for q in qubits):
-        raise ValueError(f"measured qubits {qubits} exceed the {n}-qubit circuit")
+    qubits = _measured_qubits(measure, n)
     kept = sorted({q for g in circuit.ops if g.kind not in _CLASSICAL_KINDS for q in g.qubits}
                   | set(qubits))
     narrow = _kept_register_state(circuit, kept) if len(kept) < n else None

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from qclique import cli, grover
+from qclique.circuit import Circuit
 from qclique.cli import BUILTIN_PROFILES, load_graph, load_profile, main
 from qclique.noise import NoiseProfile
 
@@ -371,6 +372,10 @@ def test_state_too_wide_is_an_error_line(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "state", "--prep", "full", "--n", "40")
     assert code == 1 and out == ""
     assert err == f"error: cannot allocate a 40-qubit state: {16 << 40} bytes requested\n"
+    # solve runs the 4-qubit node register of g4 on float64 amplitudes
+    code, out, err = run_cli(capsys, "solve", "--graph", "g4", "--k", "3")
+    assert code == 1 and out == ""
+    assert err == f"error: cannot allocate a 4-qubit state: {8 << 4} bytes requested\n"
 
 
 def test_output_file_and_determinism(tmp_path, capsys):
@@ -382,3 +387,13 @@ def test_output_file_and_determinism(tmp_path, capsys):
         assert code == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("command, noise", [("solve", "--noise"), ("sweep", "--profile")])
+def test_a_bad_measure_list_is_an_error_line(monkeypatch, capsys, command, noise):
+    # a circuit narrower than the node register: solve measures it with
+    # run_ideal first, sweep with run_noisy
+    monkeypatch.setattr(cli, "assemble", lambda *args, **kwargs: Circuit(2))
+    code, out, err = run_cli(capsys, command, "--graph", "g4", "--k", "3", noise, "500:500")
+    assert code == 1 and out == ""
+    assert err == "error: measured qubits [2, 3] exceed the 2-qubit circuit\n"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from qclique import noise
-from qclique.circuit import Circuit, Gate
+from qclique.circuit import Circuit, Gate, decompose_mc
 from qclique.cli import load_profile, main
 from qclique.graph import builtin_graph
 from qclique.grover import assemble
@@ -24,6 +25,7 @@ from qclique.noise import (
     run_noisy,
 )
 from qclique.sim import run_ideal
+from test_sim import BAD_MEASURE_LISTS
 
 
 def average_density(channel, init, trajectories, seed):
@@ -170,6 +172,50 @@ def test_channel_on_a_block_matches_closed_form(implementation):
         assert np.abs(average - expected).max() < 0.02
 
 
+@pytest.mark.parametrize("implementation", ["mixture", "kraus"])
+def test_channel_on_a_float64_block_matches_closed_form(implementation):
+    # the channel keeps a real block real, and matches the complex128 run
+    prof = NoiseProfile("p", 120.0, 90.0)
+    channel = RelaxationChannel(60_000.0, prof, implementation)
+    init = np.array([math.sqrt(0.4), math.sqrt(0.6)])
+    plus = np.array([1.0, 1.0]) / math.sqrt(2)
+    ket0 = np.array([1.0, 0.0])
+    expected_one = channel.evolve_density(np.outer(init, init)).real
+    for single, qubit, expected in (
+        (init, 0, expected_one),
+        (np.kron(ket0, np.kron(init, plus)), 1,
+         np.kron(np.outer(ket0, ket0), np.kron(expected_one, np.outer(plus, plus)))),
+    ):
+        columns = np.tile(single[:, None], (1, 20_000))  # one trajectory per column
+        complex_columns = columns.astype(np.complex128)
+        channel.apply(columns, qubit, np.random.default_rng(17))
+        channel.apply(complex_columns, qubit, np.random.default_rng(17))
+        assert columns.dtype == np.float64
+        assert np.allclose(np.linalg.norm(columns, axis=0), 1.0)
+        assert np.abs(columns @ columns.T / columns.shape[1] - expected).max() < 0.02
+        if implementation == "kraus":  # real factors: the real parts, bit for bit
+            assert np.array_equal(columns, complex_columns.real)
+        else:  # a reset's norm sums in another order
+            assert np.allclose(columns, complex_columns.real, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("implementation", ["mixture", "kraus"])
+@pytest.mark.parametrize("qubit", [0, 2])
+def test_channel_on_a_complex_state_commutes_with_a_global_phase(implementation, qubit):
+    # a complex128 state (the perfbench probe passes one) takes the same branches
+    # as its real counterpart, times the phase
+    channel = RelaxationChannel(40_000.0, NoiseProfile("p", 120.0, 90.0), implementation)
+    real = np.random.default_rng(3).normal(size=8)
+    real /= np.linalg.norm(real)
+    phase = np.exp(0.7j)
+    for seed in range(40):
+        state, twin = real.copy(), real * phase
+        channel.apply(state, qubit, np.random.default_rng(seed))
+        channel.apply(twin, qubit, np.random.default_rng(seed))
+        assert twin.dtype == np.complex128
+        assert np.allclose(twin, state * phase, rtol=0.0, atol=1e-12)
+
+
 # -- schedule compilation --------------------------------------------------------
 
 def test_compile_applies_idle_and_readout():
@@ -214,6 +260,38 @@ def test_run_noisy_deterministic_and_worker_independent(g4):
         runs = [run_noisy(circ, prof, workers=w, **kwargs).to_json() for w in (1, 1, 2, 3)]
         assert runs == [runs[0]] * 4, (shots, trajectories)
         assert sum(json.loads(runs[0])["counts"].values()) == shots
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_kraus_histogram_is_pinned(g4, workers):
+    # float64 blocks give the complex128 engine's Kraus histograms bit for bit
+    hist = run_noisy(assemble(g4, 3, "w", "checking"), load_profile("ibmq_singapore"),
+                     shots=2000, trajectories=2000, seed=17, measure=list(range(4)),
+                     workers=workers)
+    assert hashlib.sha256(hist.to_json().encode()).hexdigest()[:16] == "0c4c43d28a3694bd"
+
+
+def test_trajectory_blocks_take_the_circuit_dtype(g4, monkeypatch):
+    circ = assemble(g4, 3, "w", "checking")
+    dtypes = []
+    kernel = noise.apply_gate
+    monkeypatch.setattr(noise, "apply_gate", lambda state, gate: dtypes.append(
+        state.amplitudes.dtype.type) or kernel(state, gate))
+    prof = NoiseProfile("t", 100.0, 100.0)
+    for c, dtype in ((circ, np.float64), (decompose_mc(circ), np.complex128)):
+        dtypes.clear()
+        run_noisy(c, prof, shots=20, trajectories=20, seed=1, measure=list(range(4)))
+        assert set(dtypes) == {dtype}
+
+
+@pytest.mark.parametrize("measure, message", BAD_MEASURE_LISTS, ids=str)
+def test_run_noisy_rejects_a_bad_measure_list_before_simulating(measure, message, monkeypatch):
+    monkeypatch.setattr(noise, "compile_noisy_program", lambda *_: pytest.fail("compiled"))
+    monkeypatch.setattr(noise, "_run_trajectory_blocks", lambda *_: pytest.fail("simulated"))
+    circ = Circuit(3, ops=[Gate("H", (0,)), Gate("CX", (0, 2))])
+    with pytest.raises(ValueError, match=message):
+        run_noisy(circ, NoiseProfile("t", 100.0, 100.0), shots=400, trajectories=400, seed=1,
+                  measure=measure, workers=2)
 
 
 def test_counts_are_keyed_in_ascending_outcome_order(g4):

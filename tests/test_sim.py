@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qclique import sim
-from qclique.circuit import Circuit, Gate
+from qclique.circuit import Circuit, Gate, decompose_mc
 from qclique.graph import builtin_graph
 from qclique.grover import assemble
 from qclique.sim import (
@@ -346,3 +346,95 @@ def test_run_ideal_applies_a_run_that_returns_its_work_qubit_with_a_sign(monkeyp
 def test_run_ideal_rejects_measured_qubits_outside_the_circuit():
     with pytest.raises(ValueError, match="exceed the 2-qubit circuit"):
         run_ideal(Circuit(2), shots=1, seed=1, measure=[0, 2])
+
+
+# run_ideal and run_noisy (tests/test_noise.py) check measure lists alike
+BAD_MEASURE_LISTS = [
+    ([0, 99], r"measured qubits \[99\] exceed the 3-qubit circuit$"),
+    ([-1, 2], r"measured qubits \[-1\] exceed the 3-qubit circuit$"),
+    ([0, 0, 1], r"measured qubits \[0\] are listed more than once$"),
+    ([1, 5, 1, -2], r"measured qubits \[-2, 5\] exceed the 3-qubit circuit; "
+                    r"measured qubits \[1\] are listed more than once$"),
+]
+
+
+@pytest.mark.parametrize("measure, message", BAD_MEASURE_LISTS, ids=str)
+def test_run_ideal_rejects_a_bad_measure_list_before_simulating(measure, message, monkeypatch):
+    monkeypatch.setattr(sim, "apply_gate", lambda *_: pytest.fail("simulated"))
+    circ = Circuit(3, ops=[Gate("H", (0,)), Gate("CX", (0, 2))])
+    with pytest.raises(ValueError, match=message):
+        run_ideal(circ, shots=50, seed=1, measure=measure)
+
+
+# -- float64 amplitudes for circuits whose gates all have real matrices --------
+
+REAL_KINDS = sim._REAL_KINDS
+
+
+@pytest.mark.parametrize("gate", [Gate("U3", (1,), (0.3, 0.0, 0.0)), Gate("U2", (0,), (0.2, 0.1))],
+                         ids=lambda g: g.kind)
+def test_apply_gate_rejects_a_complex_matrix_on_a_float64_state(gate):
+    # the kind decides, not the angles: U3(theta, 0, 0) has a real matrix too
+    state = StateVector.zero(2, np.float64)
+    with pytest.raises(ValueError, match=f"{gate.kind} has a complex matrix"):
+        apply_gate(state, gate)
+    assert np.array_equal(state.amplitudes, [1.0, 0.0, 0.0, 0.0])
+
+
+@given(st.data())
+def test_float64_kernel_gives_the_real_part_of_the_complex_kernel_property(data):
+    n = data.draw(st.integers(1, 7), label="n")
+    gate = data.draw(gates_on(n, REAL_KINDS), label="gate")
+    columns = data.draw(st.none() | st.integers(1, 5), label="columns")  # None: a 1-D state
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    amp = rng.normal(size=(1 << n) if columns is None else (1 << n, columns))
+    real = apply_gate(StateVector(n, amp.copy()), gate).amplitudes
+    full = apply_gate(StateVector(n, amp.astype(np.complex128)), gate).amplitudes
+    assert real.dtype == np.float64
+    assert np.array_equal(real, full.real)
+    assert not np.any(full.imag)
+
+
+@given(st.data())
+def test_amplitude_dtype_is_complex_exactly_when_a_gate_is_u3_or_u2_property(data):
+    n = data.draw(st.integers(1, 5), label="n")
+    gates = data.draw(st.lists(gates_on(n), max_size=8), label="gates")
+    complex_ = any(g.kind in ("U3", "U2") for g in gates)
+    assert sim._amplitude_dtype(gates) is (np.complex128 if complex_ else np.float64)
+
+
+def _gate_dtypes(monkeypatch) -> list[tuple[int, type]]:
+    """Width and scalar type of the state of every ``apply_gate`` call from now on."""
+    calls = []
+    kernel = sim.apply_gate
+    monkeypatch.setattr(sim, "apply_gate", lambda state, gate: calls.append(
+        (state.n_qubits, state.amplitudes.dtype.type)) or kernel(state, gate))
+    return calls
+
+
+@pytest.mark.parametrize("prep, style", [("full", "checking"), ("w", "checking"),
+                                         ("dicke", "incremental")])
+def test_ideal_runs_are_float64_until_lowering_adds_u3(g4, prep, style, monkeypatch):
+    circ = assemble(g4, 3, prep, style)
+    lowered = decompose_mc(circ)
+    assert sim._amplitude_dtype(circ.ops) is np.float64
+    assert sim._amplitude_dtype(lowered.ops) is np.complex128
+    nodes = list(range(g4.n))
+    calls = _gate_dtypes(monkeypatch)
+    _, state = run_ideal(circ, shots=16, seed=1, measure=nodes, return_state=True)
+    # the node register and the oracle's labels at full width, all float64
+    assert set(calls) == {(g4.n, np.float64), (circ.n_qubits, np.float64)}
+    assert state.amplitudes.dtype == np.complex128
+    calls.clear()
+    _, state = run_ideal(lowered, shots=16, seed=1, measure=nodes, return_state=True)
+    assert {dtype for width, dtype in calls if width < lowered.n_qubits} == {np.complex128}
+    assert state.amplitudes.dtype == np.complex128
+
+
+@given(st.data())
+def test_ideal_states_handed_back_are_complex128_property(data):
+    n = data.draw(st.integers(2, 5), label="n")
+    ops = data.draw(st.lists(gates_on(n, REAL_KINDS), min_size=1, max_size=12), label="ops")
+    measure = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True), label="measure")
+    state, full = _assert_same_as_full_kernel(Circuit(n, ops=ops), sorted(measure), shots=64)
+    assert state.amplitudes.dtype == full.amplitudes.dtype == np.complex128
