@@ -95,6 +95,13 @@ def _iterations(value: str) -> int | str:
     return iters
 
 
+def _seed(value: str) -> int:
+    seed = int(value)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def cmd_solve(args) -> tuple[int, dict, str]:
     g = load_graph(args.graph)
     if not 1 <= args.k <= g.n:
@@ -240,8 +247,10 @@ def cmd_state(args) -> tuple[int, None, str]:
         "w-complement": lambda: w_complement(args.n),
         "dicke": lambda: dicke_prep(args.n, args.k),
     }
-    if args.prep in ("dicke",) and args.k is None:
+    if args.prep == "dicke" and args.k is None:
         raise CliError("--k is required for the dicke preparation")
+    if args.prep != "dicke" and args.k is not None:
+        raise CliError(f"--k applies only to the dicke preparation, not to {args.prep}")
     circ = builders[args.prep]()
     state = statevector(circ)
     buf = io.StringIO()
@@ -269,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--iters", type=_iterations, default="auto",
                            help="'auto' (optimal) or explicit iteration count")
             p.add_argument("--shots", type=int, default=4096)
-            p.add_argument("--seed", type=int, default=1234)
+            p.add_argument("--seed", type=_seed, default=1234)
             p.add_argument("--trajectories", type=int, default=2000)
             p.add_argument("--workers", type=int, default=1)
 
@@ -307,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_state.add_argument("--prep", required=True,
                          choices=["full", "w", "w-complement", "dicke"])
     p_state.add_argument("--n", type=int, required=True)
-    p_state.add_argument("--k", type=int)
+    p_state.add_argument("--k", type=int, help="Hamming weight of the dicke preparation")
     p_state.add_argument("--output")
     p_state.set_defaults(func=cmd_state, format="csv")
 

@@ -441,8 +441,8 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, trajectories:
     shots from ``SeedSequence(entropy=seed, spawn_key=(b,))``.  Those seed
     sequences are built here, in the calling process, so ``numpy.random`` is
     imported once rather than in every worker.  ``measure`` is checked before
-    anything runs: a qubit outside the circuit or listed twice raises
-    :class:`ValueError`.
+    anything runs: an empty list, a qubit outside the circuit or one listed
+    twice raises :class:`ValueError`.
     Identical (circuit, profile, shots, trajectories, seed) produce identical
     histograms for any ``workers`` count, because workers receive whole blocks
     and counts are aggregated by order-independent summation.

@@ -32,15 +32,16 @@ contiguous run of ``B * 2**q`` amplitudes (``q`` the lowest qubit the gate
 touches), and the marginals have one column per state.  A 1-D state is a
 block of one.
 
-:func:`run_ideal` simulates only the kept register: the measured qubits and
-every qubit that a gate other than an X/Z-type one touches.  The oracle's
-counters and flags are touched only by X/Z-type gates, so they hold |0> at
-every other gate and need no amplitudes of their own.  Each maximal X/Z-type
-run that touches them is evaluated once, by pushing basis labels through
-:func:`apply_gate` at full width, and then applied to the kept amplitudes as a
-gather and a sign; a run that leaves one of them set sends the whole call
-back to the full kernel.  :func:`statevector` and the noisy trajectories of
-:mod:`qclique.noise` always run at full width.
+:func:`run_ideal` simulates only the low block of qubits ``[0, m)``: ``m - 1``
+is the highest qubit that is measured or that a gate other than an X/Z-type
+one touches.  The oracle's counters and flags sit above the node register and
+are touched only by X/Z-type gates, so they hold |0> at every other gate and
+need no amplitudes of their own.  Each maximal X/Z-type run that touches them
+is evaluated once, by pushing basis labels through :func:`apply_gate` at full
+width, and then applied to the low amplitudes as a gather and a sign; a run
+that leaves one of them set sends the whole call back to ``m = n``.
+:func:`statevector` and the noisy trajectories of :mod:`qclique.noise` always
+run at full width.
 """
 from __future__ import annotations
 
@@ -243,71 +244,62 @@ def _histogram(shots: int, n_bits: int, drawn: np.ndarray) -> MeasurementHistogr
     return MeasurementHistogram(shots, n_bits, counts)
 
 
-def _scatter(kept: list[int]) -> np.ndarray:
-    """Full-width basis index of each basis state of the kept register, work qubits 0."""
-    index = np.arange(1 << len(kept))
-    full = np.zeros_like(index)
-    for i, q in enumerate(kept):
-        full |= ((index >> i) & 1) << q
-    return full
+def _signed_gather(run: tuple[Gate, ...], n_qubits: int, m: int):
+    """A classical run's action on the low block ``[0, m)``, as ``(source, sign)``.
 
-
-def _signed_gather(run: tuple[Gate, ...], n_qubits: int, slice_index: np.ndarray):
-    """A classical run's action on the work = 0 slice, as ``(source, sign)``.
-
-    Label ``j + 1`` is placed at the ``j``-th index of ``slice_index`` and the run
-    is applied to the labels through :func:`apply_gate` at full width, on a
-    float64 state, since the labels are real.  X/Z-type gates permute basis
-    states and flip signs, so slot ``i`` ends up holding
-    ``sign[i] * (source[i] + 1)``.  Returns ``None`` when a label left the slice,
-    that is when the run leaves some work qubit set.
+    Labels ``1 .. 2**m`` are placed at indices ``[:2**m]`` (every qubit from
+    ``m`` up is 0) and the run is applied to them through :func:`apply_gate`
+    at full width, on a float64 state, since the labels are real.  X/Z-type
+    gates permute basis states and flip signs, so slot ``i`` ends up holding
+    ``sign[i] * (source[i] + 1)``.  Returns ``None`` when a label left the low
+    block, that is when the run leaves a qubit at ``m`` or above set.
     """
-    labels = StateVector.zero(n_qubits, np.float64)  # its 1 at slice_index[0] = 0 is relabelled
-    labels.amplitudes[slice_index] = np.arange(1, len(slice_index) + 1)
+    size = 1 << m
+    labels = StateVector.zero(n_qubits, np.float64)  # its 1 at index 0 is relabelled
+    labels.amplitudes[:size] = np.arange(1, size + 1)
     for gate in run:
         apply_gate(labels, gate)
-    landed = labels.amplitudes[slice_index]
-    if np.count_nonzero(landed) < len(landed):
+    landed = labels.amplitudes[:size]
+    if np.count_nonzero(landed) < size:
         return None
     return np.abs(landed).astype(np.intp) - 1, np.sign(landed)
 
 
-def _kept_register_state(circuit: Circuit, kept: list[int]) -> StateVector | None:
-    """Run ``circuit`` on the kept register only, or ``None`` if it cannot be.
+def _low_register_state(circuit: Circuit, m: int) -> StateVector | None:
+    """Run ``circuit`` on the low qubit block ``[0, m)``, or ``None`` if it cannot be.
 
-    Gates on kept qubits only run at width ``len(kept)``, renumbered to their
-    positions in ``kept``.  Each maximal run of X/Z-type gates that touches a
-    work qubit is applied as one signed gather of the kept amplitudes, and each
-    distinct run is evaluated once.  The kept amplitudes have the circuit's
-    :func:`_amplitude_dtype`.
+    Gates on qubits below ``m`` run through :func:`apply_gate` unchanged, at
+    width ``m``.  Each maximal run of X/Z-type gates that touches a qubit at
+    ``m`` or above is applied as one signed gather of the ``2**m`` amplitudes,
+    and each distinct run is evaluated once.  The amplitudes have the
+    circuit's :func:`_amplitude_dtype`.
     """
-    position = {q: i for i, q in enumerate(kept)}
-    slice_index = _scatter(kept)
-    state = StateVector.zero(len(kept), _amplitude_dtype(circuit.ops))
+    state = StateVector.zero(m, _amplitude_dtype(circuit.ops))
     gathers = {}
     for classical, run in groupby(circuit.ops, key=lambda g: g.kind in _CLASSICAL_KINDS):
         run = tuple(run)
-        if classical and any(q not in position for g in run for q in g.qubits):
+        if classical and any(q >= m for g in run for q in g.qubits):
             if run not in gathers:
-                gathers[run] = _signed_gather(run, circuit.n_qubits, slice_index)
+                gathers[run] = _signed_gather(run, circuit.n_qubits, m)
             if gathers[run] is None:
                 return None
             source, sign = gathers[run]
             state.amplitudes = state.amplitudes[source] * sign
             continue
         for gate in run:
-            apply_gate(state, Gate(gate.kind, tuple(position[q] for q in gate.qubits),
-                                   gate.params))
+            apply_gate(state, gate)
     return state
 
 
 def _measured_qubits(measure: list[int] | None, n_qubits: int) -> list[int]:
     """``measure`` in ascending order, or every qubit when it is ``None``.
 
-    Raises one :class:`ValueError` naming every qubit outside the circuit and
-    every qubit listed more than once.
+    Raises :class:`ValueError` for an empty list, and one naming every qubit
+    outside the circuit and every qubit listed more than once.
     """
     qubits = sorted(measure) if measure is not None else list(range(n_qubits))
+    if not qubits:  # a circuit has at least one qubit, so measure was []
+        raise ValueError("the measure list is empty")
     outside = [q for q in qubits if not 0 <= q < n_qubits]
     repeated = sorted({q for q, after in zip(qubits, qubits[1:]) if q == after})
     problems = []
@@ -326,39 +318,39 @@ def run_ideal(circuit: Circuit, shots: int, seed: int,
     """Noiseless execution: statevector, then Born sampling of ``measure`` qubits.
 
     ``measure`` defaults to all qubits; pass the node register to read out a
-    Grover result.  A qubit outside the circuit or listed twice raises
-    :class:`ValueError` before anything runs.  Returns a :class:`MeasurementHistogram`, or a
-    ``(histogram, state)`` pair when ``return_state`` is set.
+    Grover result.  An empty list, a qubit outside the circuit or one listed
+    twice raises :class:`ValueError` before anything runs.  Returns a
+    :class:`MeasurementHistogram`, or a ``(histogram, state)`` pair when
+    ``return_state`` is set.
 
-    Only the kept register is simulated: the measured qubits and every qubit
-    a gate other than an X/Z-type one touches, ``m`` qubits in all.  The
-    other (work) qubits are touched only by X/Z-type gates, which permute
-    basis states and flip signs, so each maximal X/Z-type run that touches
-    them is evaluated once, by label (see :func:`_signed_gather`), and applied
-    to the ``2**m`` kept amplitudes as a gather and a sign.  If a run leaves a
-    work qubit set, or no qubit is a work qubit, the whole circuit runs at
-    full width through :func:`statevector`.  Either way the amplitudes at
-    work = 0 are those of the full kernel, bit for bit, and so are the
-    marginals and the histogram when every kept qubit is measured (each
-    marginal then has one nonzero term).  The kept register is float64 when
-    every gate of the circuit has a real matrix (see :func:`_amplitude_dtype`).
-    The returned state is full width and complex128, with the kept amplitudes
-    at work = 0 and +0.0 elsewhere, where the full kernel may leave -0.0.
+    Only the low block of qubits ``[0, m)`` is simulated, where ``m - 1`` is
+    the highest qubit that is measured or that a gate other than an X/Z-type
+    one touches.  The qubits from ``m`` up are touched only by X/Z-type gates,
+    which permute basis states and flip signs, so each maximal X/Z-type run
+    that touches them is evaluated once, by label (see :func:`_signed_gather`),
+    and applied to the ``2**m`` low amplitudes as a gather and a sign.  If a
+    run leaves a high qubit set, the circuit runs again with ``m = n``.
+    Either way the amplitudes with every high qubit 0 are those of the full
+    kernel, bit for bit, and so are the marginals and the histogram when every
+    qubit below ``m`` is measured (each marginal then has one nonzero term).
+    The block has the circuit's :func:`_amplitude_dtype`.  The returned state
+    is full width and complex128, with the low amplitudes at ``[:2**m]`` and
+    +0.0 elsewhere, where the full kernel may leave -0.0; so are the imaginary
+    parts of a real circuit run again at ``m = n``.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     n = circuit.n_qubits
     qubits = _measured_qubits(measure, n)
-    kept = sorted({q for g in circuit.ops if g.kind not in _CLASSICAL_KINDS for q in g.qubits}
-                  | set(qubits))
-    narrow = _kept_register_state(circuit, kept) if len(kept) < n else None
-    if narrow is None:
-        state = statevector(circuit)
-        probs = marginal_probabilities(state, qubits)
-    else:
-        probs = marginal_probabilities(narrow, [kept.index(q) for q in qubits])
-        if return_state:
-            state = StateVector.zero(n)  # _scatter(kept)[0] is 0, so its 1 is overwritten
-            state.amplitudes[_scatter(kept)] = narrow.amplitudes
+    m = 1 + max({q for g in circuit.ops if g.kind not in _CLASSICAL_KINDS for q in g.qubits}
+                | set(qubits))
+    low = _low_register_state(circuit, m)
+    if low is None:  # a run left a high qubit set
+        low = _low_register_state(circuit, n)
+    probs = marginal_probabilities(low, qubits)
     hist = sample_histogram(probs, shots, np.random.default_rng(seed), len(qubits))
-    return (hist, state) if return_state else hist
+    if not return_state:
+        return hist
+    state = StateVector.zero(n)  # its 1 at index 0 is overwritten
+    state.amplitudes[:1 << low.n_qubits] = low.amplitudes
+    return hist, state

@@ -332,6 +332,14 @@ def test_solve_explicit_iterations(capsys):
     assert "iterations must be 'auto' or >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_a_negative_seed_is_a_usage_error_naming_the_flag(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--graph", "g4", "--k", "3", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: seed must be >= 0, got -1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--graph", "g4", "--k", "3", "--shots", "64"],
     ["solve", "--graph", "star4", "--k", "3", "--prep", "dicke"],
@@ -362,6 +370,13 @@ def test_state_dicke_csv(capsys):
 def test_state_dicke_requires_k(capsys):
     code, _, err = run_cli(capsys, "state", "--prep", "dicke", "--n", "4")
     assert code == 1 and "--k" in err
+
+
+@pytest.mark.parametrize("prep", ["full", "w", "w-complement"])
+def test_state_k_without_dicke_is_an_error_line(capsys, prep):
+    code, out, err = run_cli(capsys, "state", "--prep", prep, "--n", "3", "--k", "9")
+    assert code == 1 and out == ""
+    assert err == f"error: --k applies only to the dicke preparation, not to {prep}\n"
 
 
 def test_state_too_wide_is_an_error_line(monkeypatch, capsys):

@@ -274,7 +274,7 @@ def test_marginal_probabilities_on_a_block_matches_each_column_property(data):
         assert np.array_equal(marginals[:, column], one)
 
 
-# -- ideal runs on the kept register against the full kernel --------------------
+# -- ideal runs on the low qubit block against the full kernel ------------------
 
 def _assert_same_as_full_kernel(circ: Circuit, measure: list[int], shots: int = 256,
                                 seed: int = 7) -> tuple[StateVector, StateVector]:
@@ -303,10 +303,10 @@ BUNDLED_CONFIGURATIONS = [
 def test_run_ideal_on_the_kept_register_equals_the_full_kernel(graph, k, prep, style):
     g = builtin_graph(graph)
     circ = assemble(g, k, prep, style)
-    assert circ.n_qubits > g.n  # the counters and flags are work qubits
+    assert circ.n_qubits > g.n  # the counters and flags sit above the node block
     state, full = _assert_same_as_full_kernel(circ, list(range(g.n)))
-    # byte for byte at work = 0; off it both are zeros, which the full kernel
-    # may leave as -0.0
+    # byte for byte with every high qubit 0; off it both are zeros, which the
+    # full kernel may leave as -0.0
     node_slice = slice(0, 1 << g.n)
     assert state.amplitudes[node_slice].tobytes() == full.amplitudes[node_slice].tobytes()
 
@@ -324,10 +324,22 @@ def test_run_ideal_falls_back_when_a_work_qubit_is_left_set(monkeypatch):
     circ = Circuit(3, ops=[Gate("H", (0,)), Gate("CX", (0, 2)), Gate("H", (1,))])
     widths = _gate_widths(monkeypatch)
     hist = run_ideal(circ, shots=400, seed=3, measure=[0, 1])
-    # H on the kept pair, the CX by label (qubit 2 is left set), then all three at full width
+    # H on the low pair, the CX by label (qubit 2 is left set), then all three at full width
     assert widths == [2, 3, 3, 3, 3]
     assert set(hist.counts) == {"00", "01", "10", "11"}
     _assert_same_as_full_kernel(circ, [0, 1])
+
+
+def test_run_ideal_simulates_every_qubit_when_the_highest_is_measured(monkeypatch):
+    # qubit 3 is touched only by X, but measured: the low block is all four
+    # qubits, so every gate runs at width 4 and nothing goes by label
+    circ = Circuit(4, ops=[Gate("H", (0,)), Gate("CX", (0, 2)), Gate("X", (3,)),
+                           Gate("CX", (0, 2))])
+    widths = _gate_widths(monkeypatch)
+    hist = run_ideal(circ, shots=200, seed=11, measure=[0, 3])
+    assert widths == [4, 4, 4, 4]
+    assert set(hist.counts) == {"10", "11"}
+    _assert_same_as_full_kernel(circ, [0, 3])
 
 
 def test_run_ideal_applies_a_run_that_returns_its_work_qubit_with_a_sign(monkeypatch):
@@ -335,7 +347,7 @@ def test_run_ideal_applies_a_run_that_returns_its_work_qubit_with_a_sign(monkeyp
     circ = Circuit(3, ops=[Gate("H", (0,)), Gate("H", (1,)), *signed, Gate("H", (0,)), *signed])
     widths = _gate_widths(monkeypatch)
     hist, state = run_ideal(circ, shots=64, seed=5, measure=[0, 1], return_state=True)
-    # two H on the kept pair, the run by label once, the last H; the repeated run is reused
+    # two H on the low pair, the run by label once, the last H; the repeated run is reused
     assert widths == [2, 2, 3, 3, 3, 2]
     # H Z H = X, then Z: qubit 0 reads 1 with amplitude -1/sqrt(2) on either value of qubit 1
     assert set(hist.counts) <= {"01", "11"}
@@ -350,6 +362,7 @@ def test_run_ideal_rejects_measured_qubits_outside_the_circuit():
 
 # run_ideal and run_noisy (tests/test_noise.py) check measure lists alike
 BAD_MEASURE_LISTS = [
+    ([], r"the measure list is empty$"),
     ([0, 99], r"measured qubits \[99\] exceed the 3-qubit circuit$"),
     ([-1, 2], r"measured qubits \[-1\] exceed the 3-qubit circuit$"),
     ([0, 0, 1], r"measured qubits \[0\] are listed more than once$"),
@@ -412,18 +425,20 @@ def _gate_dtypes(monkeypatch) -> list[tuple[int, type]]:
     return calls
 
 
-@pytest.mark.parametrize("prep, style", [("full", "checking"), ("w", "checking"),
-                                         ("dicke", "incremental")])
-def test_ideal_runs_are_float64_until_lowering_adds_u3(g4, prep, style, monkeypatch):
-    circ = assemble(g4, 3, prep, style)
+@pytest.mark.parametrize("graph, k, prep, style", BUNDLED_CONFIGURATIONS,
+                         ids=lambda value: str(value))
+def test_ideal_runs_are_float64_until_lowering_adds_u3(graph, k, prep, style, monkeypatch):
+    g = builtin_graph(graph)
+    circ = assemble(g, k, prep, style)
     lowered = decompose_mc(circ)
     assert sim._amplitude_dtype(circ.ops) is np.float64
     assert sim._amplitude_dtype(lowered.ops) is np.complex128
-    nodes = list(range(g4.n))
+    nodes = list(range(g.n))
     calls = _gate_dtypes(monkeypatch)
     _, state = run_ideal(circ, shots=16, seed=1, measure=nodes, return_state=True)
-    # the node register and the oracle's labels at full width, all float64
-    assert set(calls) == {(g4.n, np.float64), (circ.n_qubits, np.float64)}
+    # the node register (the low block is exactly the nodes) and the oracle's
+    # labels at full width, all float64
+    assert set(calls) == {(g.n, np.float64), (circ.n_qubits, np.float64)}
     assert state.amplitudes.dtype == np.complex128
     calls.clear()
     _, state = run_ideal(lowered, shots=16, seed=1, measure=nodes, return_state=True)
@@ -438,3 +453,20 @@ def test_ideal_states_handed_back_are_complex128_property(data):
     measure = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True), label="measure")
     state, full = _assert_same_as_full_kernel(Circuit(n, ops=ops), sorted(measure), shots=64)
     assert state.amplitudes.dtype == full.amplitudes.dtype == np.complex128
+
+
+@pytest.mark.parametrize("graph, k, prep, style", BUNDLED_CONFIGURATIONS,
+                         ids=lambda value: str(value))
+def test_run_ideal_on_a_lowered_circuit_equals_the_full_kernel(graph, k, prep, style,
+                                                               monkeypatch):
+    g = builtin_graph(graph)
+    lowered = decompose_mc(assemble(g, k, prep, style))
+    calls = _gate_dtypes(monkeypatch)
+    _assert_same_as_full_kernel(lowered, list(range(g.n)))
+    # statevector's calls come last, one per gate at full width
+    ideal, reference = calls[:-len(lowered.ops)], calls[-len(lowered.ops):]
+    assert set(reference) == {(lowered.n_qubits, np.complex128)}
+    # the lowered oracle's U3 gates widen the low block past the nodes, but no
+    # run leaves a qubit above it set: the full width is reached only by labels
+    assert (lowered.n_qubits, np.complex128) not in ideal
+    assert {dtype for width, dtype in ideal if width == lowered.n_qubits} == {np.float64}
