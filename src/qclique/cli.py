@@ -218,7 +218,8 @@ def cmd_sweep(args) -> tuple[int, dict, str]:
         hist = run_noisy(circ, profile, shots=args.shots, trajectories=args.trajectories,
                          seed=args.seed, measure=nodes, workers=args.workers)
         p = hist.success_probability(targets)
-        stderr = (p * (1 - p) / hist.shots) ** 0.5
+        # shots drawn from one trajectory are correlated, so count trajectories
+        stderr = (p * (1 - p) / min(args.shots, args.trajectories)) ** 0.5
         rows.append({"name": profile.name, "t1_us": profile.t1_us, "t2_us": profile.t2_us,
                      "success_prob": f"{p:.6f}", "stderr": f"{stderr:.6f}"})
 
@@ -296,7 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="add NOT/CNOT/CCNOT/U count columns")
     p_res.set_defaults(func=cmd_resources)
 
-    p_sweep = sub.add_parser("sweep", help="success probability across noise profiles (CSV)")
+    p_sweep = sub.add_parser(
+        "sweep", help="success probability across noise profiles (CSV)",
+        description="Success probability across noise profiles. The stderr column is "
+                    "sqrt(p(1-p)/T), T = min(shots, trajectories), the trajectories that ran: "
+                    "exact when shots equal trajectories, an upper bound when there are more "
+                    "shots.")
     common(p_sweep)
     p_sweep.add_argument("--profile", action="append",
                          help="profile (builtin, 'T1:T2', or JSON file); repeatable")

@@ -13,7 +13,7 @@ Two trajectory implementations realize it:
   Born-rule branch weights and renormalization, followed by a probabilistic
   phase flip for the residual pure dephasing.
 
-Trajectories run in fixed-size blocks, one ``(2**n, B)`` array each, column
+Trajectories run in blocks of 512 KiB, one ``(2**n, B)`` array each, column
 ``b`` holding trajectory ``b``: every scheduled gate is applied once to the
 whole block, and every relaxation step draws its branch for all columns at
 once.  With the block axis last, every gate and relaxation view ends in one
@@ -24,8 +24,8 @@ since their flips, resets, no-jump factors and jump copies are all real.
 Runs are deterministic given the seed: block ``b`` draws from
 ``numpy.random.default_rng(SeedSequence(entropy=seed, spawn_key=(b,)))``, the
 calling process builds every block's ``SeedSequence`` before handing blocks
-to workers, and the block size depends only on the width, so results do not
-depend on the worker count.
+to workers, and the block size depends only on the width and the dtype, so
+results do not depend on the worker count.
 
 A run with more than one job hands them to a worker pool that is started
 once per process and reused by later runs, so a sweep over many profiles
@@ -333,20 +333,25 @@ def compile_noisy_program(circuit: Circuit, profile: NoiseProfile) -> list:
     return steps
 
 
-# Amplitudes held by one block of trajectories: 2**15 (512 KiB), so 128
-# trajectories at 8 qubits, 8 at 12 and 1 from 15 qubits up.  Doubling it
-# raised the peak RSS of a 12-qubit noisy run by 4% and ran no faster.
-_BLOCK_AMPLITUDES = 1 << 15
+# Bytes held by one block of trajectories: 512 KiB, that is 2**16 float64 or
+# 2**15 complex128 amplitudes.  A float64 block holds 256 trajectories at 8
+# qubits, 16 at 12 and 1 from 16 qubits up; a complex128 block half as many.
+_BLOCK_BYTES = 512 << 10
 
 
-def _block_size(n_qubits: int) -> int:
-    """Trajectories per block at this width."""
-    return max(1, _BLOCK_AMPLITUDES >> n_qubits)
+def _block_size(n_qubits: int, dtype) -> int:
+    """Trajectories per block at this width and amplitude dtype."""
+    return max(1, (_BLOCK_BYTES // np.dtype(dtype).itemsize) >> n_qubits)
 
 
 def _run_trajectory_blocks(args) -> np.ndarray:
     steps, n_qubits, dtype, measured, shots, trajectories, blocks = args
-    size = _block_size(n_qubits)
+    size = _block_size(n_qubits, dtype)
+    # Freeing a mapped array of two blocks raises glibc's mmap threshold to
+    # 1 MiB (and its trim threshold to 2 MiB), so a block and its gate
+    # temporaries stay on the heap; otherwise the first block gives the
+    # temporaries back to the system after every gate and faults them in again.
+    np.empty(2 * _BLOCK_BYTES, dtype=np.uint8)
     base, extra = divmod(shots, trajectories)
     counts = np.zeros(1 << len(measured), dtype=np.int64)
     for block, seed_sequence in blocks:
@@ -435,14 +440,15 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, trajectories:
     applications, then contributes its share of the ``shots`` (round-robin
     allocation), so at most ``shots`` trajectories run.  The channel follows
     the profile's T1/T2, as in :func:`compile_noisy_program`.  Trajectories
-    run in blocks of ``B = max(1, 2**15 >> n)`` columns, one ``(2**n, B)``
-    array per block of the circuit's amplitude dtype (float64 unless a gate
-    has a complex matrix), and block ``b`` draws every channel branch and its
-    shots from ``SeedSequence(entropy=seed, spawn_key=(b,))``.  Those seed
-    sequences are built here, in the calling process, so ``numpy.random`` is
-    imported once rather than in every worker.  ``measure`` is checked before
-    anything runs: an empty list, a qubit outside the circuit or one listed
-    twice raises :class:`ValueError`.
+    run in blocks of 512 KiB, one ``(2**n, B)`` array per block of the
+    circuit's amplitude dtype: ``B = max(1, 2**16 >> n)`` for float64 (every
+    circuit whose gates all have real matrices) and ``max(1, 2**15 >> n)`` for
+    complex128.  Block ``b`` draws every channel branch and its shots from
+    ``SeedSequence(entropy=seed, spawn_key=(b,))``.  Those seed sequences are
+    built here, in the calling process, so ``numpy.random`` is imported once
+    rather than in every worker.  ``measure`` is checked before anything runs:
+    an empty list, a qubit outside the circuit or one listed twice raises
+    :class:`ValueError`.
     Identical (circuit, profile, shots, trajectories, seed) produce identical
     histograms for any ``workers`` count, because workers receive whole blocks
     and counts are aggregated by order-independent summation.
@@ -461,10 +467,10 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, trajectories:
     measured = _measured_qubits(measure, circuit.n_qubits)
     steps = compile_noisy_program(circuit, profile)
     trajectories = min(trajectories, shots)  # a trajectory without a shot adds nothing
-    n_blocks = -(-trajectories // _block_size(circuit.n_qubits))
+    dtype = _amplitude_dtype(circuit.ops)
+    n_blocks = -(-trajectories // _block_size(circuit.n_qubits, dtype))
     workers = min(workers, n_blocks)
     blocks = [(b, np.random.SeedSequence(entropy=seed, spawn_key=(b,))) for b in range(n_blocks)]
-    dtype = _amplitude_dtype(circuit.ops)
     jobs = [(steps, circuit.n_qubits, dtype, measured, shots, trajectories, blocks[w::workers])
             for w in range(workers)]
     if workers == 1:

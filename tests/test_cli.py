@@ -185,6 +185,16 @@ def test_sweep_csv_shape_and_consistency(capsys):
     assert sweep_p == pytest.approx(solve_p, abs=1e-12)
 
 
+def test_sweep_stderr_counts_trajectories_not_shots(capsys):
+    # 4,000 shots from 40 trajectories carry about 40 samples' information
+    code, out, _ = run_cli(capsys, "sweep", "--graph", "g4", "--k", "3", "--profile", "500:500",
+                           "--shots", "4000", "--trajectories", "40", "--seed", "1")
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    p = float(row["success_prob"])
+    assert row["stderr"] == f"{(p * (1 - p) / 40) ** 0.5:.6f}"
+
+
 def test_sweep_csv_format_is_the_default(capsys):
     args = ["sweep", "--graph", "g4", "--k", "3", "--shots", "100",
             "--trajectories", "50", "--seed", "3", "--profile", "500:500"]

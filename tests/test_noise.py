@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import platform
+import resource
 import signal
 import subprocess
 import sys
@@ -253,8 +255,9 @@ def test_compile_channel_follows_the_profile(g4, spec, implementation):
 def test_run_noisy_deterministic_and_worker_independent(g4):
     circ = assemble(g4, 3, "w", "checking")
     prof = NoiseProfile("t", 200.0, 200.0)
-    # 300 trajectories at 8 qubits end in a partial block of 44 rows (blocks
-    # hold 128); 100 shots leave 100 trajectories, one block, whatever the workers
+    # 300 trajectories at 8 qubits end in a partial block of 44 rows (float64
+    # blocks hold 256); 100 shots leave 100 trajectories, one block, whatever
+    # the workers
     for shots, trajectories in ((400, 400), (300, 300), (100, 300)):
         kwargs = dict(shots=shots, trajectories=trajectories, seed=11, measure=list(range(4)))
         runs = [run_noisy(circ, prof, workers=w, **kwargs).to_json() for w in (1, 1, 2, 3)]
@@ -262,13 +265,51 @@ def test_run_noisy_deterministic_and_worker_independent(g4):
         assert sum(json.loads(runs[0])["counts"].values()) == shots
 
 
+def _histogram_hash(hist) -> str:
+    return hashlib.sha256(hist.to_json().encode()).hexdigest()[:16]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_kraus_histogram_is_pinned(g4, workers):
-    # float64 blocks give the complex128 engine's Kraus histograms bit for bit
+    # float64 blocks of 256 trajectories at 8 qubits
     hist = run_noisy(assemble(g4, 3, "w", "checking"), load_profile("ibmq_singapore"),
                      shots=2000, trajectories=2000, seed=17, measure=list(range(4)),
                      workers=workers)
-    assert hashlib.sha256(hist.to_json().encode()).hexdigest()[:16] == "0c4c43d28a3694bd"
+    assert _histogram_hash(hist) == "ba08988a47d9f344"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("spec, pinned", [
+    ("500:500", "aa900ad021fa9aa0"), ("ibmq_singapore", "63e55de7c0b6c4f4"),
+])
+def test_complex_histograms_are_pinned(g4, spec, pinned, workers):
+    # a decompose_mc output has U3 gates, so it runs on complex128 blocks of
+    # 2**15 >> n trajectories, the same blocks whatever the float64 budget
+    circ = decompose_mc(assemble(g4, 3, "w", "checking"))
+    hist = run_noisy(circ, load_profile(spec), shots=300, trajectories=300, seed=17,
+                     measure=list(range(4)), workers=workers)
+    assert _histogram_hash(hist) == pinned
+
+
+@pytest.mark.parametrize("dtype, widest", [(np.float64, 16), (np.complex128, 15)])
+def test_a_block_holds_512_kib(dtype, widest):
+    itemsize = np.dtype(dtype).itemsize
+    for n in range(widest + 1):
+        assert noise._block_size(n, dtype) * itemsize << n == 512 << 10, n
+    for n in range(widest + 1, 25):
+        assert noise._block_size(n, dtype) == 1, n
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_a_warm_run_keeps_its_blocks_on_the_heap(g4):
+    # ten 512 KiB blocks at 12 qubits: blocks and gate temporaries that went
+    # back to the system after use faulted in over 1,300 pages a run
+    circ = assemble(g4, 3, "full", "checking")
+    kwargs = dict(shots=160, trajectories=160, seed=3, measure=list(range(4)))
+    run_noisy(circ, NoiseProfile("t", 500.0, 500.0), **kwargs)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_noisy(circ, NoiseProfile("t", 500.0, 500.0), **kwargs)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 512
 
 
 def test_trajectory_blocks_take_the_circuit_dtype(g4, monkeypatch):
@@ -328,8 +369,10 @@ def _cached_pool():
 def test_run_noisy_reuses_one_worker_pool(g4, fresh_pool):
     circ = assemble(g4, 3, "w", "checking")
     prof = NoiseProfile("t", 200.0, 200.0)
-    # 400 trajectories at 8 qubits are 4 blocks of up to 128: up to 4 jobs
-    kwargs = dict(shots=400, trajectories=400, seed=11, measure=list(range(4)))
+    # four blocks at 8 qubits, the last one partial: up to 4 jobs
+    block = noise._block_size(8, np.float64)
+    kwargs = dict(shots=3 * block + 16, trajectories=3 * block + 16, seed=11,
+                  measure=list(range(4)))
     runs = []
 
     def run(workers):
@@ -337,7 +380,7 @@ def test_run_noisy_reuses_one_worker_pool(g4, fresh_pool):
         return _cached_pool()
 
     # one block is one job, which runs in this process whatever the workers
-    run_noisy(circ, prof, workers=3, **{**kwargs, "shots": 100, "trajectories": 100})
+    run_noisy(circ, prof, workers=3, **{**kwargs, "shots": block, "trajectories": block})
     assert run(1) is None and noise._POOLS == {}
     two = run(2)
     pids = set(two._processes)
@@ -488,5 +531,18 @@ def test_run_noisy_matches_exact_density_matrix(g4, profile, exact):
     shots = trajectories = 20_000
     hist = run_noisy(circ, profile, shots=shots, trajectories=trajectories, seed=5,
                      measure=list(range(4)))
+    sigma = math.sqrt(exact * (1 - exact) / shots)
+    assert abs(hist.success_probability("0111") - exact) < 4 * sigma
+
+
+def test_run_noisy_matches_exact_density_matrix_at_12_qubits(g4):
+    # g4 full-checking is 12 qubits wide, so its float64 blocks hold 16
+    # trajectories; exact P from perfbench/reference.json (noisy_full12)
+    exact = 0.0606553
+    circ = assemble(g4, 3, "full", "checking")
+    assert circ.n_qubits == 12
+    shots = trajectories = 2400
+    hist = run_noisy(circ, NoiseProfile("500:500", 500.0, 500.0), shots=shots,
+                     trajectories=trajectories, seed=29, measure=list(range(4)), workers=2)
     sigma = math.sqrt(exact * (1 - exact) / shots)
     assert abs(hist.success_probability("0111") - exact) < 4 * sigma
