@@ -12,9 +12,13 @@ array of shape ``(2,)*n`` in which axis ``n-1-q`` is qubit ``q``; runs of
 qubits a gate does not touch are merged into one axis.  Fixing each control
 axis to 1 and splitting the target axis into its 0 and 1 halves gives two views
 of the amplitude pairs the gate mixes: X-type gates swap the halves, Z-type
-gates negate the 1 half, and every other kind applies its 2x2 matrix.
-Marginal probabilities use the ``(2,)*n`` view and sum over the unmeasured
-axes.
+gates negate the 1 half, and every other kind applies its 2x2 matrix.  The
+amplitudes below an X-type gate's lowest operand move together; when such a
+run is longer than one scalar and at most one 64-byte cache line, a
+C-contiguous state is viewed as one opaque element per run and the gate
+swaps those, so numpy's innermost loop does not walk 2-16 scalars.  The swap
+moves the same bytes either way.  Marginal probabilities use the ``(2,)*n``
+view and sum over the unmeasured axes.
 
 Amplitudes are float64 or complex128.  X/Z-type gates, H, RY, CRY and CCRY
 have real matrices, so a circuit made only of them keeps a real state real:
@@ -23,7 +27,10 @@ with a U3 or U2 (every :func:`~qclique.circuit.decompose_mc` output).  On a
 float64 state the kernel applies the real part of the 2x2 matrix, which gives
 the real parts of the complex128 run bit for bit, in half the bytes.
 :func:`run_ideal` and the trajectories of :mod:`qclique.noise` run on that
-dtype; :func:`statevector` and every state handed back stay complex128.
+dtype; :func:`statevector` and every state handed back stay complex128.  The
+integer labels of :func:`run_ideal`'s label pass sit on float32 states while
+float32 holds them exactly.  The kernel refuses a complex matrix on any real
+state.
 
 A state's amplitudes may also be a ``(2**n, B)`` block of B states, one per
 column (the trajectory blocks of :mod:`qclique.noise`).  The gate kernel's
@@ -58,8 +65,8 @@ from .circuit import Circuit, Gate
 
 @dataclass
 class StateVector:
-    """``2**n_qubits`` amplitudes, complex128 or float64; index bit i corresponds
-    to qubit i."""
+    """``2**n_qubits`` amplitudes, complex128, float64 or float32; index bit i
+    corresponds to qubit i."""
 
     n_qubits: int
     amplitudes: np.ndarray
@@ -147,21 +154,38 @@ def _pair_views(n_qubits: int, controls: tuple[int, ...], target: int):
     return tuple(shape), (*lo, Ellipsis), (*hi, Ellipsis)
 
 
+#: An X-type gate swaps the runs of amplitudes below its lowest operand as
+#: opaque elements when a run is longer than one scalar and at most this many
+#: bytes, one cache line, so numpy's innermost loop does not walk 2-16 scalars.
+#: Folded runs of one scalar, or of 128 bytes and more, measured slower.
+_FOLD_BYTES = 64
+
+
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply one gate in place (exact unitary action) and return the state.
 
-    A float64 state takes only the kinds in ``_REAL_KINDS``; any other kind
-    raises :class:`ValueError` rather than drop its imaginary part.
+    A real (float32 or float64) state takes only the kinds in ``_REAL_KINDS``;
+    any other kind raises :class:`ValueError` rather than drop its imaginary
+    part.
     """
     if max(gate.qubits) >= state.n_qubits:
         raise ValueError(f"gate {gate} exceeds state width {state.n_qubits}")
-    real = state.amplitudes.dtype == np.float64
-    if real and gate.kind not in _REAL_KINDS:
-        raise ValueError(f"{gate.kind} has a complex matrix and cannot act on a float64 state")
-    shape, lo, hi = _pair_views(state.n_qubits, gate.controls, gate.target)
-    view = state.amplitudes.reshape((*shape, -1))
+    amp, kind = state.amplitudes, gate.kind
+    real = not np.iscomplexobj(amp)
+    if real and kind not in _REAL_KINDS:
+        raise ValueError(f"{kind} has a complex matrix and cannot act on a {amp.dtype} state")
+    n, controls, target = state.n_qubits, gate.controls, gate.target
+    if kind in _X_KINDS:
+        # the qubits below the lowest operand index one run of
+        # ``itemsize * B * 2**low`` bytes, which the swap moves whole
+        low = min(gate.qubits)
+        run = amp.nbytes >> (n - low)
+        if amp.itemsize < run <= _FOLD_BYTES and amp.flags.c_contiguous:
+            amp = amp.reshape(-1).view(np.dtype((np.void, run)))
+            n, controls, target = n - low, tuple(c - low for c in controls), target - low
+    shape, lo, hi = _pair_views(n, controls, target)
+    view = amp.reshape((*shape, -1))
     a0, a1 = view[lo], view[hi]
-    kind = gate.kind
     if kind in _X_KINDS:
         tmp = a0.copy()
         a0[...] = a1
@@ -244,18 +268,26 @@ def _histogram(shots: int, n_bits: int, drawn: np.ndarray) -> MeasurementHistogr
     return MeasurementHistogram(shots, n_bits, counts)
 
 
+#: float32 holds every integer up to 2**24 exactly, so labels ``1 .. 2**m`` of a
+#: low block of at most 24 qubits are pushed in half the bytes of float64.
+_FLOAT32_LABEL_QUBITS = 24
+
+
 def _signed_gather(run: tuple[Gate, ...], n_qubits: int, m: int):
     """A classical run's action on the low block ``[0, m)``, as ``(source, sign)``.
 
     Labels ``1 .. 2**m`` are placed at indices ``[:2**m]`` (every qubit from
     ``m`` up is 0) and the run is applied to them through :func:`apply_gate`
-    at full width, on a float64 state, since the labels are real.  X/Z-type
-    gates permute basis states and flip signs, so slot ``i`` ends up holding
-    ``sign[i] * (source[i] + 1)``.  Returns ``None`` when a label left the low
-    block, that is when the run leaves a qubit at ``m`` or above set.
+    at full width.  The labels are real integers, so they sit on a float32
+    state when ``m <= 24``, where float32 holds each of them exactly, and on
+    a float64 state otherwise.  X/Z-type gates permute basis states and flip
+    signs, so slot ``i`` ends up holding ``sign[i] * (source[i] + 1)``.
+    Returns ``None`` when a label left the low block, that is when the run
+    leaves a qubit at ``m`` or above set.
     """
     size = 1 << m
-    labels = StateVector.zero(n_qubits, np.float64)  # its 1 at index 0 is relabelled
+    dtype = np.float32 if m <= _FLOAT32_LABEL_QUBITS else np.float64
+    labels = StateVector.zero(n_qubits, dtype)  # its 1 at index 0 is relabelled
     labels.amplitudes[:size] = np.arange(1, size + 1)
     for gate in run:
         apply_gate(labels, gate)

@@ -394,6 +394,13 @@ def test_apply_gate_rejects_a_complex_matrix_on_a_float64_state(gate):
     assert np.array_equal(state.amplitudes, [1.0, 0.0, 0.0, 0.0])
 
 
+def test_apply_gate_rejects_a_complex_matrix_on_a_float32_state():
+    state = StateVector.zero(2, np.float32)
+    with pytest.raises(ValueError, match="U3 has a complex matrix and cannot act on a float32"):
+        apply_gate(state, Gate("U3", (1,), (0.3, 0.0, 0.0)))
+    assert np.array_equal(state.amplitudes, [1.0, 0.0, 0.0, 0.0])
+
+
 @given(st.data())
 def test_float64_kernel_gives_the_real_part_of_the_complex_kernel_property(data):
     n = data.draw(st.integers(1, 7), label="n")
@@ -436,9 +443,9 @@ def test_ideal_runs_are_float64_until_lowering_adds_u3(graph, k, prep, style, mo
     nodes = list(range(g.n))
     calls = _gate_dtypes(monkeypatch)
     _, state = run_ideal(circ, shots=16, seed=1, measure=nodes, return_state=True)
-    # the node register (the low block is exactly the nodes) and the oracle's
-    # labels at full width, all float64
-    assert set(calls) == {(g.n, np.float64), (circ.n_qubits, np.float64)}
+    # the node register (the low block is exactly the nodes) on float64, and
+    # the oracle's labels at full width on float32
+    assert set(calls) == {(g.n, np.float64), (circ.n_qubits, np.float32)}
     assert state.amplitudes.dtype == np.complex128
     calls.clear()
     _, state = run_ideal(lowered, shots=16, seed=1, measure=nodes, return_state=True)
@@ -469,4 +476,170 @@ def test_run_ideal_on_a_lowered_circuit_equals_the_full_kernel(graph, k, prep, s
     # the lowered oracle's U3 gates widen the low block past the nodes, but no
     # run leaves a qubit above it set: the full width is reached only by labels
     assert (lowered.n_qubits, np.complex128) not in ideal
-    assert {dtype for width, dtype in ideal if width == lowered.n_qubits} == {np.float64}
+    assert {dtype for width, dtype in ideal if width == lowered.n_qubits} == {np.float32}
+
+
+# -- X/Z-type gates against an index reference; short runs folded --------------
+
+CLASSICAL_KINDS = sim._CLASSICAL_KINDS
+
+
+def _random_amplitudes(seed: int, n: int, columns: int | None, dtype) -> np.ndarray:
+    """Random ``2**n`` amplitudes, or a ``(2**n, columns)`` block, of ``dtype``."""
+    rng = np.random.default_rng(seed)
+    shape = (1 << n,) if columns is None else (1 << n, columns)
+    amp = rng.normal(size=shape)
+    if dtype is np.complex128:
+        amp = amp + 1j * rng.normal(size=shape)
+    return amp.astype(dtype)
+
+
+def _integer_walk(run, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each basis index below ``2**m`` ends after ``run``, and with which
+    sign, by walking the integers gate by gate."""
+    index, sign = np.arange(1 << m), np.ones(1 << m)
+    for gate in run:
+        z_type = gate.kind in ("Z", "CZ", "MCZ")
+        on = np.ones(1 << m, dtype=bool)
+        for q in gate.qubits if z_type else gate.controls:
+            on &= (index >> q & 1) == 1
+        if z_type:
+            sign[on] *= -1.0
+        else:
+            index = np.where(on, index ^ (1 << gate.target), index)
+    return index, sign
+
+
+def _index_reference(gate: Gate, n: int, amp: np.ndarray) -> np.ndarray:
+    """``amp[perm] * sign``; one X/Z-type gate is its own inverse, so ``perm``
+    is where the integer walk sends each index."""
+    perm, sign = _integer_walk([gate], n)
+    sign = sign.astype(amp.dtype)
+    return amp[perm] * (sign if amp.ndim == 1 else sign[:, None])
+
+
+def _pair_view_widths(monkeypatch) -> list[int]:
+    """The width ``apply_gate`` passes to ``_pair_views`` on every call from now on;
+    a folded gate passes ``n - low``."""
+    widths = []
+    views = sim._pair_views
+    monkeypatch.setattr(sim, "_pair_views",
+                        lambda n, controls, target: widths.append(n) or views(n, controls, target))
+    return widths
+
+
+def _assert_matches_index_reference(gate: Gate, n: int, amp: np.ndarray) -> None:
+    expected = _index_reference(gate, n, amp)
+    out = apply_gate(StateVector(n, amp), gate).amplitudes
+    assert out is amp and out.dtype == expected.dtype
+    assert np.array_equal(out.view(np.uint8), expected.view(np.uint8))
+
+
+@given(st.data())
+def test_classical_gates_match_an_index_reference_property(data):
+    n = data.draw(st.integers(1, 9), label="n")
+    gate = data.draw(gates_on(n, CLASSICAL_KINDS), label="gate")
+    dtype = data.draw(st.sampled_from([np.float32, np.float64, np.complex128]), label="dtype")
+    columns = data.draw(st.sampled_from([None, 1, 2, 3, 8]), label="columns")  # None: 1-D
+    amp = _random_amplitudes(data.draw(st.integers(0, 2**32 - 1), label="seed"), n, columns, dtype)
+    _assert_matches_index_reference(gate, n, amp)
+
+
+# (dtype, block columns or None for a 1-D state, gate, bytes in each run below
+# the gate's lowest operand): runs of one scalar, of 64 B (the largest that
+# folds) and of 128 B
+RUN_CASES = [
+    (np.float64, None, Gate("X", (0,)), 8),
+    (np.float32, None, Gate("CX", (3, 0)), 4),
+    (np.complex128, None, Gate("CCX", (0, 2, 4)), 16),
+    (np.float64, 3, Gate("CX", (5, 0)), 24),
+    (np.float64, None, Gate("CX", (3, 5)), 64),
+    (np.float32, 8, Gate("X", (1,)), 64),
+    (np.complex128, 2, Gate("MCX", (1, 3, 4, 2)), 64),
+    (np.float32, 1, Gate("CCX", (5, 6, 4)), 64),
+    (np.float64, None, Gate("X", (4,)), 128),
+    (np.float32, 8, Gate("CCX", (2, 4, 5)), 128),
+    (np.complex128, None, Gate("CX", (6, 3)), 128),
+    (np.float64, None, Gate("MCZ", (3, 4, 5)), 64),
+    (np.float32, 2, Gate("CZ", (0, 6)), 8),
+]
+
+
+@pytest.mark.parametrize("dtype, columns, gate, run", RUN_CASES,
+                         ids=lambda value: getattr(value, "__name__", str(value)))
+def test_classical_gates_on_short_and_long_runs_match_an_index_reference(dtype, columns, gate,
+                                                                         run, monkeypatch):
+    n = 7
+    amp = _random_amplitudes(run, n, columns, dtype)
+    assert amp.itemsize * (columns or 1) << min(gate.qubits) == run
+    widths = _pair_view_widths(monkeypatch)
+    _assert_matches_index_reference(gate, n, amp)
+    # only X-type gates whose run is longer than one scalar and at most 64 B fold
+    folded = gate.kind in sim._X_KINDS and amp.itemsize < run <= 64
+    assert widths == [n - min(gate.qubits) if folded else n]
+
+
+@pytest.mark.parametrize("layout", ["fortran", "column"])
+def test_folded_gates_write_through_non_contiguous_amplitudes(layout, monkeypatch):
+    # an F-ordered (2**n, B) block, or one strided column of a C-ordered block:
+    # a contiguous copy of either folds these gates, and they must not fold
+    n = 6
+    block = np.random.default_rng(6).normal(size=(1 << n, 2))
+    amp = np.asfortranarray(block) if layout == "fortran" else block[:, 1]
+    contiguous = np.ascontiguousarray(amp)
+    assert not amp.flags.c_contiguous and contiguous is not amp
+    gates = [Gate("X", (1,)), Gate("CX", (2, 5)), Gate("CCX", (2, 4, 1)),
+             Gate("MCX", (2, 3, 4, 5))]
+    widths = _pair_view_widths(monkeypatch)
+    state = StateVector(n, amp)
+    for gate in gates:
+        apply_gate(state, gate)
+        apply_gate(StateVector(n, contiguous), gate)
+    assert widths == [w for gate in gates for w in (n, n - min(gate.qubits))]
+    assert state.amplitudes is amp
+    assert np.array_equal(amp, contiguous)
+
+
+# -- the label pass against an integer walk of basis indices --------------------
+
+@given(st.data())
+def test_signed_gather_matches_an_integer_walk_property(data):
+    n = data.draw(st.integers(2, 9), label="n")
+    m = data.draw(st.integers(1, n - 1), label="m")
+    classical = st.lists(gates_on(n, CLASSICAL_KINDS), max_size=6)
+    if data.draw(st.booleans(), label="returns"):
+        # the oracle's shape: low gates around a compute, phase, uncompute
+        low = st.lists(gates_on(m, CLASSICAL_KINDS), max_size=3)
+        compute = data.draw(classical, label="compute")
+        run = (data.draw(low, label="before") + compute
+               + data.draw(st.lists(gates_on(n, sim._Z_KINDS), max_size=3), label="phase")
+               + compute[::-1] + data.draw(low, label="after"))
+    else:
+        run = data.draw(classical, label="run")
+    dest, sign = _integer_walk(run, m)
+    gathered = sim._signed_gather(tuple(run), n, m)
+    if np.any(dest >> m):  # a label left the low block
+        assert gathered is None
+        return
+    source, expected_sign = np.empty(1 << m, dtype=np.intp), np.empty(1 << m)
+    source[dest], expected_sign[dest] = np.arange(1 << m), sign
+    assert gathered is not None
+    assert np.array_equal(gathered[0], source)
+    assert np.array_equal(gathered[1], expected_sign)
+
+
+@pytest.mark.parametrize("m, dtype", [(24, np.float32), (25, np.float64)])
+def test_labels_are_float32_while_it_holds_every_label(m, dtype, monkeypatch):
+    # labels run 1 .. 2**m; float32 holds 2**24 but not 2**24 + 1
+    assert int(np.float32(2**24)) == 2**24 and int(np.float32(2**24 + 1)) != 2**24 + 1
+
+    class Allocated(Exception):
+        pass
+
+    def zero(n_qubits, dtype):  # stands in for the 2**(m+1)-amplitude allocation
+        raise Allocated(n_qubits, dtype)
+
+    monkeypatch.setattr(StateVector, "zero", staticmethod(zero))
+    with pytest.raises(Allocated) as allocated:
+        sim._signed_gather((Gate("X", (m,)),), m + 1, m)
+    assert allocated.value.args == (m + 1, dtype)
