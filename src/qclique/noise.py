@@ -54,6 +54,7 @@ from .sim import (
     StateVector,
     _amplitude_dtype,
     _histogram,
+    _keep_on_heap,
     _measured_qubits,
     apply_gate,
     marginal_probabilities,
@@ -347,11 +348,10 @@ def _block_size(n_qubits: int, dtype) -> int:
 def _run_trajectory_blocks(args) -> np.ndarray:
     steps, n_qubits, dtype, measured, shots, trajectories, blocks = args
     size = _block_size(n_qubits, dtype)
-    # Freeing a mapped array of two blocks raises glibc's mmap threshold to
-    # 1 MiB (and its trim threshold to 2 MiB), so a block and its gate
-    # temporaries stay on the heap; otherwise the first block gives the
-    # temporaries back to the system after every gate and faults them in again.
-    np.empty(2 * _BLOCK_BYTES, dtype=np.uint8)
+    # a block and its gate temporaries stay on the heap; otherwise the first
+    # block gives the temporaries back to the system after every gate and
+    # faults them in again
+    _keep_on_heap(2 * _BLOCK_BYTES)
     base, extra = divmod(shots, trajectories)
     counts = np.zeros(1 << len(measured), dtype=np.int64)
     for block, seed_sequence in blocks:

@@ -17,8 +17,14 @@ amplitudes below an X-type gate's lowest operand move together; when such a
 run is longer than one scalar and at most one 64-byte cache line, a
 C-contiguous state is viewed as one opaque element per run and the gate
 swaps those, so numpy's innermost loop does not walk 2-16 scalars.  The swap
-moves the same bytes either way.  Marginal probabilities use the ``(2,)*n``
-view and sum over the unmeasured axes.
+moves the same bytes either way.  The views can also fix a partner axis
+opposite the target, which :func:`run_ideal` uses for the blocks
+``CX(c -> t) · G · CX(c -> t)`` of the Dicke preparation (Baertschi &
+Eidenbenz, arXiv:1904.07358), G a CRY or CCRY on target ``c`` that ``t``
+controls: the block mixes the pairs (c=0, t=1) and (c=1, t=0) with G's
+matrix, one pass for three gates with the same products, bit for bit.
+Marginal probabilities use the ``(2,)*n`` view and sum over the unmeasured
+axes.
 
 Amplitudes are float64 or complex128.  X/Z-type gates, H, RY, CRY and CCRY
 have real matrices, so a circuit made only of them keeps a real state real:
@@ -43,12 +49,15 @@ block of one.
 is the highest qubit that is measured or that a gate other than an X/Z-type
 one touches.  The oracle's counters and flags sit above the node register and
 are touched only by X/Z-type gates, so they hold |0> at every other gate and
-need no amplitudes of their own.  Each maximal X/Z-type run that touches them
-is evaluated once, by pushing basis labels through :func:`apply_gate` at full
-width, and then applied to the low amplitudes as a gather and a sign; a run
-that leaves one of them set sends the whole call back to ``m = n``.
+need no amplitudes of their own.  In each maximal X/Z-type run, the gates from
+the first to the last that touches them are evaluated once, by pushing basis
+labels through :func:`apply_gate` at full width, and then applied to the low
+amplitudes as a gather and a sign; a run that leaves one of them set sends
+the whole call back to ``m = n``.  The label pass first raises glibc's mmap
+threshold just past half the label state (:func:`_keep_on_heap`), so its
+per-gate temporaries are reused heap memory instead of fresh mappings.
 :func:`statevector` and the noisy trajectories of :mod:`qclique.noise` always
-run at full width.
+run at full width and gate by gate.
 """
 from __future__ import annotations
 
@@ -129,29 +138,47 @@ def _amplitude_dtype(gates) -> type:
 
 
 @lru_cache(maxsize=1024)
-def _pair_views(n_qubits: int, controls: tuple[int, ...], target: int):
+def _pair_views(n_qubits: int, controls: tuple[int, ...], target: int,
+                partner: int | None = None):
     """View shape and index tuples of a gate's target-0 and target-1 halves.
 
     The shape is ``(2,)*n`` (axis ``n-1-q`` is qubit ``q``) with each run of
     qubits the gate does not touch merged into one axis, so numpy iterates
     over as few and as long axes as possible.  The index tuples fix every
-    control axis to 1 and the target axis to 0 or 1.  Each ends with
-    ``Ellipsis``, which stands for the trailing block axis: a gate that fixes
-    every qubit axis still yields a view rather than a scalar copy.
+    control axis to 1 and the target axis to 0 or 1; a ``partner`` axis is
+    fixed opposite the target, to 1 in the first half and 0 in the second.
+    Each ends with ``Ellipsis``, which stands for the trailing block axis: a
+    gate that fixes every qubit axis still yields a view rather than a scalar
+    copy.
     """
+    fixed = {q: (1, 1) for q in controls}
+    if partner is not None:
+        fixed[partner] = (1, 0)
+    fixed[target] = (0, 1)
     shape, lo, hi = [], [], []
     top = n_qubits
-    for q in (*sorted((*controls, target), reverse=True), -1):
+    for q in (*sorted(fixed, reverse=True), -1):
         if top > q + 1:  # qubits q+1 .. top-1 are untouched: one merged axis
             shape.append(1 << (top - q - 1))
             lo.append(slice(None))
             hi.append(slice(None))
         if q >= 0:
             shape.append(2)
-            lo.append(0 if q == target else 1)
-            hi.append(1)
+            lo.append(fixed[q][0])
+            hi.append(fixed[q][1])
         top = q
     return tuple(shape), (*lo, Ellipsis), (*hi, Ellipsis)
+
+
+def _rotate_pairs(a0: np.ndarray, a1: np.ndarray, gate: Gate) -> None:
+    """Apply ``gate``'s 2x2 matrix to every amplitude pair ``(a0, a1)`` in place;
+    on a real state, the real part of the matrix."""
+    m = _gate_matrix_2x2(gate)
+    if not np.iscomplexobj(a0):
+        m = m.real  # its imaginary parts are zeros
+    tmp = a0.copy()
+    a0[...] = m[0, 0] * tmp + m[0, 1] * a1
+    a1[...] = m[1, 0] * tmp + m[1, 1] * a1
 
 
 #: An X-type gate swaps the runs of amplitudes below its lowest operand as
@@ -171,8 +198,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     if max(gate.qubits) >= state.n_qubits:
         raise ValueError(f"gate {gate} exceeds state width {state.n_qubits}")
     amp, kind = state.amplitudes, gate.kind
-    real = not np.iscomplexobj(amp)
-    if real and kind not in _REAL_KINDS:
+    if not np.iscomplexobj(amp) and kind not in _REAL_KINDS:
         raise ValueError(f"{kind} has a complex matrix and cannot act on a {amp.dtype} state")
     n, controls, target = state.n_qubits, gate.controls, gate.target
     if kind in _X_KINDS:
@@ -193,12 +219,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     elif kind in _Z_KINDS:
         a1 *= -1.0
     else:
-        m = _gate_matrix_2x2(gate)
-        if real:
-            m = m.real  # its imaginary parts are zeros
-        tmp = a0.copy()
-        a0[...] = m[0, 0] * tmp + m[0, 1] * a1
-        a1[...] = m[1, 0] * tmp + m[1, 1] * a1
+        _rotate_pairs(a0, a1, gate)
     return state
 
 
@@ -268,6 +289,19 @@ def _histogram(shots: int, n_bits: int, drawn: np.ndarray) -> MeasurementHistogr
     return MeasurementHistogram(shots, n_bits, counts)
 
 
+def _keep_on_heap(nbytes: int) -> None:
+    """Have glibc serve requests below ``nbytes`` from its heap from now on.
+
+    Freeing a mapped chunk raises glibc's mmap threshold to that chunk's size
+    (and its trim threshold to twice it), so this maps and frees one array of
+    ``nbytes``.  Below the threshold, the temporaries a gate makes are reused
+    heap memory; above it, each is mapped, faulted in page by page and
+    unmapped again.  The thresholds only rise, and other allocators merely
+    allocate and free the array.
+    """
+    np.empty(nbytes, dtype=np.uint8)
+
+
 #: float32 holds every integer up to 2**24 exactly, so labels ``1 .. 2**m`` of a
 #: low block of at most 24 qubits are pushed in half the bytes of float64.
 _FLOAT32_LABEL_QUBITS = 24
@@ -288,6 +322,8 @@ def _signed_gather(run: tuple[Gate, ...], n_qubits: int, m: int):
     size = 1 << m
     dtype = np.float32 if m <= _FLOAT32_LABEL_QUBITS else np.float64
     labels = StateVector.zero(n_qubits, dtype)  # its 1 at index 0 is relabelled
+    # an X on a high qubit copies half the labels
+    _keep_on_heap((labels.amplitudes.nbytes >> 1) + 4096)
     labels.amplitudes[:size] = np.arange(1, size + 1)
     for gate in run:
         apply_gate(labels, gate)
@@ -297,29 +333,71 @@ def _signed_gather(run: tuple[Gate, ...], n_qubits: int, m: int):
     return np.abs(landed).astype(np.intp) - 1, np.sign(landed)
 
 
+def _is_sandwich(steps) -> bool:
+    """Whether ``steps`` is ``CX(c -> t), G, CX(c -> t)`` with ``G`` a CRY or
+    CCRY on target ``c`` that ``t`` controls (a Dicke preparation block)."""
+    if len(steps) < 3 or steps[0].kind != "CX":
+        return False
+    cx, rotation, after = steps[:3]
+    return (after == cx and rotation.kind in ("CRY", "CCRY")
+            and rotation.target == cx.controls[0] and cx.target in rotation.controls)
+
+
+def _apply_sandwich(state: StateVector, cx: Gate, rotation: Gate) -> None:
+    """``CX(c -> t) · G · CX(c -> t)`` in one pass, in place.
+
+    The CXs swap (c=1, t=0) with (c=1, t=1) before and after ``G``, so the
+    sandwich mixes the pairs (c=0, t=1) and (c=1, t=0) with G's matrix where
+    G's other controls are 1, and leaves every other amplitude alone.  Each
+    output is the same two products on the same two values as gate by gate,
+    so the result is the same bit for bit.
+    """
+    c, t = cx.qubits
+    others = tuple(q for q in rotation.controls if q != t)
+    shape, lo, hi = _pair_views(state.n_qubits, others, c, t)
+    view = state.amplitudes.reshape((*shape, -1))
+    _rotate_pairs(view[lo], view[hi], rotation)
+
+
 def _low_register_state(circuit: Circuit, m: int) -> StateVector | None:
     """Run ``circuit`` on the low qubit block ``[0, m)``, or ``None`` if it cannot be.
 
-    Gates on qubits below ``m`` run through :func:`apply_gate` unchanged, at
-    width ``m``.  Each maximal run of X/Z-type gates that touches a qubit at
-    ``m`` or above is applied as one signed gather of the ``2**m`` amplitudes,
-    and each distinct run is evaluated once.  The amplitudes have the
-    circuit's :func:`_amplitude_dtype`.
+    In each maximal run of X/Z-type gates, the gates from the first to the
+    last that touches a qubit at ``m`` or above are applied as one signed
+    gather of the ``2**m`` amplitudes, and each distinct such run is evaluated
+    once.  Every other gate runs through :func:`apply_gate` unchanged, at
+    width ``m``, except that each ``CX · CRY/CCRY · CX`` sandwich of
+    :func:`_is_sandwich` is one pass of :func:`_apply_sandwich`.  The
+    amplitudes have the circuit's :func:`_amplitude_dtype`.
     """
-    state = StateVector.zero(m, _amplitude_dtype(circuit.ops))
-    gathers = {}
+    steps = []  # gates on the low block, and tuples of X/Z-type gates reaching above it
     for classical, run in groupby(circuit.ops, key=lambda g: g.kind in _CLASSICAL_KINDS):
         run = tuple(run)
-        if classical and any(q >= m for g in run for q in g.qubits):
-            if run not in gathers:
-                gathers[run] = _signed_gather(run, circuit.n_qubits, m)
-            if gathers[run] is None:
+        high = [i for i, g in enumerate(run) if max(g.qubits) >= m] if classical else []
+        if high:  # the gates before the first and after the last of them stay low
+            steps.extend(run[:high[0]])
+            steps.append(run[high[0]:high[-1] + 1])
+            steps.extend(run[high[-1] + 1:])
+        else:
+            steps.extend(run)
+    state = StateVector.zero(m, _amplitude_dtype(circuit.ops))
+    gathers = {}
+    i = 0
+    while i < len(steps):
+        step = steps[i]
+        if isinstance(step, tuple):
+            if step not in gathers:
+                gathers[step] = _signed_gather(step, circuit.n_qubits, m)
+            if gathers[step] is None:
                 return None
-            source, sign = gathers[run]
+            source, sign = gathers[step]
             state.amplitudes = state.amplitudes[source] * sign
-            continue
-        for gate in run:
-            apply_gate(state, gate)
+        elif _is_sandwich(steps[i:i + 3]):
+            _apply_sandwich(state, step, steps[i + 1])
+            i += 2
+        else:
+            apply_gate(state, step)
+        i += 1
     return state
 
 
@@ -358,10 +436,12 @@ def run_ideal(circuit: Circuit, shots: int, seed: int,
     Only the low block of qubits ``[0, m)`` is simulated, where ``m - 1`` is
     the highest qubit that is measured or that a gate other than an X/Z-type
     one touches.  The qubits from ``m`` up are touched only by X/Z-type gates,
-    which permute basis states and flip signs, so each maximal X/Z-type run
-    that touches them is evaluated once, by label (see :func:`_signed_gather`),
-    and applied to the ``2**m`` low amplitudes as a gather and a sign.  If a
-    run leaves a high qubit set, the circuit runs again with ``m = n``.
+    which permute basis states and flip signs, so the part of each maximal
+    X/Z-type run that touches them is evaluated once, by label (see
+    :func:`_signed_gather`), and applied to the ``2**m`` low amplitudes as a
+    gather and a sign.  The Dicke preparation's CX-conjugated rotations take
+    one pass each (see :func:`_apply_sandwich`).  If a run leaves a high qubit
+    set, the circuit runs again with ``m = n``.
     Either way the amplitudes with every high qubit 0 are those of the full
     kernel, bit for bit, and so are the marginals and the histogram when every
     qubit below ``m`` is measured (each marginal then has one nonzero term).

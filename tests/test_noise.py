@@ -439,13 +439,37 @@ def test_a_dead_worker_is_an_error_and_the_next_run_starts_a_new_pool(g4, fresh_
     assert out.err.count("\n") == 1
 
 
-def _running(pid: int) -> bool:
-    """Whether a process exists and has not exited (a zombie has exited)."""
+def _stat(pid: int) -> list[str] | None:
+    """Fields 3 onward of ``/proc/<pid>/stat``, or ``None`` if there is no such pid."""
     try:
         stat = Path(f"/proc/{pid}/stat").read_text()
     except FileNotFoundError:
-        return False
-    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+        return None
+    return stat.rsplit(")", 1)[1].split()
+
+
+def _start_time(pid: int) -> int | None:
+    """When a process started (field 22, clock ticks after boot), or ``None``."""
+    fields = _stat(pid)
+    return None if fields is None else int(fields[19])
+
+
+def _running(pid: int, started: int | None) -> bool:
+    """Whether the process that started at ``started`` has not exited.
+
+    A zombie has exited, and so has a process whose pid now names a process
+    with another start time: the pid was reused.
+    """
+    fields = _stat(pid)
+    return fields is not None and fields[0] != "Z" and int(fields[19]) == started
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_a_pid_with_another_start_time_counts_as_exited():
+    me = os.getpid()
+    started = _start_time(me)
+    assert _running(me, started)
+    assert not _running(me, started - 1)
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
@@ -465,16 +489,22 @@ def test_workers_exit_when_their_parent_is_killed():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     with subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
                           env=env) as proc:
-        workers = [int(pid) for pid in proc.stdout.readline().split()]
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+        # start times, read before any worker can exit and its pid be reused
+        workers = {pid: _start_time(pid) for pid in pids}
         assert proc.wait(timeout=120) == -signal.SIGKILL
     assert len(workers) == 2
+
+    def running() -> list[int]:
+        return [pid for pid, started in workers.items() if _running(pid, started)]
+
     try:
         deadline = time.monotonic() + 30
-        while any(map(_running, workers)) and time.monotonic() < deadline:
+        while running() and time.monotonic() < deadline:
             time.sleep(0.1)
-        assert not any(map(_running, workers))
+        assert not running()
     finally:
-        for pid in filter(_running, workers):
+        for pid in running():
             os.kill(pid, signal.SIGKILL)
 
 

@@ -1,6 +1,11 @@
 import json
 import math
+import os
+import platform
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -523,8 +528,7 @@ def _pair_view_widths(monkeypatch) -> list[int]:
     a folded gate passes ``n - low``."""
     widths = []
     views = sim._pair_views
-    monkeypatch.setattr(sim, "_pair_views",
-                        lambda n, controls, target: widths.append(n) or views(n, controls, target))
+    monkeypatch.setattr(sim, "_pair_views", lambda n, *args: widths.append(n) or views(n, *args))
     return widths
 
 
@@ -643,3 +647,131 @@ def test_labels_are_float32_while_it_holds_every_label(m, dtype, monkeypatch):
     with pytest.raises(Allocated) as allocated:
         sim._signed_gather((Gate("X", (m,)),), m + 1, m)
     assert allocated.value.args == (m + 1, dtype)
+
+
+# -- CX-conjugated controlled rotations, fused in run_ideal ----------------------
+
+_ROTATION_ANGLES = st.floats(-2 * math.pi, 2 * math.pi)
+
+
+def _sandwich(c: int, t: int, other: int | None, theta: float) -> list[Gate]:
+    """``CX(c -> t), G, CX(c -> t)``: G a CRY on target ``c`` controlled by ``t``,
+    or a CCRY that ``other`` controls too (a Dicke preparation block)."""
+    rotation = (Gate("CRY", (t, c), (theta,)) if other is None
+                else Gate("CCRY", (other, t, c) if other < t else (t, other, c), (theta,)))
+    return [Gate("CX", (c, t)), rotation, Gate("CX", (c, t))]
+
+
+@st.composite
+def sandwiches(draw, n: int) -> list[Gate]:
+    """A sandwich on distinct qubits of an n-qubit register, or one of its near misses."""
+    c, t, other, stray = draw(st.permutations(range(n)))[:4]
+    other = draw(st.sampled_from([None, other]))
+    gates = _sandwich(c, t, other, draw(_ROTATION_ANGLES))
+    miss = draw(st.sampled_from(["none", "gate between", "t not a control", "reversed CX",
+                                 "other target"]))
+    if miss == "gate between":
+        gates.insert(draw(st.sampled_from([1, 2])), draw(gates_on(n, REAL_KINDS)))
+    elif miss == "t not a control":  # the rotation's control t becomes the stray qubit
+        rotation = gates[1]
+        gates[1] = Gate(rotation.kind, tuple(stray if q == t else q for q in rotation.qubits),
+                        rotation.params)
+    elif miss == "reversed CX":
+        gates[2] = Gate("CX", (t, c))
+    elif miss == "other target":
+        rotation = gates[1]
+        gates[1] = Gate(rotation.kind, (*rotation.controls, stray), rotation.params)
+    return gates
+
+
+@given(st.data())
+def test_fused_sandwiches_equal_the_full_kernel_bit_for_bit_property(data):
+    n = data.draw(st.integers(4, 6), label="n")
+    # a superposition on the lowest qubits, so a sandwich meets nonzero amplitudes
+    ops = [Gate("H", (q,)) for q in range(data.draw(st.integers(2, n), label="spread"))]
+    for _ in range(data.draw(st.integers(1, 4), label="pieces")):
+        ops += data.draw(st.one_of(sandwiches(n), st.lists(gates_on(n, REAL_KINDS), max_size=3)),
+                         label="piece")
+    measure = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True), label="measure")
+    state, full = _assert_same_as_full_kernel(Circuit(n, ops=ops), sorted(measure), shots=64)
+    # + 0.0 turns -0.0 into +0.0: the two kernels may leave either sign on a zero
+    assert (state.amplitudes + 0.0).tobytes() == (full.amplitudes + 0.0).tobytes()
+
+
+def _gate_kinds(monkeypatch) -> list[tuple[int, str]]:
+    """Width and kind of every ``apply_gate`` call from now on."""
+    calls = []
+    kernel = sim.apply_gate
+    monkeypatch.setattr(sim, "apply_gate", lambda state, gate: calls.append(
+        (state.n_qubits, gate.kind)) or kernel(state, gate))
+    return calls
+
+
+@pytest.mark.parametrize("graph, k", [("g4", 3), ("g6", 3), ("g6", 4)])
+def test_run_ideal_fuses_every_rotation_of_a_dicke_search(graph, k, monkeypatch):
+    g = builtin_graph(graph)
+    circ = assemble(g, k, "dicke", "checking")
+    assert {"CX", "CRY", "CCRY"} <= {gate.kind for gate in circ.ops if max(gate.qubits) < g.n}
+    calls = _gate_kinds(monkeypatch)
+    run_ideal(circ, shots=16, seed=1, measure=list(range(g.n)))
+    # the preparation, its adjoint in the diffusion, and the CXs at the oracle's
+    # edges are all sandwiches: no CX, CRY or CCRY reaches the low block's kernel
+    assert not {kind for width, kind in calls if width == g.n} & {"CX", "CRY", "CCRY"}
+    assert (circ.n_qubits, "CCX") in calls  # the oracle still goes by label
+
+
+NEAR_MISSES = {
+    "sandwich": (_sandwich(0, 2, None, 0.7), []),
+    "ccry sandwich": (_sandwich(3, 1, 0, 0.7), []),
+    "gate between": (_sandwich(0, 2, None, 0.7)[:2] + [Gate("H", (1,))]
+                     + _sandwich(0, 2, None, 0.7)[2:], ["CX", "CRY", "H", "CX"]),
+    "t not a control": ([Gate("CX", (0, 2)), Gate("CRY", (1, 0), (0.7,)), Gate("CX", (0, 2))],
+                        ["CX", "CRY", "CX"]),
+    "reversed CX": ([Gate("CX", (0, 2)), Gate("CRY", (2, 0), (0.7,)), Gate("CX", (2, 0))],
+                    ["CX", "CRY", "CX"]),
+    "other target": ([Gate("CX", (0, 2)), Gate("CCRY", (0, 2, 3), (0.7,)), Gate("CX", (0, 2))],
+                     ["CX", "CCRY", "CX"]),
+}
+
+
+@pytest.mark.parametrize("name", NEAR_MISSES)
+def test_only_sandwiches_skip_the_gate_kernel(name, monkeypatch):
+    planted, expected = NEAR_MISSES[name]
+    circ = Circuit(4, ops=[Gate("H", (q,)) for q in range(4)] + planted)
+    calls = _gate_kinds(monkeypatch)
+    hist, state = run_ideal(circ, shots=64, seed=2, return_state=True)
+    assert calls[:4] == [(4, "H")] * 4 and calls[4:] == [(4, kind) for kind in expected]
+    full = statevector(circ)
+    assert (state.amplitudes + 0.0).tobytes() == (full.amplitudes + 0.0).tobytes()
+
+
+def test_pair_views_fix_the_partner_opposite_the_target():
+    # qubits 3 (control), 2 (target) and 0 (partner) of four; qubit 1 untouched
+    shape, lo, hi = sim._pair_views(4, (3,), 2, 0)
+    assert shape == (2, 2, 2, 2)
+    assert lo == (1, 0, slice(None), 1, Ellipsis) and hi == (1, 1, slice(None), 0, Ellipsis)
+
+
+# -- the label pass keeps its gate temporaries on the heap ----------------------
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_a_cold_label_pass_keeps_its_temporaries_on_the_heap():
+    # a fresh process, so no earlier test has raised glibc's mmap threshold:
+    # a 4 MiB label state (1,024 pages) and 32 gates with a 0.5-1 MiB
+    # temporary each, which faulted in over 7,000 pages when every temporary
+    # was mapped and unmapped again
+    script = (
+        "import resource\n"
+        "from qclique import sim\n"
+        "from qclique.circuit import Gate\n"
+        "compute = ([Gate('CX', (q, 16 + q % 4)) for q in range(8)]\n"
+        "           + [Gate('CCX', (q, q + 1, 16 + q % 4)) for q in range(8)])\n"
+        "run = tuple(compute + [Gate('MCZ', (16, 17, 18, 19))] + compute[::-1])\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "assert sim._signed_gather(run, 20, 16) is not None\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    src = str(Path(sim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert int(done.stdout) < 3072
