@@ -335,11 +335,13 @@ def _signed_gather(run: tuple[Gate, ...], n_qubits: int, m: int):
 
 def _is_sandwich(steps) -> bool:
     """Whether ``steps`` is ``CX(c -> t), G, CX(c -> t)`` with ``G`` a CRY or
-    CCRY on target ``c`` that ``t`` controls (a Dicke preparation block)."""
-    if len(steps) < 3 or steps[0].kind != "CX":
+    CCRY on target ``c`` that ``t`` controls (a Dicke preparation block).
+    A step that is a run of X/Z-type gates reaching above the block is a
+    tuple, never part of a sandwich."""
+    if len(steps) < 3 or not isinstance(steps[0], Gate) or steps[0].kind != "CX":
         return False
     cx, rotation, after = steps[:3]
-    return (after == cx and rotation.kind in ("CRY", "CCRY")
+    return (isinstance(rotation, Gate) and after == cx and rotation.kind in ("CRY", "CCRY")
             and rotation.target == cx.controls[0] and cx.target in rotation.controls)
 
 
