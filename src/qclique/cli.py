@@ -89,14 +89,21 @@ def _emit(text: str, output: str | None) -> None:
 def _iterations(value: str) -> int | str:
     if value == "auto":
         return "auto"
-    iters = int(value)
+    try:
+        iters = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"iterations must be 'auto' or an integer, got {value!r}") from None
     if iters < 0:
         raise argparse.ArgumentTypeError("iterations must be 'auto' or >= 0")
     return iters
 
 
 def _seed(value: str) -> int:
-    seed = int(value)
+    try:
+        seed = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {value!r}") from None
     if seed < 0:
         raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
     return seed

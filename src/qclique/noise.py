@@ -266,17 +266,19 @@ def _reset(state: np.ndarray, rng: np.random.Generator) -> None:
     """Reset instruction on one state viewed as ``(above, 2, below)``: a
     projective measurement of the qubit, then set |0>.
 
-    Measured 0 means p1 <= the draw < 1, so 1 - p1 > 0.
+    Measured 0 means p1 <= the draw < 1, so 1 - p1 > 0.  Each half is written
+    once: the 0 half gets the scaled survivor, and a scale of 1.0, as at
+    p1 = 0, leaves it as it is.
     """
     one = state[:, 1]
     p1 = np.vdot(one, one).real
     if rng.random() < p1:
-        state[:, 0] = one
-        scale = p1 ** -0.5
+        np.multiply(one, p1 ** -0.5, out=state[:, 0])
     else:
         scale = (1.0 - p1) ** -0.5
+        if scale != 1.0:
+            state[:, 0] *= scale
     one[...] = 0.0
-    state *= scale
 
 
 def _column_norms(half: np.ndarray) -> np.ndarray:

@@ -53,7 +53,11 @@ need no amplitudes of their own.  In each maximal X/Z-type run, the gates from
 the first to the last that touches them are evaluated once, by pushing basis
 labels through :func:`apply_gate` at full width, and then applied to the low
 amplitudes as a gather and a sign; a run that leaves one of them set sends
-the whole call back to ``m = n``.  The label pass first raises glibc's mmap
+the whole call back to ``m = n``.  A mirrored run, some gates ``A``, then
+only Z-type gates ``M``, then ``A`` in reverse, is ``A^-1 · M · A`` and so
+diagonal, as the oracle's compute, phase flip and uncompute is (Bennett,
+IBM J. Res. Dev. 17, 525, 1973): its labels go through ``A`` and ``M`` only,
+and it is applied as a sign alone.  The label pass first raises glibc's mmap
 threshold just past half the label state (:func:`_keep_on_heap`), so its
 per-gate temporaries are reused heap memory instead of fresh mappings.
 :func:`statevector` and the noisy trajectories of :mod:`qclique.noise` always
@@ -307,6 +311,23 @@ def _keep_on_heap(nbytes: int) -> None:
 _FLOAT32_LABEL_QUBITS = 24
 
 
+def _mirror_half(run: tuple[Gate, ...]) -> int | None:
+    """The largest ``h`` for which ``run`` is its first ``h`` gates, then only
+    Z-type gates, then the first ``h`` in reverse; ``None`` if there is none.
+
+    Every X/Z-type gate is its own inverse, so such a run is ``A^-1 · M · A``
+    with ``M`` diagonal: it is diagonal too.  A smaller ``h`` leaves a longer
+    centre, so when the largest ``h`` leaves a gate that is not Z-type in the
+    centre, every ``h`` does.
+    """
+    h, last = 0, len(run) - 1
+    while h < last - h and run[h] == run[last - h]:
+        h += 1
+    if all(gate.kind in _Z_KINDS for gate in run[h:len(run) - h]):
+        return h
+    return None
+
+
 def _signed_gather(run: tuple[Gate, ...], n_qubits: int, m: int):
     """A classical run's action on the low block ``[0, m)``, as ``(source, sign)``.
 
@@ -318,6 +339,12 @@ def _signed_gather(run: tuple[Gate, ...], n_qubits: int, m: int):
     signs, so slot ``i`` ends up holding ``sign[i] * (source[i] + 1)``.
     Returns ``None`` when a label left the low block, that is when the run
     leaves a qubit at ``m`` or above set.
+
+    A mirrored run (:func:`_mirror_half`), ``A^-1 · M · A``, is diagonal, so
+    its source is ``Ellipsis``, the identity, and no label can leave the
+    block.  Its labels go through ``A`` and the Z-type centre ``M`` only: the
+    sign of label ``i`` is the one ``M`` gives the slot ``A`` moved it to, as
+    ``A^-1`` moves it back with the sign ``A`` gave it.
     """
     size = 1 << m
     dtype = np.float32 if m <= _FLOAT32_LABEL_QUBITS else np.float64
@@ -325,12 +352,24 @@ def _signed_gather(run: tuple[Gate, ...], n_qubits: int, m: int):
     # an X on a high qubit copies half the labels
     _keep_on_heap((labels.amplitudes.nbytes >> 1) + 4096)
     labels.amplitudes[:size] = np.arange(1, size + 1)
-    for gate in run:
+    h = _mirror_half(run)
+    if h is None:
+        for gate in run:
+            apply_gate(labels, gate)
+        landed = labels.amplitudes[:size]
+        if np.count_nonzero(landed) < size:
+            return None
+        return np.abs(landed).astype(np.intp) - 1, np.sign(landed)
+    for gate in run[:h]:
         apply_gate(labels, gate)
-    landed = labels.amplitudes[:size]
-    if np.count_nonzero(landed) < size:
-        return None
-    return np.abs(landed).astype(np.intp) - 1, np.sign(landed)
+    if any(gate.kind in _Z_KINDS for gate in run[:h]):
+        np.abs(labels.amplitudes, out=labels.amplitudes)  # A^-1 undoes A's signs
+    for gate in run[h:len(run) - h]:
+        apply_gate(labels, gate)
+    held = labels.amplitudes[labels.amplitudes != 0]  # the labels, in slot order
+    sign = np.empty(size, dtype)
+    sign[np.abs(held).astype(np.intp) - 1] = np.sign(held)
+    return Ellipsis, sign
 
 
 def _is_sandwich(steps) -> bool:
@@ -393,7 +432,7 @@ def _low_register_state(circuit: Circuit, m: int) -> StateVector | None:
             if gathers[step] is None:
                 return None
             source, sign = gathers[step]
-            state.amplitudes = state.amplitudes[source] * sign
+            state.amplitudes = state.amplitudes[source] * sign  # a view if source is Ellipsis
         elif _is_sandwich(steps[i:i + 3]):
             _apply_sandwich(state, step, steps[i + 1])
             i += 2
@@ -441,9 +480,12 @@ def run_ideal(circuit: Circuit, shots: int, seed: int,
     which permute basis states and flip signs, so the part of each maximal
     X/Z-type run that touches them is evaluated once, by label (see
     :func:`_signed_gather`), and applied to the ``2**m`` low amplitudes as a
-    gather and a sign.  The Dicke preparation's CX-conjugated rotations take
-    one pass each (see :func:`_apply_sandwich`).  If a run leaves a high qubit
-    set, the circuit runs again with ``m = n``.
+    gather and a sign.  A run that is some gates, Z-type gates only, then the
+    same gates in reverse (the oracle's compute, phase flip and uncompute) is
+    diagonal: its labels go through its first half and centre only, and it is
+    applied as the sign alone.  The Dicke preparation's CX-conjugated
+    rotations take one pass each (see :func:`_apply_sandwich`).  If a run
+    leaves a high qubit set, the circuit runs again with ``m = n``.
     Either way the amplitudes with every high qubit 0 are those of the full
     kernel, bit for bit, and so are the marginals and the histogram when every
     qubit below ``m`` is measured (each marginal then has one nonzero term).

@@ -350,6 +350,21 @@ def test_a_negative_seed_is_a_usage_error_naming_the_flag(capsys, command):
     assert "argument --seed: seed must be >= 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("solve", "--iters", "1.5", "iterations must be 'auto' or an integer, got '1.5'"),
+    ("resources", "--iters", "two", "iterations must be 'auto' or an integer, got 'two'"),
+    ("solve", "--seed", "abc", "seed must be an integer, got 'abc'"),
+    ("sweep", "--seed", "0x10", "seed must be an integer, got '0x10'"),
+])
+def test_a_non_integer_is_a_usage_error_naming_the_flag(capsys, command, flag, value, message):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--graph", "g4", "--k", "3", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: {message}" in err
+    assert "_iterations" not in err and "_seed" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--graph", "g4", "--k", "3", "--shots", "64"],
     ["solve", "--graph", "star4", "--k", "3", "--prep", "dicke"],

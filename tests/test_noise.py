@@ -279,6 +279,15 @@ def test_kraus_histogram_is_pinned(g4, workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
+def test_mixture_histogram_is_pinned(g4, workers):
+    # float64 blocks of 16 trajectories at 12 qubits; about 5,800 resets
+    hist = run_noisy(assemble(g4, 3, "full", "checking"), load_profile("500:500"),
+                     shots=600, trajectories=600, seed=23, measure=list(range(4)),
+                     workers=workers)
+    assert _histogram_hash(hist) == "e428e76c99e69ee3"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("spec, pinned", [
     ("500:500", "aa900ad021fa9aa0"), ("ibmq_singapore", "63e55de7c0b6c4f4"),
 ])

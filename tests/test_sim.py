@@ -352,8 +352,9 @@ def test_run_ideal_applies_a_run_that_returns_its_work_qubit_with_a_sign(monkeyp
     circ = Circuit(3, ops=[Gate("H", (0,)), Gate("H", (1,)), *signed, Gate("H", (0,)), *signed])
     widths = _gate_widths(monkeypatch)
     hist, state = run_ideal(circ, shots=64, seed=5, measure=[0, 1], return_state=True)
-    # two H on the low pair, the run by label once, the last H; the repeated run is reused
-    assert widths == [2, 2, 3, 3, 3, 2]
+    # two H on the low pair, the run by label once, the last H; the repeated run is
+    # reused, and as a mirror its labels go through the first CX and the Z only
+    assert widths == [2, 2, 3, 3, 2]
     # H Z H = X, then Z: qubit 0 reads 1 with amplitude -1/sqrt(2) on either value of qubit 1
     assert set(hist.counts) <= {"01", "11"}
     assert np.allclose(state.amplitudes, [0, -0.5 ** 0.5, 0, -0.5 ** 0.5, 0, 0, 0, 0], atol=1e-12)
@@ -628,7 +629,8 @@ def test_signed_gather_matches_an_integer_walk_property(data):
     source, expected_sign = np.empty(1 << m, dtype=np.intp), np.empty(1 << m)
     source[dest], expected_sign[dest] = np.arange(1 << m), sign
     assert gathered is not None
-    assert np.array_equal(gathered[0], source)
+    # a mirrored run gives its identity source as Ellipsis
+    assert np.array_equal(np.arange(1 << m) if gathered[0] is Ellipsis else gathered[0], source)
     assert np.array_equal(gathered[1], expected_sign)
 
 
@@ -770,9 +772,9 @@ def test_pair_views_fix_the_partner_opposite_the_target():
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
 def test_a_cold_label_pass_keeps_its_temporaries_on_the_heap():
     # a fresh process, so no earlier test has raised glibc's mmap threshold:
-    # a 4 MiB label state (1,024 pages) and 32 gates with a 0.5-1 MiB
-    # temporary each, which faulted in over 7,000 pages when every temporary
-    # was mapped and unmapped again
+    # a 4 MiB label state (1,024 pages) and, the run being a mirror, its first
+    # 16 gates and the MCZ with a 0.5-1 MiB temporary each, which faulted in
+    # over 4,300 pages when every temporary was mapped and unmapped again
     script = (
         "import resource\n"
         "from qclique import sim\n"
@@ -788,3 +790,64 @@ def test_a_cold_label_pass_keeps_its_temporaries_on_the_heap():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
     assert int(done.stdout) < 3072
+
+
+# -- mirrored X/Z-type runs, evaluated from their first half ---------------------
+
+MIRROR_CASES = ["mirror", "empty centre", "two-Z centre", "low gates before",
+                "X-type centre", "halves differ"]
+
+
+@given(st.data())
+def test_mirrored_runs_match_the_full_kernel_and_the_gather_property(data):
+    n = data.draw(st.integers(2, 7), label="n")
+    m = data.draw(st.integers(1, n - 1), label="m")
+    case = data.draw(st.sampled_from(MIRROR_CASES), label="case")
+    classical = gates_on(n, CLASSICAL_KINDS)
+    # the first gate takes a label above the block
+    reach = data.draw(gates_on(n, sim._X_KINDS).filter(lambda g: g.target >= m), label="reach")
+    half = [reach] + data.draw(st.lists(classical, max_size=5), label="half")
+    sizes = {"empty centre": (0, 0), "two-Z centre": (2, 2)}.get(case, (1, 3))
+    centre = data.draw(st.lists(gates_on(n, sim._Z_KINDS), min_size=sizes[0],
+                                max_size=sizes[1]), label="centre")
+    if case == "X-type centre":
+        centre.insert(data.draw(st.integers(0, len(centre)), label="at"),
+                      data.draw(gates_on(n, sim._X_KINDS), label="x"))
+    second = half[::-1]
+    if case == "halves differ":
+        at = data.draw(st.integers(0, len(second) - 1), label="differ at")
+        second[at] = data.draw(classical.filter(lambda g: g != second[at]), label="other")
+    run = half + centre + second
+    if case != "halves differ":  # which can still be a mirror with a shorter half
+        assert (sim._mirror_half(tuple(run)) is None) == (case == "X-type centre")
+    before = data.draw(st.lists(gates_on(m, CLASSICAL_KINDS), min_size=1, max_size=3),
+                       label="before") if case == "low gates before" else []
+    spread = [Gate("H", (q,)) for q in range(m)]
+    circ = Circuit(n, ops=spread + before + run + spread)
+    measure = data.draw(st.lists(st.integers(0, m - 1), min_size=1, unique=True), label="measure")
+    state, _ = _assert_same_as_full_kernel(circ, sorted(measure), shots=64)
+    # the full kernel can leave a zero with the other sign, so the bytes are
+    # compared with the general path, the run's labels pushed through every gate
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_mirror_half", lambda run: None)
+        _, general = run_ideal(circ, shots=64, seed=7, measure=sorted(measure), return_state=True)
+    assert state.amplitudes.tobytes() == general.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("graph, k", [("g4", 3), ("g6", 3)])
+def test_the_label_pass_of_a_dicke_search_takes_the_oracle_to_its_phase(graph, k, monkeypatch):
+    g = builtin_graph(graph)
+    circ = assemble(g, k, "dicke", "checking")
+    runs = []
+    gather = sim._signed_gather
+    monkeypatch.setattr(sim, "_signed_gather",
+                        lambda run, *args: runs.append(run) or gather(run, *args))
+    calls = _gate_kinds(monkeypatch)
+    run_ideal(circ, shots=16, seed=1, measure=list(range(g.n)))
+    # one distinct run, the oracle: compute, a Z on its flag, uncompute
+    [run] = runs
+    h = len(run) // 2
+    assert run[h].kind == "Z" and run[:h] == run[:h:-1]
+    # its labels go through the first h gates and the Z only
+    assert [kind for width, kind in calls if width == circ.n_qubits] == [
+        gate.kind for gate in run[:h + 1]]
