@@ -44,6 +44,9 @@ BUILTIN_PROFILES = {
 
 PREPS = [p.value for p in PrepMode]
 STYLES = ["checking", "incremental"]
+#: Flags only noisy runs use, with their defaults; ``solve`` leaves them
+#: ``None`` until given and takes them only with ``--noise``.
+NOISY_DEFAULTS = {"trajectories": 2000, "workers": 1}
 
 
 class CliError(Exception):
@@ -110,6 +113,12 @@ def _seed(value: str) -> int:
 
 
 def cmd_solve(args) -> tuple[int, dict, str]:
+    given = [f"--{name}" for name in NOISY_DEFAULTS if getattr(args, name) is not None]
+    if given and not args.noise:
+        raise CliError(f"no noisy run to apply {' and '.join(given)} to; add --noise")
+    for name, default in NOISY_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     g = load_graph(args.graph)
     if not 1 <= args.k <= g.n:
         raise CliError(f"k={args.k} out of range [1, {g.n}]")
@@ -287,13 +296,16 @@ def build_parser() -> argparse.ArgumentParser:
                            help="'auto' (optimal) or explicit iteration count")
             p.add_argument("--shots", type=int, default=4096)
             p.add_argument("--seed", type=_seed, default=1234)
-            p.add_argument("--trajectories", type=int, default=2000)
-            p.add_argument("--workers", type=int, default=1)
+            p.add_argument("--trajectories", type=int, default=NOISY_DEFAULTS["trajectories"],
+                           help="noisy runs only: trajectories to simulate (default 2000)")
+            p.add_argument("--workers", type=int, default=NOISY_DEFAULTS["workers"],
+                           help="noisy runs only: trajectory worker processes (default 1)")
 
     p_solve = sub.add_parser("solve", help="run the search end to end (ideal, optionally noisy)")
     common(p_solve)
-    p_solve.add_argument("--noise", help="noise profile: builtin name, 'T1:T2' (us), or JSON file")
-    p_solve.set_defaults(func=cmd_solve)
+    p_solve.add_argument("--noise", help="noise profile: builtin name, 'T1:T2' (us), or JSON "
+                         "file; --trajectories and --workers need it")
+    p_solve.set_defaults(func=cmd_solve, trajectories=None, workers=None)
 
     p_res = sub.add_parser("resources", help="size/depth/qubit accounting and QV estimate")
     common(p_res, with_run=False)

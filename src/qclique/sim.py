@@ -30,13 +30,13 @@ Amplitudes are float64 or complex128.  X/Z-type gates, H, RY, CRY and CCRY
 have real matrices, so a circuit made only of them keeps a real state real:
 :func:`_amplitude_dtype` picks float64 for it and complex128 for any circuit
 with a U3 or U2 (every :func:`~qclique.circuit.decompose_mc` output).  On a
-float64 state the kernel applies the real part of the 2x2 matrix, which gives
-the real parts of the complex128 run bit for bit, in half the bytes.
-:func:`run_ideal` and the trajectories of :mod:`qclique.noise` run on that
-dtype; :func:`statevector` and every state handed back stay complex128.  The
-integer labels of :func:`run_ideal`'s label pass sit on float32 states while
-float32 holds them exactly.  The kernel refuses a complex matrix on any real
-state.
+float64 state the kernel applies the real part of the 2x2 matrix: in half the
+bytes, it gives values equal to the real parts of the complex128 run, though a
+zero may carry the other sign.  :func:`run_ideal` and the trajectories of
+:mod:`qclique.noise` run on that dtype; :func:`statevector` and every state
+handed back stay complex128.  The integer labels of :func:`run_ideal`'s label
+pass sit on float32 states while float32 holds them exactly.  The kernel
+refuses a complex matrix on any real state.
 
 A state's amplitudes may also be a ``(2**n, B)`` block of B states, one per
 column (the trajectory blocks of :mod:`qclique.noise`).  The gate kernel's
@@ -49,17 +49,17 @@ block of one.
 is the highest qubit that is measured or that a gate other than an X/Z-type
 one touches.  The oracle's counters and flags sit above the node register and
 are touched only by X/Z-type gates, so they hold |0> at every other gate and
-need no amplitudes of their own.  In each maximal X/Z-type run, the gates from
-the first to the last that touches them are evaluated once, by pushing basis
-labels through :func:`apply_gate` at full width, and then applied to the low
-amplitudes as a gather and a sign; a run that leaves one of them set sends
-the whole call back to ``m = n``.  A mirrored run, some gates ``A``, then
-only Z-type gates ``M``, then ``A`` in reverse, is ``A^-1 · M · A`` and so
+need no amplitudes of their own.  The Dicke blocks (sandwiches) are matched
+first; an X/Z-type run that reaches above the block is evaluated whole, once,
+by pushing basis labels through :func:`apply_gate` at full width, and applied
+to the low amplitudes as a gather and a sign.  A run that leaves a high qubit
+set sends the whole call back to ``m = n``.  A mirrored run, gates ``A``, then
+only Z-type gates ``M``, then ``A`` reversed, is ``A^-1 · M · A`` and so
 diagonal, as the oracle's compute, phase flip and uncompute is (Bennett,
-IBM J. Res. Dev. 17, 525, 1973): its labels go through ``A`` and ``M`` only,
-and it is applied as a sign alone.  The label pass first raises glibc's mmap
-threshold just past half the label state (:func:`_keep_on_heap`), so its
-per-gate temporaries are reused heap memory instead of fresh mappings.
+IBM J. Res. Dev. 17, 525, 1973): its labels go through the X-type gates of
+``A`` and through ``M`` only, and it is applied as a sign alone.  The label
+pass first raises glibc's mmap threshold just past half the label state
+(:func:`_keep_on_heap`), so its gate temporaries are reused heap memory.
 :func:`statevector` and the noisy trajectories of :mod:`qclique.noise` always
 run at full width and gate by gate.
 """
@@ -341,10 +341,10 @@ def _signed_gather(run: tuple[Gate, ...], n_qubits: int, m: int):
     leaves a qubit at ``m`` or above set.
 
     A mirrored run (:func:`_mirror_half`), ``A^-1 · M · A``, is diagonal, so
-    its source is ``Ellipsis``, the identity, and no label can leave the
-    block.  Its labels go through ``A`` and the Z-type centre ``M`` only: the
-    sign of label ``i`` is the one ``M`` gives the slot ``A`` moved it to, as
-    ``A^-1`` moves it back with the sign ``A`` gave it.
+    its source is ``Ellipsis``, the identity.  Its labels go through the
+    X-type gates of ``A`` and the Z-type centre ``M`` only: label ``i`` takes
+    the sign ``M`` gives the slot ``A`` moved it to, as ``A^-1`` moves it
+    back and undoes the signs of ``A``'s Z-type gates.
     """
     size = 1 << m
     dtype = np.float32 if m <= _FLOAT32_LABEL_QUBITS else np.float64
@@ -360,11 +360,8 @@ def _signed_gather(run: tuple[Gate, ...], n_qubits: int, m: int):
         if np.count_nonzero(landed) < size:
             return None
         return np.abs(landed).astype(np.intp) - 1, np.sign(landed)
-    for gate in run[:h]:
-        apply_gate(labels, gate)
-    if any(gate.kind in _Z_KINDS for gate in run[:h]):
-        np.abs(labels.amplitudes, out=labels.amplitudes)  # A^-1 undoes A's signs
-    for gate in run[h:len(run) - h]:
+    half = (gate for gate in run[:h] if gate.kind in _X_KINDS)  # A^-1 undoes A's signs
+    for gate in (*half, *run[h:len(run) - h]):
         apply_gate(labels, gate)
     held = labels.amplitudes[labels.amplitudes != 0]  # the labels, in slot order
     sign = np.empty(size, dtype)
@@ -372,16 +369,26 @@ def _signed_gather(run: tuple[Gate, ...], n_qubits: int, m: int):
     return Ellipsis, sign
 
 
-def _is_sandwich(steps) -> bool:
-    """Whether ``steps`` is ``CX(c -> t), G, CX(c -> t)`` with ``G`` a CRY or
-    CCRY on target ``c`` that ``t`` controls (a Dicke preparation block).
-    A step that is a run of X/Z-type gates reaching above the block is a
-    tuple, never part of a sandwich."""
-    if len(steps) < 3 or not isinstance(steps[0], Gate) or steps[0].kind != "CX":
-        return False
-    cx, rotation, after = steps[:3]
-    return (isinstance(rotation, Gate) and after == cx and rotation.kind in ("CRY", "CCRY")
+def _is_sandwich(cx: Gate, rotation: Gate, after: Gate) -> bool:
+    """Whether the three gates are ``CX(c -> t), G, CX(c -> t)`` with ``G`` a CRY
+    or CCRY on target ``c`` that ``t`` controls (a Dicke preparation block)."""
+    return (cx.kind == "CX" and after == cx and rotation.kind in ("CRY", "CCRY")
             and rotation.target == cx.controls[0] and cx.target in rotation.controls)
+
+
+def _units(ops):
+    """``ops`` cut into tuples of gates: each sandwich (:func:`_is_sandwich`),
+    matched from the left, and every other gate on its own."""
+    window = []
+    for gate in ops:
+        window.append(gate)
+        if len(window) == 3:
+            if _is_sandwich(*window):
+                yield tuple(window)
+                window.clear()
+            else:
+                yield (window.pop(0),)
+    yield from ((gate,) for gate in window)
 
 
 def _apply_sandwich(state: StateVector, cx: Gate, rotation: Gate) -> None:
@@ -403,42 +410,32 @@ def _apply_sandwich(state: StateVector, cx: Gate, rotation: Gate) -> None:
 def _low_register_state(circuit: Circuit, m: int) -> StateVector | None:
     """Run ``circuit`` on the low qubit block ``[0, m)``, or ``None`` if it cannot be.
 
-    In each maximal run of X/Z-type gates, the gates from the first to the
-    last that touches a qubit at ``m`` or above are applied as one signed
-    gather of the ``2**m`` amplitudes, and each distinct such run is evaluated
-    once.  Every other gate runs through :func:`apply_gate` unchanged, at
-    width ``m``, except that each ``CX · CRY/CCRY · CX`` sandwich of
-    :func:`_is_sandwich` is one pass of :func:`_apply_sandwich`.  The
+    Sandwiches are matched first (:func:`_units`).  Each maximal X/Z-type
+    run of the other gates that touches a qubit at ``m`` or above is applied
+    whole as one signed gather of the ``2**m`` amplitudes, evaluated once per
+    distinct run (:func:`_signed_gather`).  Every other unit runs at width
+    ``m``, through :func:`_apply_sandwich` or :func:`apply_gate`.  The
     amplitudes have the circuit's :func:`_amplitude_dtype`.
     """
-    steps = []  # gates on the low block, and tuples of X/Z-type gates reaching above it
-    for classical, run in groupby(circuit.ops, key=lambda g: g.kind in _CLASSICAL_KINDS):
-        run = tuple(run)
-        high = [i for i, g in enumerate(run) if max(g.qubits) >= m] if classical else []
-        if high:  # the gates before the first and after the last of them stay low
-            steps.extend(run[:high[0]])
-            steps.append(run[high[0]:high[-1] + 1])
-            steps.extend(run[high[-1] + 1:])
-        else:
-            steps.extend(run)
     state = StateVector.zero(m, _amplitude_dtype(circuit.ops))
     gathers = {}
-    i = 0
-    while i < len(steps):
-        step = steps[i]
-        if isinstance(step, tuple):
-            if step not in gathers:
-                gathers[step] = _signed_gather(step, circuit.n_qubits, m)
-            if gathers[step] is None:
+    for classical, units in groupby(_units(circuit.ops), key=lambda unit: all(
+            gate.kind in _CLASSICAL_KINDS for gate in unit)):
+        units = tuple(units)
+        run = tuple(gate for unit in units for gate in unit)
+        if classical and any(max(gate.qubits) >= m for gate in run):
+            if run not in gathers:
+                gathers[run] = _signed_gather(run, circuit.n_qubits, m)
+            if gathers[run] is None:
                 return None
-            source, sign = gathers[step]
+            source, sign = gathers[run]
             state.amplitudes = state.amplitudes[source] * sign  # a view if source is Ellipsis
-        elif _is_sandwich(steps[i:i + 3]):
-            _apply_sandwich(state, step, steps[i + 1])
-            i += 2
         else:
-            apply_gate(state, step)
-        i += 1
+            for unit in units:
+                if len(unit) == 3:
+                    _apply_sandwich(state, *unit[:2])
+                else:
+                    apply_gate(state, unit[0])
     return state
 
 
@@ -477,19 +474,16 @@ def run_ideal(circuit: Circuit, shots: int, seed: int,
     Only the low block of qubits ``[0, m)`` is simulated, where ``m - 1`` is
     the highest qubit that is measured or that a gate other than an X/Z-type
     one touches.  The qubits from ``m`` up are touched only by X/Z-type gates,
-    which permute basis states and flip signs, so the part of each maximal
-    X/Z-type run that touches them is evaluated once, by label (see
-    :func:`_signed_gather`), and applied to the ``2**m`` low amplitudes as a
-    gather and a sign.  A run that is some gates, Z-type gates only, then the
-    same gates in reverse (the oracle's compute, phase flip and uncompute) is
-    diagonal: its labels go through its first half and centre only, and it is
-    applied as the sign alone.  The Dicke preparation's CX-conjugated
-    rotations take one pass each (see :func:`_apply_sandwich`).  If a run
-    leaves a high qubit set, the circuit runs again with ``m = n``.
-    Either way the amplitudes with every high qubit 0 are those of the full
-    kernel, bit for bit, and so are the marginals and the histogram when every
-    qubit below ``m`` is measured (each marginal then has one nonzero term).
-    The block has the circuit's :func:`_amplitude_dtype`.  The returned state
+    which permute basis states and flip signs.  Sandwiches are matched first
+    (see :func:`_apply_sandwich`); an X/Z-type run that reaches above the
+    block is evaluated whole, once, by label (see :func:`_signed_gather`),
+    and applied to the ``2**m`` low amplitudes as a gather and a sign, or as
+    the sign alone when it is a mirror (the oracle's compute, phase flip and
+    uncompute).  If a run leaves a high qubit set, the circuit runs again with
+    ``m = n``.  Either way the amplitudes with every high qubit 0 equal the
+    full kernel's in value, though a zero may carry the other sign; the
+    marginals and the histogram are the same bytes when every qubit below
+    ``m`` is measured (each marginal then has one nonzero term).  The block has the circuit's :func:`_amplitude_dtype`.  The returned state
     is full width and complex128, with the low amplitudes at ``[:2**m]`` and
     +0.0 elsewhere, where the full kernel may leave -0.0; so are the imaginary
     parts of a real circuit run again at ``m = n``.

@@ -2,26 +2,28 @@
 
 ``perfbench/tracing.py`` patches qclique functions by module and name.  A
 renamed or removed hook would otherwise fail only when the benchmark runs, so
-this loads the tracer by path and checks the spans each traced call opens.
+this loads the benchmark's modules by path and checks the spans each traced
+call opens.
 """
 import importlib.util
+import sys
 from pathlib import Path
 
-from qclique import grover, noise, sim
+from qclique import graph, grover, noise, sim
 from qclique.cli import load_profile
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_hooks_record_their_spans(g4):
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     tracer = tracing.Tracer()
     nodes = list(range(g4.n))
     calls: dict[str, int] = {}
@@ -60,3 +62,20 @@ def test_tracer_hooks_record_their_spans(g4):
     for fn in (grover.make_plan, grover.assemble, sim.run_ideal, noise.run_noisy,
                noise.RelaxationChannel.apply, sim.apply_gate):
         assert not hasattr(fn, "__wrapped__")
+
+
+def test_an_ideal_run_opens_every_gate_span_the_benchmark_reads(monkeypatch):
+    # passes.py puts src/ and perfbench/ on sys.path to import its workloads
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    passes, workloads = load_perfbench("passes"), load_perfbench("workloads")
+    spec = workloads.WORKLOADS["ideal_dicke20"]
+    n, edges = workloads.graph_edges(spec, 12)
+    circ = grover.assemble(graph.parse_edge_list(workloads.graph_text(n, edges)), spec["k"],
+                           spec["prep"], spec["oracle"])
+    tracing = load_perfbench("tracing")
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        sim.run_ideal(circ, shots=16, seed=1, measure=list(range(n)))
+    # `--trace 1` reads one span per kind in COMMON_KINDS and raises KeyError
+    # on a kind that no longer reaches the gate kernel
+    assert {"sim.apply_gate." + kind for kind in passes.COMMON_KINDS} <= set(tracer.spans)

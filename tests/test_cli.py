@@ -437,3 +437,15 @@ def test_a_bad_measure_list_is_an_error_line(monkeypatch, capsys, command, noise
     code, out, err = run_cli(capsys, command, "--graph", "g4", "--k", "3", noise, "500:500")
     assert code == 1 and out == ""
     assert err == "error: measured qubits [2, 3] exceed the 2-qubit circuit\n"
+
+
+@pytest.mark.parametrize("flags, named", [
+    (("--trajectories", "40"), "--trajectories"),
+    (("--workers", "2"), "--workers"),
+    (("--workers", "1", "--trajectories", "2000"), "--trajectories and --workers"),
+])
+def test_solve_rejects_noisy_run_flags_without_noise(capsys, flags, named):
+    code, out, err = run_cli(capsys, "solve", "--graph", "g4", "--k", "3", "--shots", "16",
+                             *flags)
+    assert code == 1 and out == ""
+    assert err == f"error: no noisy run to apply {named} to; add --noise\n"

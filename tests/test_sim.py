@@ -760,6 +760,19 @@ def test_an_x_z_run_reaching_above_the_block_between_two_cxs_is_no_sandwich(betw
     _assert_same_as_full_kernel(circ, [0, 1], shots=64)
 
 
+def test_a_sandwich_that_closes_right_at_a_run_reaching_above_the_block_is_fused(monkeypatch):
+    # the oracle's edges: a sandwich's closing CX directly before the X/Z-type
+    # run that reaches qubit 2, and another's opening CX directly after it
+    run = [Gate("CCX", (0, 1, 2)), Gate("Z", (2,)), Gate("CCX", (0, 1, 2))]
+    circ = Circuit(3, ops=[Gate("H", (0,)), Gate("RY", (1,), (0.3,)), *_sandwich(0, 1, None, 0.7),
+                           *run, *_sandwich(0, 1, None, -0.4)])
+    calls = _gate_kinds(monkeypatch)
+    run_ideal(circ, shots=16, seed=1, measure=[0, 1])
+    # each sandwich took one pass and the run went by label: no low CX or CRY
+    assert calls == [(2, "H"), (2, "RY"), (3, "CCX"), (3, "Z")]
+    _assert_same_as_full_kernel(circ, [0, 1], shots=64)
+
+
 def test_pair_views_fix_the_partner_opposite_the_target():
     # qubits 3 (control), 2 (target) and 0 (partner) of four; qubit 1 untouched
     shape, lo, hi = sim._pair_views(4, (3,), 2, 0)
@@ -851,3 +864,22 @@ def test_the_label_pass_of_a_dicke_search_takes_the_oracle_to_its_phase(graph, k
     # its labels go through the first h gates and the Z only
     assert [kind for width, kind in calls if width == circ.n_qubits] == [
         gate.kind for gate in run[:h + 1]]
+
+
+def test_low_gates_at_both_ends_of_a_mirror_join_its_label_run(monkeypatch):
+    # the w-complement shape: the same low X gates on both sides of a compute,
+    # phase flip and uncompute that reaches qubits 2 and 3 of the block [0, 2)
+    compute = [Gate("CCX", (0, 1, 2)), Gate("CX", (2, 3))]
+    run = (Gate("X", (0,)), Gate("X", (1,)), *compute, Gate("Z", (3,)), *compute[::-1],
+           Gate("X", (1,)), Gate("X", (0,)))
+    circ = Circuit(4, ops=[Gate("H", (0,)), Gate("RY", (1,), (0.3,)), *run, Gate("H", (0,))])
+    runs = []
+    gather = sim._signed_gather
+    monkeypatch.setattr(sim, "_signed_gather",
+                        lambda run, *args: runs.append(run) or gather(run, *args))
+    calls = _gate_kinds(monkeypatch)
+    run_ideal(circ, shots=16, seed=1, measure=[0, 1])
+    # one label run, still a mirror: its labels go through the first half and the Z
+    assert runs == [run] and sim._mirror_half(run) == 4
+    assert calls == [(2, "H"), (2, "RY"), *((4, g.kind) for g in run[:5]), (2, "H")]
+    _assert_same_as_full_kernel(circ, [0, 1], shots=64)
