@@ -180,9 +180,12 @@ def cmd_solve(args) -> tuple[int, dict, str]:
     return (0 if ok else 1), result, "\n".join(lines)
 
 
-def _config_grid(style_arg: str, prep_arg: str) -> list[tuple[str, str]]:
+def _config_grid(style_arg: str, prep_arg: str, g: Graph, k: int) -> list[tuple[str, str]]:
+    """The (oracle, prep) pairs to report; ``all`` preparations leave out the
+    W-state route unless ``k = n - 1``, the only size it prepares."""
     styles = STYLES if style_arg == "all" else [style_arg]
-    preps = PREPS if prep_arg == "all" else [prep_arg]
+    preps = ([p for p in PREPS if p != PrepMode.W_COMPLEMENT or k == g.n - 1]
+             if prep_arg == "all" else [prep_arg])
     return [(style, prep) for style in styles for prep in preps]
 
 
@@ -190,11 +193,8 @@ def cmd_resources(args) -> tuple[int, dict, str]:
     g = load_graph(args.graph)
     rows = []
     reports = []
-    for style, prep in _config_grid(args.oracle, args.prep):
-        try:
-            plan = make_plan(g, args.k, prep, style, args.iters)
-        except (NoSolutionsError, ValueError) as err:
-            raise CliError(str(err)) from None
+    for style, prep in _config_grid(args.oracle, args.prep, g, args.k):
+        plan = make_plan(g, args.k, prep, style, args.iters)
         circ = assemble(g, args.k, prep, style, plan=plan)
         rep = report(circ, config={"prep": prep, "oracle": style, "k": args.k,
                                    "graph_n": g.n, "graph_edges": len(g.edges),
@@ -357,7 +357,7 @@ def main(argv=None) -> int:
             text = json.dumps({"schema": 1, "command": args.command, **payload}, indent=2)
         _emit(text, args.output)
         return code
-    except (CliError, NoSolutionsError, ValueError, MemoryError, OSError) as err:
+    except (CliError, ValueError, MemoryError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -97,16 +97,17 @@ def make_plan(g: Graph, k: int, prep: PrepMode, style: str = "checking",
 
 
 def assemble(g: Graph, k: int, prep: PrepMode, style: str = "checking",
-             iterations: int | str = "auto",
              plan: GroverPlan | None = None) -> Circuit:
-    """Full search circuit: state prep, then `iterations` x (oracle, diffusion).
+    """Full search circuit: state prep, then ``plan.iterations`` x (oracle, diffusion).
 
-    When opt_iter is 0 (N = m) the circuit is just the preparation.  Width and
-    registers are the oracle's; the node register is qubits [0, n), which the
-    preparation acts on exactly.  Measure it to read the clique.
+    Without a ``plan``, :func:`make_plan` sizes one with the optimal iteration
+    count; pass a plan to choose another.  When that count is 0 (N = m) the
+    circuit is just the preparation.  Width and registers are the oracle's;
+    the node register is qubits [0, n), which the preparation acts on exactly.
+    Measure it to read the clique.
     """
     if plan is None:
-        plan = make_plan(g, k, prep, style, iterations)
+        plan = make_plan(g, k, prep, style)
     prep_circuit = prepare_state(plan.prep, g.n, k)
     oracle_circuit = build_oracle(g, k, plan.oracle)
     diffusion_circuit = diffusion(prep_circuit)

@@ -252,8 +252,7 @@ class RelaxationChannel:
         factors = self.no_jump * (1.0 - damped) ** -0.5
         jump = draws[0] < damped
         if np.count_nonzero(jump):
-            for column in jump.nonzero()[0]:
-                view[:, 0, :, column] = view[:, 1, :, column]
+            view[:, 0, :, jump] = view[:, 1, :, jump]
             factors[0, 0, jump] = p1[jump] ** -0.5
             factors[1, 0, jump] = 0.0
         flip = draws[1] < self.p_phi
@@ -283,12 +282,10 @@ def _reset(state: np.ndarray, rng: np.random.Generator) -> None:
 
 def _column_norms(half: np.ndarray) -> np.ndarray:
     """Squared norm of each column of an ``(above, below, B)`` float64 or
-    complex128 view."""
-    if half.dtype == np.float64:
-        return np.einsum("ijk,ijk->k", half, half)
+    complex128 view; a complex column adds its real and imaginary sums."""
     re_im = half.view(np.float64)  # the last axis is contiguous, so this is a view
-    squares = np.einsum("ijk,ijk->k", re_im, re_im)  # innermost loop: all 2B floats
-    return squares[0::2] + squares[1::2]
+    squares = np.einsum("ijk,ijk->k", re_im, re_im)  # innermost loop: all B or 2B floats
+    return squares.reshape(half.shape[-1], -1).sum(axis=1)
 
 
 def compile_noisy_program(circuit: Circuit, profile: NoiseProfile) -> list:

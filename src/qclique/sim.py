@@ -50,15 +50,17 @@ is the highest qubit that is measured or that a gate other than an X/Z-type
 one touches.  The oracle's counters and flags sit above the node register and
 are touched only by X/Z-type gates, so they hold |0> at every other gate and
 need no amplitudes of their own.  The Dicke blocks (sandwiches) are matched
-first; an X/Z-type run that reaches above the block is evaluated whole, once,
-by pushing basis labels through :func:`apply_gate` at full width, and applied
-to the low amplitudes as a gather and a sign.  A run that leaves a high qubit
-set sends the whole call back to ``m = n``.  A mirrored run, gates ``A``, then
-only Z-type gates ``M``, then ``A`` reversed, is ``A^-1 · M · A`` and so
-diagonal, as the oracle's compute, phase flip and uncompute is (Bennett,
-IBM J. Res. Dev. 17, 525, 1973): its labels go through the X-type gates of
-``A`` and through ``M`` only, and it is applied as a sign alone.  The label
-pass first raises glibc's mmap threshold just past half the label state
+first; every X/Z-type run is evaluated whole, once, by pushing basis labels
+through :func:`apply_gate` at the width it touches (never less than ``m``),
+and applied to the low amplitudes as a gather and a sign.  So the block's
+amplitudes meet only the 2x2 kernel, a fused sandwich and signed
+permutations.  A run that leaves a high qubit set sends the whole call back
+to ``m = n``.  A mirrored run, gates ``A``, then only Z-type gates ``M``,
+then ``A`` reversed, is ``A^-1 · M · A`` and so diagonal, as the oracle's
+compute, phase flip and uncompute is (Bennett, IBM J. Res. Dev. 17, 525,
+1973): its labels go through the X-type gates of ``A`` and through ``M``
+only, and it is applied as a sign alone.  The label pass first raises
+glibc's mmap threshold just past half the label state
 (:func:`_keep_on_heap`), so its gate temporaries are reused heap memory.
 :func:`statevector` and the noisy trajectories of :mod:`qclique.noise` always
 run at full width and gate by gate.
@@ -328,12 +330,14 @@ def _mirror_half(run: tuple[Gate, ...]) -> int | None:
     return None
 
 
-def _signed_gather(run: tuple[Gate, ...], n_qubits: int, m: int):
+def _signed_gather(run: tuple[Gate, ...], width: int, m: int):
     """A classical run's action on the low block ``[0, m)``, as ``(source, sign)``.
 
     Labels ``1 .. 2**m`` are placed at indices ``[:2**m]`` (every qubit from
-    ``m`` up is 0) and the run is applied to them through :func:`apply_gate`
-    at full width.  The labels are real integers, so they sit on a float32
+    ``m`` up is 0) of a ``width``-qubit state, and the run is applied to them
+    through :func:`apply_gate`.  ``width`` is at least ``m`` and covers every
+    qubit the run touches; a run inside the block is evaluated at ``m`` and
+    cannot leave it.  The labels are real integers, so they sit on a float32
     state when ``m <= 24``, where float32 holds each of them exactly, and on
     a float64 state otherwise.  X/Z-type gates permute basis states and flip
     signs, so slot ``i`` ends up holding ``sign[i] * (source[i] + 1)``.
@@ -348,7 +352,7 @@ def _signed_gather(run: tuple[Gate, ...], n_qubits: int, m: int):
     """
     size = 1 << m
     dtype = np.float32 if m <= _FLOAT32_LABEL_QUBITS else np.float64
-    labels = StateVector.zero(n_qubits, dtype)  # its 1 at index 0 is relabelled
+    labels = StateVector.zero(width, dtype)  # its 1 at index 0 is relabelled
     # an X on a high qubit copies half the labels
     _keep_on_heap((labels.amplitudes.nbytes >> 1) + 4096)
     labels.amplitudes[:size] = np.arange(1, size + 1)
@@ -410,32 +414,34 @@ def _apply_sandwich(state: StateVector, cx: Gate, rotation: Gate) -> None:
 def _low_register_state(circuit: Circuit, m: int) -> StateVector | None:
     """Run ``circuit`` on the low qubit block ``[0, m)``, or ``None`` if it cannot be.
 
-    Sandwiches are matched first (:func:`_units`).  Each maximal X/Z-type
-    run of the other gates that touches a qubit at ``m`` or above is applied
-    whole as one signed gather of the ``2**m`` amplitudes, evaluated once per
-    distinct run (:func:`_signed_gather`).  Every other unit runs at width
-    ``m``, through :func:`_apply_sandwich` or :func:`apply_gate`.  The
-    amplitudes have the circuit's :func:`_amplitude_dtype`.
+    Sandwiches are matched first (:func:`_units`).  Every maximal X/Z-type
+    run of the other gates is applied whole as one signed gather of the
+    ``2**m`` amplitudes, evaluated once per distinct run by label at width
+    ``max(m, 1 + the highest qubit it touches)`` (:func:`_signed_gather`).
+    Every other unit runs at width ``m``, through :func:`_apply_sandwich` or
+    :func:`apply_gate`.  The amplitudes have the circuit's
+    :func:`_amplitude_dtype`.
     """
     state = StateVector.zero(m, _amplitude_dtype(circuit.ops))
     gathers = {}
     for classical, units in groupby(_units(circuit.ops), key=lambda unit: all(
             gate.kind in _CLASSICAL_KINDS for gate in unit)):
         units = tuple(units)
-        run = tuple(gate for unit in units for gate in unit)
-        if classical and any(max(gate.qubits) >= m for gate in run):
-            if run not in gathers:
-                gathers[run] = _signed_gather(run, circuit.n_qubits, m)
-            if gathers[run] is None:
-                return None
-            source, sign = gathers[run]
-            state.amplitudes = state.amplitudes[source] * sign  # a view if source is Ellipsis
-        else:
+        if not classical:
             for unit in units:
                 if len(unit) == 3:
                     _apply_sandwich(state, *unit[:2])
                 else:
                     apply_gate(state, unit[0])
+            continue
+        run = tuple(gate for (gate,) in units)  # a sandwich is never X/Z-type
+        if run not in gathers:
+            width = max(m, 1 + max(q for gate in run for q in gate.qubits))
+            gathers[run] = _signed_gather(run, width, m)
+        if gathers[run] is None:
+            return None
+        source, sign = gathers[run]
+        state.amplitudes = state.amplitudes[source] * sign  # a view if source is Ellipsis
     return state
 
 
@@ -475,17 +481,18 @@ def run_ideal(circuit: Circuit, shots: int, seed: int,
     the highest qubit that is measured or that a gate other than an X/Z-type
     one touches.  The qubits from ``m`` up are touched only by X/Z-type gates,
     which permute basis states and flip signs.  Sandwiches are matched first
-    (see :func:`_apply_sandwich`); an X/Z-type run that reaches above the
-    block is evaluated whole, once, by label (see :func:`_signed_gather`),
+    (see :func:`_apply_sandwich`); every X/Z-type run is evaluated whole,
+    once, by label at the width it touches (see :func:`_signed_gather`),
     and applied to the ``2**m`` low amplitudes as a gather and a sign, or as
     the sign alone when it is a mirror (the oracle's compute, phase flip and
     uncompute).  If a run leaves a high qubit set, the circuit runs again with
     ``m = n``.  Either way the amplitudes with every high qubit 0 equal the
     full kernel's in value, though a zero may carry the other sign; the
     marginals and the histogram are the same bytes when every qubit below
-    ``m`` is measured (each marginal then has one nonzero term).  The block has the circuit's :func:`_amplitude_dtype`.  The returned state
-    is full width and complex128, with the low amplitudes at ``[:2**m]`` and
-    +0.0 elsewhere, where the full kernel may leave -0.0; so are the imaginary
+    ``m`` is measured (each marginal then has one nonzero term).  The block
+    has the circuit's :func:`_amplitude_dtype`.  The returned state is full
+    width and complex128, with the low amplitudes at ``[:2**m]`` and +0.0
+    elsewhere, where the full kernel may leave -0.0; so are the imaginary
     parts of a real circuit run again at ``m = n``.
     """
     if shots < 1:

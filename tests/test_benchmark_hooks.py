@@ -64,7 +64,9 @@ def test_tracer_hooks_record_their_spans(g4):
         assert not hasattr(fn, "__wrapped__")
 
 
-def test_an_ideal_run_opens_every_gate_span_the_benchmark_reads(monkeypatch):
+def _traced_ideal_dicke20(monkeypatch):
+    """The benchmark's ``COMMON_KINDS`` and the tracer of one ``run_ideal`` on the
+    ``ideal_dicke20`` circuit (workload seed 12)."""
     # passes.py puts src/ and perfbench/ on sys.path to import its workloads
     monkeypatch.setattr(sys, "path", list(sys.path))
     passes, workloads = load_perfbench("passes"), load_perfbench("workloads")
@@ -76,6 +78,22 @@ def test_an_ideal_run_opens_every_gate_span_the_benchmark_reads(monkeypatch):
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
         sim.run_ideal(circ, shots=16, seed=1, measure=list(range(n)))
+    return passes.COMMON_KINDS, tracer
+
+
+def test_an_ideal_run_opens_every_gate_span_the_benchmark_reads(monkeypatch):
+    common_kinds, tracer = _traced_ideal_dicke20(monkeypatch)
     # `--trace 1` reads one span per kind in COMMON_KINDS and raises KeyError
     # on a kind that no longer reaches the gate kernel
-    assert {"sim.apply_gate." + kind for kind in passes.COMMON_KINDS} <= set(tracer.spans)
+    assert {"sim.apply_gate." + kind for kind in common_kinds} <= set(tracer.spans)
+
+
+def test_an_ideal_run_makes_the_gate_calls_the_benchmark_reads(monkeypatch):
+    _, tracer = _traced_ideal_dicke20(monkeypatch)
+    # every call pushes labels through an X/Z-type run, each distinct run once:
+    # the preparation's 3 X seeds and the diffusion's 38 X and its MCZ at the 16
+    # nodes, and the oracle's first half and its Z (a mirror) at 20 qubits; the
+    # Dicke rotations are fused and never reach the kernel
+    calls = {name.removeprefix("sim.apply_gate."): span.count
+             for name, span in tracer.spans.items() if name.startswith("sim.apply_gate.")}
+    assert calls == {"CCX": 43, "CX": 1, "MCX": 42, "MCZ": 1, "X": 41, "Z": 1}

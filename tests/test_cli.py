@@ -139,6 +139,23 @@ def test_resources_table_six_rows(capsys):
     assert "w" in lines[2].split() and "checking" in lines[2].split()
 
 
+@pytest.mark.parametrize("graph, k, rows", [("g6", 4, 4), ("g6", 3, 4), ("g4", 3, 6)])
+def test_resources_lists_the_w_route_only_where_k_is_n_minus_1(graph, k, rows, capsys):
+    code, out, err = run_cli(capsys, "resources", "--graph", graph, "--k", str(k))
+    assert code == 0 and err == ""
+    lines = [l for l in out.splitlines() if l.strip()]
+    assert len(lines) == 2 + rows + 1  # header, rule, the configs, legend
+    preps = {line.split()[1] for line in lines[2:-1]}
+    assert preps == ({"w", "dicke", "full"} if rows == 6 else {"dicke", "full"})
+
+
+def test_resources_with_an_explicit_w_route_reports_why_it_cannot(capsys):
+    code, out, err = run_cli(capsys, "resources", "--graph", "g6", "--k", "4", "--prep", "w")
+    assert code == 1 and out == ""
+    assert err == ("error: W-state preparation works only for clique size k = n-1 "
+                   "(k=4, n=6)\n")
+
+
 def test_resources_decompose_columns(capsys):
     code, out, _ = run_cli(capsys, "resources", "--graph", "g4", "--k", "3",
                            "--prep", "w", "--oracle", "checking", "--decompose")

@@ -448,15 +448,52 @@ def test_ideal_runs_are_float64_until_lowering_adds_u3(graph, k, prep, style, mo
     assert sim._amplitude_dtype(lowered.ops) is np.complex128
     nodes = list(range(g.n))
     calls = _gate_dtypes(monkeypatch)
+    kinds = _gate_kinds(monkeypatch)  # recorded for the same calls
+
+    def split() -> tuple[set, set]:
+        """(width, dtype) of the X/Z-type calls and of the others since the last split."""
+        assert len(calls) == len(kinds)
+        labels = {call for call, (_, kind) in zip(calls, kinds) if kind in CLASSICAL_KINDS}
+        others = {call for call, (_, kind) in zip(calls, kinds) if kind not in CLASSICAL_KINDS}
+        calls.clear()
+        kinds.clear()
+        return labels, others
+
     _, state = run_ideal(circ, shots=16, seed=1, measure=nodes, return_state=True)
-    # the node register (the low block is exactly the nodes) on float64, and
-    # the oracle's labels at full width on float32
-    assert set(calls) == {(g.n, np.float64), (circ.n_qubits, np.float32)}
+    labels, others = split()
+    # every X/Z-type run by label on float32, at the width it touches: the
+    # diffusion's at the nodes, the oracle's at full width; every other gate
+    # on the node register (the low block is exactly the nodes) on float64,
+    # and none at all under a Dicke preparation, whose rotations are fused
+    assert labels == {(g.n, np.float32), (circ.n_qubits, np.float32)}
+    assert others == (set() if prep == "dicke" else {(g.n, np.float64)})
     assert state.amplitudes.dtype == np.complex128
-    calls.clear()
     _, state = run_ideal(lowered, shots=16, seed=1, measure=nodes, return_state=True)
-    assert {dtype for width, dtype in calls if width < lowered.n_qubits} == {np.complex128}
+    labels, others = split()
+    assert {dtype for _, dtype in labels} == {np.float32}
+    assert {dtype for _, dtype in others} == {np.complex128}
+    assert max(width for width, _ in others) < lowered.n_qubits
     assert state.amplitudes.dtype == np.complex128
+
+
+@pytest.mark.parametrize("graph, k, prep, style", BUNDLED_CONFIGURATIONS,
+                         ids=lambda value: str(value))
+def test_no_x_z_type_gate_reaches_the_kernel_on_the_blocks_dtype(graph, k, prep, style,
+                                                                 monkeypatch):
+    g = builtin_graph(graph)
+    circ = assemble(g, k, prep, style)
+    circuits = [circ] + [lowered for lowered in [decompose_mc(circ)] if lowered.n_qubits <= 16]
+    calls = _gate_dtypes(monkeypatch)
+    kinds = _gate_kinds(monkeypatch)  # recorded for the same calls
+    for circuit in circuits:
+        calls.clear()
+        kinds.clear()
+        run_ideal(circuit, shots=16, seed=1, measure=list(range(g.n)))
+        # an X/Z-type gate reaches the kernel only on a float32 label state,
+        # never on the block's float64 or complex128 amplitudes
+        assert len(calls) == len(kinds)
+        dtypes = {dtype for (_, dtype), (_, kind) in zip(calls, kinds) if kind in CLASSICAL_KINDS}
+        assert dtypes == {np.float32} and sim._amplitude_dtype(circuit.ops) not in dtypes
 
 
 @given(st.data())
@@ -726,13 +763,13 @@ NEAR_MISSES = {
     "sandwich": (_sandwich(0, 2, None, 0.7), []),
     "ccry sandwich": (_sandwich(3, 1, 0, 0.7), []),
     "gate between": (_sandwich(0, 2, None, 0.7)[:2] + [Gate("H", (1,))]
-                     + _sandwich(0, 2, None, 0.7)[2:], ["CX", "CRY", "H", "CX"]),
+                     + _sandwich(0, 2, None, 0.7)[2:], ["CX", "CRY", "H"]),
     "t not a control": ([Gate("CX", (0, 2)), Gate("CRY", (1, 0), (0.7,)), Gate("CX", (0, 2))],
-                        ["CX", "CRY", "CX"]),
+                        ["CX", "CRY"]),
     "reversed CX": ([Gate("CX", (0, 2)), Gate("CRY", (2, 0), (0.7,)), Gate("CX", (2, 0))],
                     ["CX", "CRY", "CX"]),
     "other target": ([Gate("CX", (0, 2)), Gate("CCRY", (0, 2, 3), (0.7,)), Gate("CX", (0, 2))],
-                     ["CX", "CCRY", "CX"]),
+                     ["CX", "CCRY"]),
 }
 
 
@@ -742,6 +779,8 @@ def test_only_sandwiches_skip_the_gate_kernel(name, monkeypatch):
     circ = Circuit(4, ops=[Gate("H", (q,)) for q in range(4)] + planted)
     calls = _gate_kinds(monkeypatch)
     hist, state = run_ideal(circ, shots=64, seed=2, return_state=True)
+    # an unfused CX is an X/Z-type run, evaluated by label once: a second,
+    # identical CX reuses its signed gather
     assert calls[:4] == [(4, "H")] * 4 and calls[4:] == [(4, kind) for kind in expected]
     full = statevector(circ)
     assert (state.amplitudes + 0.0).tobytes() == (full.amplitudes + 0.0).tobytes()
@@ -857,8 +896,9 @@ def test_the_label_pass_of_a_dicke_search_takes_the_oracle_to_its_phase(graph, k
                         lambda run, *args: runs.append(run) or gather(run, *args))
     calls = _gate_kinds(monkeypatch)
     run_ideal(circ, shots=16, seed=1, measure=list(range(g.n)))
-    # one distinct run, the oracle: compute, a Z on its flag, uncompute
-    [run] = runs
+    # one distinct run reaches above the block, the oracle: compute, a Z on
+    # its flag, uncompute
+    [run] = [run for run in runs if max(q for gate in run for q in gate.qubits) >= g.n]
     h = len(run) // 2
     assert run[h].kind == "Z" and run[:h] == run[:h:-1]
     # its labels go through the first h gates and the Z only
