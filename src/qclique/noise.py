@@ -54,7 +54,6 @@ from .sim import (
     StateVector,
     _amplitude_dtype,
     _histogram,
-    _keep_on_heap,
     _measured_qubits,
     apply_gate,
     marginal_probabilities,
@@ -342,6 +341,19 @@ _BLOCK_BYTES = 512 << 10
 def _block_size(n_qubits: int, dtype) -> int:
     """Trajectories per block at this width and amplitude dtype."""
     return max(1, (_BLOCK_BYTES // np.dtype(dtype).itemsize) >> n_qubits)
+
+
+def _keep_on_heap(nbytes: int) -> None:
+    """Have glibc serve requests below ``nbytes`` from its heap from now on.
+
+    Freeing a mapped chunk raises glibc's mmap threshold to that chunk's size
+    (and its trim threshold to twice it), so this maps and frees one array of
+    ``nbytes``.  Below the threshold, the temporaries a gate makes are reused
+    heap memory; above it, each is mapped, faulted in page by page and
+    unmapped again.  The thresholds only rise, and other allocators merely
+    allocate and free the array.
+    """
+    np.empty(nbytes, dtype=np.uint8)
 
 
 def _run_trajectory_blocks(args) -> np.ndarray:

@@ -1,30 +1,40 @@
-"""Dense statevector execution of circuits, measurement sampling and histograms.
+"""Statevector execution of circuits, measurement sampling and histograms.
 
 Basis-state index bit ``i`` is qubit ``i`` (qubit 0 least significant).
 Display strings print qubit ``n-1`` leftmost, so the node set {1,2,3,4} on six
 qubits reads ``011110``.  Multi-controlled gates are applied natively; no
 decomposition is needed for simulation.
 
-Every gate goes through one strided-view kernel, the amplitude-pair scheme of
-QuEST (Jones et al., Sci. Rep. 9, 10736, 2019) and of Haener & Steiger (SC17,
-arXiv:1704.01127).  The ``2**n`` amplitudes are viewed, without copying, as an
-array of shape ``(2,)*n`` in which axis ``n-1-q`` is qubit ``q``; runs of
-qubits a gate does not touch are merged into one axis.  Fixing each control
-axis to 1 and splitting the target axis into its 0 and 1 halves gives two views
-of the amplitude pairs the gate mixes: X-type gates swap the halves, Z-type
-gates negate the 1 half, and every other kind applies its 2x2 matrix.  The
-amplitudes below an X-type gate's lowest operand move together; when such a
-run is longer than one scalar and at most one 64-byte cache line, a
-C-contiguous state is viewed as one opaque element per run and the gate
-swaps those, so numpy's innermost loop does not walk 2-16 scalars.  The swap
-moves the same bytes either way.  The views can also fix a partner axis
-opposite the target, which :func:`run_ideal` uses for the blocks
-``CX(c -> t) · G · CX(c -> t)`` of the Dicke preparation (Baertschi &
-Eidenbenz, arXiv:1904.07358), G a CRY or CCRY on target ``c`` that ``t``
-controls: the block mixes the pairs (c=0, t=1) and (c=1, t=0) with G's
-matrix, one pass for three gates with the same products, bit for bit.
+Every gate goes through :func:`apply_gate`, on one of two state types.
+
+A dense :class:`StateVector` holds all ``2**n`` amplitudes and goes through
+one strided-view kernel, the amplitude-pair scheme of QuEST (Jones et al.,
+Sci. Rep. 9, 10736, 2019) and of Haener & Steiger (SC17, arXiv:1704.01127).
+The amplitudes are viewed, without copying, as an array of shape ``(2,)*n``
+in which axis ``n-1-q`` is qubit ``q``; runs of qubits a gate does not touch
+are merged into one axis.  Fixing each control axis to 1 and splitting the
+target axis into its 0 and 1 halves gives two views of the amplitude pairs
+the gate mixes: X-type gates swap the halves, Z-type gates negate the 1 half,
+and every other kind applies its 2x2 matrix.  The amplitudes below an X-type
+gate's lowest operand move together; when such a run is longer than one
+scalar and at most one 64-byte cache line, a C-contiguous state is viewed as
+one opaque element per run and the gate swaps those, so numpy's innermost
+loop does not walk 2-16 scalars.  The swap moves the same bytes either way.
 Marginal probabilities use the ``(2,)*n`` view and sum over the unmeasured
 axes.
+
+A :class:`SparseState` holds only the basis states that carry amplitude, as
+an int64 index array and an amplitude array: the sparse simulation of Jaques
+& Haener (ACM TQC 3(3), 2022, arXiv:2105.01533).  X-type gates flip the
+target bit of the indices whose controls are set, Z-type gates negate the
+amplitudes whose qubits are all set, and a 2x2 gate pairs each index with
+its target-flipped partner, a missing partner standing for a zero amplitude,
+and applies the same two products per pair as the dense kernel.
+:func:`run_ideal` runs on it.  The paper's circuits touch few basis states:
+the Dicke preparation keeps the Hamming weight (Baertschi & Eidenbenz,
+arXiv:1904.07358) and the oracle's counters and flags are classical
+functions of the node register, so a k-clique search on n nodes never holds
+more than C(n, k) entries.
 
 Amplitudes are float64 or complex128.  X/Z-type gates, H, RY, CRY and CCRY
 have real matrices, so a circuit made only of them keeps a real state real:
@@ -34,36 +44,16 @@ float64 state the kernel applies the real part of the 2x2 matrix: in half the
 bytes, it gives values equal to the real parts of the complex128 run, though a
 zero may carry the other sign.  :func:`run_ideal` and the trajectories of
 :mod:`qclique.noise` run on that dtype; :func:`statevector` and every state
-handed back stay complex128.  The integer labels of :func:`run_ideal`'s label
-pass sit on float32 states while float32 holds them exactly.  The kernel
-refuses a complex matrix on any real state.
+handed back stay complex128.  The kernel refuses a complex matrix on a real
+state.
 
-A state's amplitudes may also be a ``(2**n, B)`` block of B states, one per
-column (the trajectory blocks of :mod:`qclique.noise`).  The gate kernel's
-views then keep the block as their trailing axis, so each ends in one
-contiguous run of ``B * 2**q`` amplitudes (``q`` the lowest qubit the gate
-touches), and the marginals have one column per state.  A 1-D state is a
-block of one.
-
-:func:`run_ideal` simulates only the low block of qubits ``[0, m)``: ``m - 1``
-is the highest qubit that is measured or that a gate other than an X/Z-type
-one touches.  The oracle's counters and flags sit above the node register and
-are touched only by X/Z-type gates, so they hold |0> at every other gate and
-need no amplitudes of their own.  The Dicke blocks (sandwiches) are matched
-first; every X/Z-type run is evaluated whole, once, by pushing basis labels
-through :func:`apply_gate` at the width it touches (never less than ``m``),
-and applied to the low amplitudes as a gather and a sign.  So the block's
-amplitudes meet only the 2x2 kernel, a fused sandwich and signed
-permutations.  A run that leaves a high qubit set sends the whole call back
-to ``m = n``.  A mirrored run, gates ``A``, then only Z-type gates ``M``,
-then ``A`` reversed, is ``A^-1 · M · A`` and so diagonal, as the oracle's
-compute, phase flip and uncompute is (Bennett, IBM J. Res. Dev. 17, 525,
-1973): its labels go through the X-type gates of ``A`` and through ``M``
-only, and it is applied as a sign alone.  The label pass first raises
-glibc's mmap threshold just past half the label state
-(:func:`_keep_on_heap`), so its gate temporaries are reused heap memory.
-:func:`statevector` and the noisy trajectories of :mod:`qclique.noise` always
-run at full width and gate by gate.
+A dense state's amplitudes may also be a ``(2**n, B)`` block of B states, one
+per column (the trajectory blocks of :mod:`qclique.noise`).  The gate
+kernel's views then keep the block as their trailing axis, so each ends in
+one contiguous run of ``B * 2**q`` amplitudes (``q`` the lowest qubit the
+gate touches), and the marginals have one column per state.  A 1-D state is a
+block of one.  :func:`statevector` and the noisy trajectories always run
+dense, at full width.
 """
 from __future__ import annotations
 
@@ -71,7 +61,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 
 import numpy as np
 
@@ -80,7 +69,7 @@ from .circuit import Circuit, Gate
 
 @dataclass
 class StateVector:
-    """``2**n_qubits`` amplitudes, complex128, float64 or float32; index bit i
+    """``2**n_qubits`` amplitudes, complex128 or float64; index bit i
     corresponds to qubit i."""
 
     n_qubits: int
@@ -105,6 +94,35 @@ class StateVector:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
+
+
+#: A basis index is an int64, whose sign bit leaves qubits 0 to 62.
+_MAX_INDEX_QUBITS = 63
+
+
+@dataclass
+class SparseState:
+    """The basis states of an ``n_qubits`` register that carry amplitude:
+    ``amplitudes[j]`` (complex128 or float64) is the amplitude of basis index
+    ``index[j]`` (int64), each index listed at most once, and every index not
+    listed has amplitude 0.  A listed amplitude may be an exact zero that a
+    rotation in place made (see :func:`_apply_sparse`)."""
+
+    n_qubits: int
+    index: np.ndarray
+    amplitudes: np.ndarray
+
+    @classmethod
+    def basis(cls, n_qubits: int, index: int, dtype=np.complex128) -> SparseState:
+        return cls(n_qubits, np.array([index], dtype=np.int64), np.ones(1, dtype))
+
+    def dense(self, width: int, dtype=np.complex128) -> StateVector:
+        """The amplitudes as a ``width``-qubit :class:`StateVector` of ``dtype``,
+        +0.0 at every index not listed; every index must be below ``2**width``."""
+        state = StateVector.zero(width, dtype)
+        state.amplitudes[0] = 0.0  # the 1 that zero() put there
+        state.amplitudes[self.index] = self.amplitudes
+        return state
 
 
 def _u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
@@ -144,22 +162,17 @@ def _amplitude_dtype(gates) -> type:
 
 
 @lru_cache(maxsize=1024)
-def _pair_views(n_qubits: int, controls: tuple[int, ...], target: int,
-                partner: int | None = None):
+def _pair_views(n_qubits: int, controls: tuple[int, ...], target: int):
     """View shape and index tuples of a gate's target-0 and target-1 halves.
 
     The shape is ``(2,)*n`` (axis ``n-1-q`` is qubit ``q``) with each run of
     qubits the gate does not touch merged into one axis, so numpy iterates
     over as few and as long axes as possible.  The index tuples fix every
-    control axis to 1 and the target axis to 0 or 1; a ``partner`` axis is
-    fixed opposite the target, to 1 in the first half and 0 in the second.
-    Each ends with ``Ellipsis``, which stands for the trailing block axis: a
-    gate that fixes every qubit axis still yields a view rather than a scalar
-    copy.
+    control axis to 1 and the target axis to 0 or 1.  Each ends with
+    ``Ellipsis``, which stands for the trailing block axis: a gate that fixes
+    every qubit axis still yields a view rather than a scalar copy.
     """
     fixed = {q: (1, 1) for q in controls}
-    if partner is not None:
-        fixed[partner] = (1, 0)
     fixed[target] = (0, 1)
     shape, lo, hi = [], [], []
     top = n_qubits
@@ -194,18 +207,22 @@ def _rotate_pairs(a0: np.ndarray, a1: np.ndarray, gate: Gate) -> None:
 _FOLD_BYTES = 64
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
+def apply_gate(state: StateVector | SparseState, gate: Gate) -> StateVector | SparseState:
     """Apply one gate in place (exact unitary action) and return the state.
 
-    A real (float32 or float64) state takes only the kinds in ``_REAL_KINDS``;
-    any other kind raises :class:`ValueError` rather than drop its imaginary
-    part.
+    A :class:`SparseState` goes to :func:`_apply_sparse`, a
+    :class:`StateVector` to the strided-view kernel.  A float64 state takes
+    only the kinds in ``_REAL_KINDS``; any other kind raises
+    :class:`ValueError` rather than drop its imaginary part.
     """
     if max(gate.qubits) >= state.n_qubits:
         raise ValueError(f"gate {gate} exceeds state width {state.n_qubits}")
     amp, kind = state.amplitudes, gate.kind
-    if not np.iscomplexobj(amp) and kind not in _REAL_KINDS:
+    if kind not in _REAL_KINDS and not np.iscomplexobj(amp):
         raise ValueError(f"{kind} has a complex matrix and cannot act on a {amp.dtype} state")
+    if isinstance(state, SparseState):
+        _apply_sparse(state, gate)
+        return state
     n, controls, target = state.n_qubits, gate.controls, gate.target
     if kind in _X_KINDS:
         # the qubits below the lowest operand index one run of
@@ -227,6 +244,57 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     else:
         _rotate_pairs(a0, a1, gate)
     return state
+
+
+def _mask(qubits) -> int:
+    """The basis-index bits of ``qubits``."""
+    return sum(1 << q for q in qubits)
+
+
+def _apply_sparse(state: SparseState, gate: Gate) -> None:
+    """:func:`apply_gate` on a sparse state.
+
+    A 2x2 gate applies its matrix through :func:`_rotate_pairs` to each pair
+    of entries that differ only in the target bit and have every control set,
+    so each output is the same two products as the dense kernel's.  When every
+    such entry has its partner, in the same order, it rotates them in place
+    and keeps any zero it makes.  Entries sorted by index are in that order
+    for every gate whose pairs are all present, and the paper's circuits keep
+    them so: an uncontrolled X flips one bit of every index, which keeps each
+    gate's pairs in order, a Dicke block's CX keeps its rotation's pairs in
+    order, and an oracle's uncompute puts every index back.  Otherwise it
+    pairs the entries by their index with the target bit cleared, a missing
+    partner standing for a zero, drops the exact zeros and sorts the entries
+    by index.
+    """
+    idx, amp, kind = state.index, state.amplitudes, gate.kind
+    if kind in _Z_KINDS:
+        mask = _mask(gate.qubits)
+        np.multiply(amp, -1.0, out=amp, where=(idx & mask) == mask)
+        return
+    c, t = _mask(gate.controls), 1 << gate.target
+    if kind in _X_KINDS:
+        idx ^= ((idx & c) == c) * t
+        return
+    sel = idx & (c | t)
+    p0, p1 = np.flatnonzero(sel == c), np.flatnonzero(sel == c | t)
+    i0, i1 = idx[p0], idx[p1]
+    if len(p0) == len(p1) and np.array_equal(i0 | t, i1):
+        a0, a1 = amp[p0], amp[p1]
+        _rotate_pairs(a0, a1, gate)
+        amp[p0], amp[p1] = a0, a1
+        return
+    keys, slot = np.unique(np.concatenate((i0, i1 ^ t)), return_inverse=True)
+    pairs = np.zeros_like(amp, shape=(2, len(keys)))
+    pairs[0, slot[:len(p0)]] = amp[p0]
+    pairs[1, slot[len(p0):]] = amp[p1]
+    _rotate_pairs(pairs[0], pairs[1], gate)
+    rest = (sel | t) != (c | t)  # a control is not set
+    idx = np.concatenate((idx[rest], keys, keys | t))
+    amp = np.concatenate((amp[rest], pairs.reshape(-1)))
+    kept = np.flatnonzero(amp)
+    order = kept[np.argsort(idx[kept])]
+    state.index, state.amplitudes = idx[order], amp[order]
 
 
 def statevector(circuit: Circuit, initial: int = 0) -> StateVector:
@@ -295,156 +363,6 @@ def _histogram(shots: int, n_bits: int, drawn: np.ndarray) -> MeasurementHistogr
     return MeasurementHistogram(shots, n_bits, counts)
 
 
-def _keep_on_heap(nbytes: int) -> None:
-    """Have glibc serve requests below ``nbytes`` from its heap from now on.
-
-    Freeing a mapped chunk raises glibc's mmap threshold to that chunk's size
-    (and its trim threshold to twice it), so this maps and frees one array of
-    ``nbytes``.  Below the threshold, the temporaries a gate makes are reused
-    heap memory; above it, each is mapped, faulted in page by page and
-    unmapped again.  The thresholds only rise, and other allocators merely
-    allocate and free the array.
-    """
-    np.empty(nbytes, dtype=np.uint8)
-
-
-#: float32 holds every integer up to 2**24 exactly, so labels ``1 .. 2**m`` of a
-#: low block of at most 24 qubits are pushed in half the bytes of float64.
-_FLOAT32_LABEL_QUBITS = 24
-
-
-def _mirror_half(run: tuple[Gate, ...]) -> int | None:
-    """The largest ``h`` for which ``run`` is its first ``h`` gates, then only
-    Z-type gates, then the first ``h`` in reverse; ``None`` if there is none.
-
-    Every X/Z-type gate is its own inverse, so such a run is ``A^-1 · M · A``
-    with ``M`` diagonal: it is diagonal too.  A smaller ``h`` leaves a longer
-    centre, so when the largest ``h`` leaves a gate that is not Z-type in the
-    centre, every ``h`` does.
-    """
-    h, last = 0, len(run) - 1
-    while h < last - h and run[h] == run[last - h]:
-        h += 1
-    if all(gate.kind in _Z_KINDS for gate in run[h:len(run) - h]):
-        return h
-    return None
-
-
-def _signed_gather(run: tuple[Gate, ...], width: int, m: int):
-    """A classical run's action on the low block ``[0, m)``, as ``(source, sign)``.
-
-    Labels ``1 .. 2**m`` are placed at indices ``[:2**m]`` (every qubit from
-    ``m`` up is 0) of a ``width``-qubit state, and the run is applied to them
-    through :func:`apply_gate`.  ``width`` is at least ``m`` and covers every
-    qubit the run touches; a run inside the block is evaluated at ``m`` and
-    cannot leave it.  The labels are real integers, so they sit on a float32
-    state when ``m <= 24``, where float32 holds each of them exactly, and on
-    a float64 state otherwise.  X/Z-type gates permute basis states and flip
-    signs, so slot ``i`` ends up holding ``sign[i] * (source[i] + 1)``.
-    Returns ``None`` when a label left the low block, that is when the run
-    leaves a qubit at ``m`` or above set.
-
-    A mirrored run (:func:`_mirror_half`), ``A^-1 · M · A``, is diagonal, so
-    its source is ``Ellipsis``, the identity.  Its labels go through the
-    X-type gates of ``A`` and the Z-type centre ``M`` only: label ``i`` takes
-    the sign ``M`` gives the slot ``A`` moved it to, as ``A^-1`` moves it
-    back and undoes the signs of ``A``'s Z-type gates.
-    """
-    size = 1 << m
-    dtype = np.float32 if m <= _FLOAT32_LABEL_QUBITS else np.float64
-    labels = StateVector.zero(width, dtype)  # its 1 at index 0 is relabelled
-    # an X on a high qubit copies half the labels
-    _keep_on_heap((labels.amplitudes.nbytes >> 1) + 4096)
-    labels.amplitudes[:size] = np.arange(1, size + 1)
-    h = _mirror_half(run)
-    if h is None:
-        for gate in run:
-            apply_gate(labels, gate)
-        landed = labels.amplitudes[:size]
-        if np.count_nonzero(landed) < size:
-            return None
-        return np.abs(landed).astype(np.intp) - 1, np.sign(landed)
-    half = (gate for gate in run[:h] if gate.kind in _X_KINDS)  # A^-1 undoes A's signs
-    for gate in (*half, *run[h:len(run) - h]):
-        apply_gate(labels, gate)
-    held = labels.amplitudes[labels.amplitudes != 0]  # the labels, in slot order
-    sign = np.empty(size, dtype)
-    sign[np.abs(held).astype(np.intp) - 1] = np.sign(held)
-    return Ellipsis, sign
-
-
-def _is_sandwich(cx: Gate, rotation: Gate, after: Gate) -> bool:
-    """Whether the three gates are ``CX(c -> t), G, CX(c -> t)`` with ``G`` a CRY
-    or CCRY on target ``c`` that ``t`` controls (a Dicke preparation block)."""
-    return (cx.kind == "CX" and after == cx and rotation.kind in ("CRY", "CCRY")
-            and rotation.target == cx.controls[0] and cx.target in rotation.controls)
-
-
-def _units(ops):
-    """``ops`` cut into tuples of gates: each sandwich (:func:`_is_sandwich`),
-    matched from the left, and every other gate on its own."""
-    window = []
-    for gate in ops:
-        window.append(gate)
-        if len(window) == 3:
-            if _is_sandwich(*window):
-                yield tuple(window)
-                window.clear()
-            else:
-                yield (window.pop(0),)
-    yield from ((gate,) for gate in window)
-
-
-def _apply_sandwich(state: StateVector, cx: Gate, rotation: Gate) -> None:
-    """``CX(c -> t) · G · CX(c -> t)`` in one pass, in place.
-
-    The CXs swap (c=1, t=0) with (c=1, t=1) before and after ``G``, so the
-    sandwich mixes the pairs (c=0, t=1) and (c=1, t=0) with G's matrix where
-    G's other controls are 1, and leaves every other amplitude alone.  Each
-    output is the same two products on the same two values as gate by gate,
-    so the result is the same bit for bit.
-    """
-    c, t = cx.qubits
-    others = tuple(q for q in rotation.controls if q != t)
-    shape, lo, hi = _pair_views(state.n_qubits, others, c, t)
-    view = state.amplitudes.reshape((*shape, -1))
-    _rotate_pairs(view[lo], view[hi], rotation)
-
-
-def _low_register_state(circuit: Circuit, m: int) -> StateVector | None:
-    """Run ``circuit`` on the low qubit block ``[0, m)``, or ``None`` if it cannot be.
-
-    Sandwiches are matched first (:func:`_units`).  Every maximal X/Z-type
-    run of the other gates is applied whole as one signed gather of the
-    ``2**m`` amplitudes, evaluated once per distinct run by label at width
-    ``max(m, 1 + the highest qubit it touches)`` (:func:`_signed_gather`).
-    Every other unit runs at width ``m``, through :func:`_apply_sandwich` or
-    :func:`apply_gate`.  The amplitudes have the circuit's
-    :func:`_amplitude_dtype`.
-    """
-    state = StateVector.zero(m, _amplitude_dtype(circuit.ops))
-    gathers = {}
-    for classical, units in groupby(_units(circuit.ops), key=lambda unit: all(
-            gate.kind in _CLASSICAL_KINDS for gate in unit)):
-        units = tuple(units)
-        if not classical:
-            for unit in units:
-                if len(unit) == 3:
-                    _apply_sandwich(state, *unit[:2])
-                else:
-                    apply_gate(state, unit[0])
-            continue
-        run = tuple(gate for (gate,) in units)  # a sandwich is never X/Z-type
-        if run not in gathers:
-            width = max(m, 1 + max(q for gate in run for q in gate.qubits))
-            gathers[run] = _signed_gather(run, width, m)
-        if gathers[run] is None:
-            return None
-        source, sign = gathers[run]
-        state.amplitudes = state.amplitudes[source] * sign  # a view if source is Ellipsis
-    return state
-
-
 def _measured_qubits(measure: list[int] | None, n_qubits: int) -> list[int]:
     """``measure`` in ascending order, or every qubit when it is ``None``.
 
@@ -473,41 +391,40 @@ def run_ideal(circuit: Circuit, shots: int, seed: int,
 
     ``measure`` defaults to all qubits; pass the node register to read out a
     Grover result.  An empty list, a qubit outside the circuit or one listed
-    twice raises :class:`ValueError` before anything runs.  Returns a
+    twice raises :class:`ValueError` before anything runs, and so does a
+    circuit wider than the 63 qubits an int64 basis index holds.  Returns a
     :class:`MeasurementHistogram`, or a ``(histogram, state)`` pair when
     ``return_state`` is set.
 
-    Only the low block of qubits ``[0, m)`` is simulated, where ``m - 1`` is
-    the highest qubit that is measured or that a gate other than an X/Z-type
-    one touches.  The qubits from ``m`` up are touched only by X/Z-type gates,
-    which permute basis states and flip signs.  Sandwiches are matched first
-    (see :func:`_apply_sandwich`); every X/Z-type run is evaluated whole,
-    once, by label at the width it touches (see :func:`_signed_gather`),
-    and applied to the ``2**m`` low amplitudes as a gather and a sign, or as
-    the sign alone when it is a mirror (the oracle's compute, phase flip and
-    uncompute).  If a run leaves a high qubit set, the circuit runs again with
-    ``m = n``.  Either way the amplitudes with every high qubit 0 equal the
-    full kernel's in value, though a zero may carry the other sign; the
-    marginals and the histogram are the same bytes when every qubit below
-    ``m`` is measured (each marginal then has one nonzero term).  The block
-    has the circuit's :func:`_amplitude_dtype`.  The returned state is full
-    width and complex128, with the low amplitudes at ``[:2**m]`` and +0.0
-    elsewhere, where the full kernel may leave -0.0; so are the imaginary
-    parts of a real circuit run again at ``m = n``.
+    The circuit runs gate by gate on a :class:`SparseState` of the circuit's
+    :func:`_amplitude_dtype`, so its cost follows the number of basis states
+    with a nonzero amplitude rather than ``2**n``.  Its amplitudes equal the
+    full kernel's in value.  For the marginals they are scattered into a
+    dense block of the low qubits ``[0, m)``, ``m - 1`` the highest qubit that
+    is measured or that a gate other than an X/Z-type one touches (every
+    qubit if an index has a bit from ``m`` up set), and summed as
+    :func:`marginal_probabilities` sums any state, so the marginals and the
+    histogram are the same bytes as the full kernel's when every qubit below
+    ``m`` is measured (each marginal then has one nonzero term).  The
+    returned state is full width and complex128, with +0.0 at every index the
+    sparse state does not list, where the full kernel may leave -0.0.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     n = circuit.n_qubits
     qubits = _measured_qubits(measure, n)
+    if n > _MAX_INDEX_QUBITS:
+        raise ValueError(f"cannot run a {n}-qubit circuit: a basis index is an int64, "
+                         f"which holds at most {_MAX_INDEX_QUBITS} qubits")
+    state = SparseState.basis(n, 0, _amplitude_dtype(circuit.ops))
+    for gate in circuit.ops:
+        apply_gate(state, gate)
     m = 1 + max({q for g in circuit.ops if g.kind not in _CLASSICAL_KINDS for q in g.qubits}
                 | set(qubits))
-    low = _low_register_state(circuit, m)
-    if low is None:  # a run left a high qubit set
-        low = _low_register_state(circuit, n)
-    probs = marginal_probabilities(low, qubits)
+    if np.any(state.index >> m):
+        m = n
+    probs = marginal_probabilities(state.dense(m, state.amplitudes.dtype), qubits)
     hist = sample_histogram(probs, shots, np.random.default_rng(seed), len(qubits))
     if not return_state:
         return hist
-    state = StateVector.zero(n)  # its 1 at index 0 is overwritten
-    state.amplitudes[:1 << low.n_qubits] = low.amplitudes
-    return hist, state
+    return hist, state.dense(n)

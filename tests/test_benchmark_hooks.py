@@ -64,9 +64,9 @@ def test_tracer_hooks_record_their_spans(g4):
         assert not hasattr(fn, "__wrapped__")
 
 
-def _traced_ideal_dicke20(monkeypatch):
-    """The benchmark's ``COMMON_KINDS`` and the tracer of one ``run_ideal`` on the
-    ``ideal_dicke20`` circuit (workload seed 12)."""
+def _ideal_dicke20(monkeypatch):
+    """The benchmark's ``passes`` module and the ``ideal_dicke20`` circuit
+    (workload seed 12)."""
     # passes.py puts src/ and perfbench/ on sys.path to import its workloads
     monkeypatch.setattr(sys, "path", list(sys.path))
     passes, workloads = load_perfbench("passes"), load_perfbench("workloads")
@@ -74,26 +74,48 @@ def _traced_ideal_dicke20(monkeypatch):
     n, edges = workloads.graph_edges(spec, 12)
     circ = grover.assemble(graph.parse_edge_list(workloads.graph_text(n, edges)), spec["k"],
                            spec["prep"], spec["oracle"])
+    return passes, circ
+
+
+def _traced_ideal_dicke20(monkeypatch):
+    """``_ideal_dicke20`` and the tracer of one ``run_ideal`` on the circuit."""
+    passes, circ = _ideal_dicke20(monkeypatch)
     tracing = load_perfbench("tracing")
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
-        sim.run_ideal(circ, shots=16, seed=1, measure=list(range(n)))
-    return passes.COMMON_KINDS, tracer
+        sim.run_ideal(circ, shots=16, seed=1, measure=list(range(16)))
+    return passes, circ, tracer
 
 
 def test_an_ideal_run_opens_every_gate_span_the_benchmark_reads(monkeypatch):
-    common_kinds, tracer = _traced_ideal_dicke20(monkeypatch)
+    passes, _, tracer = _traced_ideal_dicke20(monkeypatch)
     # `--trace 1` reads one span per kind in COMMON_KINDS and raises KeyError
     # on a kind that no longer reaches the gate kernel
-    assert {"sim.apply_gate." + kind for kind in common_kinds} <= set(tracer.spans)
+    assert {"sim.apply_gate." + kind for kind in passes.COMMON_KINDS} <= set(tracer.spans)
 
 
 def test_an_ideal_run_makes_the_gate_calls_the_benchmark_reads(monkeypatch):
-    _, tracer = _traced_ideal_dicke20(monkeypatch)
-    # every call pushes labels through an X/Z-type run, each distinct run once:
-    # the preparation's 3 X seeds and the diffusion's 38 X and its MCZ at the 16
-    # nodes, and the oracle's first half and its Z (a mirror) at 20 qubits; the
-    # Dicke rotations are fused and never reach the kernel
+    _, circ, tracer = _traced_ideal_dicke20(monkeypatch)
+    # every gate of the circuit is one call on the sparse state
     calls = {name.removeprefix("sim.apply_gate."): span.count
              for name, span in tracer.spans.items() if name.startswith("sim.apply_gate.")}
-    assert calls == {"CCX": 43, "CX": 1, "MCX": 42, "MCZ": 1, "X": 41, "Z": 1}
+    assert calls == circ.metrics().counts
+    assert calls == {"CCX": 258, "CCRY": 189, "CRY": 105, "CX": 594, "MCX": 252, "MCZ": 3,
+                     "X": 117, "Z": 3}
+
+
+def test_the_layer_metrics_of_a_traced_ideal_run_read_every_gate_kind(monkeypatch):
+    passes, circ = _ideal_dicke20(monkeypatch)
+    tracing = load_perfbench("tracing")
+    tracer = tracing.Tracer()
+    # one traced ideal_dicke20 pass as `perfbench/run.py --trace 1` runs it,
+    # probes included; layer_metrics indexes a gate span per COMMON_KINDS kind
+    with tracing.installed(tracer):
+        out = passes.run_pass("ideal_dicke20", 12, 1, 1, False, tracer)
+    layers = out["layers"]
+    counts = circ.metrics().counts
+    for kind in passes.COMMON_KINDS:
+        assert layers[f"sim.apply_gate_calls.{kind}"] == counts[kind]
+        assert layers[f"sim.apply_gate_us.{kind}"] > 0
+    assert layers["sim.apply_gate_calls.other"] == counts["CRY"] + counts["CCRY"]
+    assert [op.get("error") for op in out["ops"]] == [None]

@@ -435,6 +435,16 @@ def test_state_too_wide_is_an_error_line(monkeypatch, capsys):
     assert err == f"error: cannot allocate a 4-qubit state: {8 << 4} bytes requested\n"
 
 
+def test_a_circuit_wider_than_an_int64_index_is_an_error_line(tmp_path, capsys):
+    # a path on 64 nodes: its k = 2 Dicke search assembles to 67 qubits
+    path = tmp_path / "path64.txt"
+    path.write_text("64 63\n" + "".join(f"{u} {u + 1}\n" for u in range(63)), encoding="utf-8")
+    code, out, err = run_cli(capsys, "solve", "--graph", str(path), "--k", "2", "--prep", "dicke")
+    assert code == 1 and out == ""
+    assert err == ("error: cannot run a 67-qubit circuit: a basis index is an int64, "
+                   "which holds at most 63 qubits\n")
+
+
 def test_output_file_and_determinism(tmp_path, capsys):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     for path in (out1, out2):

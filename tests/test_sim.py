@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -13,11 +14,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qclique import sim
-from qclique.circuit import Circuit, Gate, decompose_mc
-from qclique.graph import builtin_graph
-from qclique.grover import assemble
+from qclique.circuit import GATE_KINDS, Circuit, Gate, decompose_mc
+from qclique.graph import builtin_graph, parse_edge_list
+from qclique.grover import assemble, build_oracle, make_plan
 from qclique.sim import (
     MeasurementHistogram,
+    SparseState,
     StateVector,
     apply_gate,
     bitstring,
@@ -26,6 +28,7 @@ from qclique.sim import (
     sample_histogram,
     statevector,
 )
+from qclique.stateprep import prepare_state
 from helpers import dense_unitary, gates_on
 from test_circuit import random_circuit
 
@@ -279,7 +282,7 @@ def test_marginal_probabilities_on_a_block_matches_each_column_property(data):
         assert np.array_equal(marginals[:, column], one)
 
 
-# -- ideal runs on the low qubit block against the full kernel ------------------
+# -- ideal runs on the sparse state against the full kernel --------------------
 
 def _assert_same_as_full_kernel(circ: Circuit, measure: list[int], shots: int = 256,
                                 seed: int = 7) -> tuple[StateVector, StateVector]:
@@ -316,33 +319,64 @@ def test_run_ideal_on_the_kept_register_equals_the_full_kernel(graph, k, prep, s
     assert state.amplitudes[node_slice].tobytes() == full.amplitudes[node_slice].tobytes()
 
 
-def _gate_widths(monkeypatch) -> list[int]:
-    """The state width of every ``apply_gate`` call ``run_ideal`` makes from now on."""
-    widths = []
+def _gate_calls(monkeypatch) -> list[tuple[type, int, type, str]]:
+    """State type, width, scalar type and gate kind of every ``apply_gate`` call
+    from now on."""
+    calls = []
     kernel = sim.apply_gate
-    monkeypatch.setattr(sim, "apply_gate",
-                        lambda state, gate: widths.append(state.n_qubits) or kernel(state, gate))
-    return widths
+    monkeypatch.setattr(sim, "apply_gate", lambda state, gate: calls.append(
+        (type(state), state.n_qubits, state.amplitudes.dtype.type, gate.kind))
+        or kernel(state, gate))
+    return calls
+
+
+def _marginal_blocks(monkeypatch) -> list[tuple[int, type]]:
+    """Width and scalar type of the state of every ``marginal_probabilities`` call
+    ``run_ideal`` makes from now on."""
+    blocks = []
+    marginal = sim.marginal_probabilities
+    monkeypatch.setattr(sim, "marginal_probabilities", lambda state, qubits: blocks.append(
+        (state.n_qubits, state.amplitudes.dtype.type)) or marginal(state, qubits))
+    return blocks
+
+
+def _rotation_paths(monkeypatch) -> list[tuple[str, bool]]:
+    """Kind of every 2x2 gate applied to a sparse state from now on, and whether
+    it rotated the entries in place (the same index array, no entry added)."""
+    paths = []
+    sparse = sim._apply_sparse
+
+    def traced(state, gate):
+        index = state.index
+        sparse(state, gate)
+        if gate.kind not in CLASSICAL_KINDS:
+            paths.append((gate.kind, state.index is index))
+
+    monkeypatch.setattr(sim, "_apply_sparse", traced)
+    return paths
 
 
 def test_run_ideal_falls_back_when_a_work_qubit_is_left_set(monkeypatch):
     circ = Circuit(3, ops=[Gate("H", (0,)), Gate("CX", (0, 2)), Gate("H", (1,))])
-    widths = _gate_widths(monkeypatch)
+    calls, blocks = _gate_calls(monkeypatch), _marginal_blocks(monkeypatch)
     hist = run_ideal(circ, shots=400, seed=3, measure=[0, 1])
-    # H on the low pair, the CX by label (qubit 2 is left set), then all three at full width
-    assert widths == [2, 3, 3, 3, 3]
+    # each gate once on the sparse state; the CX leaves qubit 2 set, so the
+    # marginals are summed over a block of all three qubits, not of [0, 2)
+    assert calls == [(SparseState, 3, np.float64, gate.kind) for gate in circ.ops]
+    assert blocks == [(3, np.float64)]
     assert set(hist.counts) == {"00", "01", "10", "11"}
     _assert_same_as_full_kernel(circ, [0, 1])
 
 
 def test_run_ideal_simulates_every_qubit_when_the_highest_is_measured(monkeypatch):
-    # qubit 3 is touched only by X, but measured: the low block is all four
-    # qubits, so every gate runs at width 4 and nothing goes by label
+    # qubit 3 is touched only by X, but measured: the marginal block is all four
+    # qubits
     circ = Circuit(4, ops=[Gate("H", (0,)), Gate("CX", (0, 2)), Gate("X", (3,)),
                            Gate("CX", (0, 2))])
-    widths = _gate_widths(monkeypatch)
+    calls, blocks = _gate_calls(monkeypatch), _marginal_blocks(monkeypatch)
     hist = run_ideal(circ, shots=200, seed=11, measure=[0, 3])
-    assert widths == [4, 4, 4, 4]
+    assert calls == [(SparseState, 4, np.float64, gate.kind) for gate in circ.ops]
+    assert blocks == [(4, np.float64)]
     assert set(hist.counts) == {"10", "11"}
     _assert_same_as_full_kernel(circ, [0, 3])
 
@@ -350,11 +384,12 @@ def test_run_ideal_simulates_every_qubit_when_the_highest_is_measured(monkeypatc
 def test_run_ideal_applies_a_run_that_returns_its_work_qubit_with_a_sign(monkeypatch):
     signed = [Gate("CX", (0, 2)), Gate("Z", (2,)), Gate("CX", (0, 2))]  # Z on qubit 0
     circ = Circuit(3, ops=[Gate("H", (0,)), Gate("H", (1,)), *signed, Gate("H", (0,)), *signed])
-    widths = _gate_widths(monkeypatch)
+    calls, blocks = _gate_calls(monkeypatch), _marginal_blocks(monkeypatch)
     hist, state = run_ideal(circ, shots=64, seed=5, measure=[0, 1], return_state=True)
-    # two H on the low pair, the run by label once, the last H; the repeated run is
-    # reused, and as a mirror its labels go through the first CX and the Z only
-    assert widths == [2, 2, 3, 3, 2]
+    # every gate once, both runs included; the work qubit ends at 0, so the
+    # marginal block is the measured pair
+    assert calls == [(SparseState, 3, np.float64, gate.kind) for gate in circ.ops]
+    assert blocks == [(2, np.float64)]
     # H Z H = X, then Z: qubit 0 reads 1 with amplitude -1/sqrt(2) on either value of qubit 1
     assert set(hist.counts) <= {"01", "11"}
     assert np.allclose(state.amplitudes, [0, -0.5 ** 0.5, 0, -0.5 ** 0.5, 0, 0, 0, 0], atol=1e-12)
@@ -429,15 +464,6 @@ def test_amplitude_dtype_is_complex_exactly_when_a_gate_is_u3_or_u2_property(dat
     assert sim._amplitude_dtype(gates) is (np.complex128 if complex_ else np.float64)
 
 
-def _gate_dtypes(monkeypatch) -> list[tuple[int, type]]:
-    """Width and scalar type of the state of every ``apply_gate`` call from now on."""
-    calls = []
-    kernel = sim.apply_gate
-    monkeypatch.setattr(sim, "apply_gate", lambda state, gate: calls.append(
-        (state.n_qubits, state.amplitudes.dtype.type)) or kernel(state, gate))
-    return calls
-
-
 @pytest.mark.parametrize("graph, k, prep, style", BUNDLED_CONFIGURATIONS,
                          ids=lambda value: str(value))
 def test_ideal_runs_are_float64_until_lowering_adds_u3(graph, k, prep, style, monkeypatch):
@@ -447,32 +473,22 @@ def test_ideal_runs_are_float64_until_lowering_adds_u3(graph, k, prep, style, mo
     assert sim._amplitude_dtype(circ.ops) is np.float64
     assert sim._amplitude_dtype(lowered.ops) is np.complex128
     nodes = list(range(g.n))
-    calls = _gate_dtypes(monkeypatch)
-    kinds = _gate_kinds(monkeypatch)  # recorded for the same calls
-
-    def split() -> tuple[set, set]:
-        """(width, dtype) of the X/Z-type calls and of the others since the last split."""
-        assert len(calls) == len(kinds)
-        labels = {call for call, (_, kind) in zip(calls, kinds) if kind in CLASSICAL_KINDS}
-        others = {call for call, (_, kind) in zip(calls, kinds) if kind not in CLASSICAL_KINDS}
-        calls.clear()
-        kinds.clear()
-        return labels, others
-
+    calls, blocks = _gate_calls(monkeypatch), _marginal_blocks(monkeypatch)
     _, state = run_ideal(circ, shots=16, seed=1, measure=nodes, return_state=True)
-    labels, others = split()
-    # every X/Z-type run by label on float32, at the width it touches: the
-    # diffusion's at the nodes, the oracle's at full width; every other gate
-    # on the node register (the low block is exactly the nodes) on float64,
-    # and none at all under a Dicke preparation, whose rotations are fused
-    assert labels == {(g.n, np.float32), (circ.n_qubits, np.float32)}
-    assert others == (set() if prep == "dicke" else {(g.n, np.float64)})
+    # every gate once, on a float64 sparse state of the full width; the
+    # marginals are summed over the node register, on float64
+    assert calls == [(SparseState, circ.n_qubits, np.float64, gate.kind) for gate in circ.ops]
+    assert blocks == [(g.n, np.float64)]
     assert state.amplitudes.dtype == np.complex128
+    calls.clear()
+    blocks.clear()
     _, state = run_ideal(lowered, shots=16, seed=1, measure=nodes, return_state=True)
-    labels, others = split()
-    assert {dtype for _, dtype in labels} == {np.float32}
-    assert {dtype for _, dtype in others} == {np.complex128}
-    assert max(width for width, _ in others) < lowered.n_qubits
+    # the lowered oracle's U3 gates make the amplitudes complex and widen the
+    # marginal block past the nodes
+    assert calls == [(SparseState, lowered.n_qubits, np.complex128, gate.kind)
+                     for gate in lowered.ops]
+    [(width, dtype)] = blocks
+    assert g.n < width < lowered.n_qubits and dtype is np.complex128
     assert state.amplitudes.dtype == np.complex128
 
 
@@ -483,17 +499,32 @@ def test_no_x_z_type_gate_reaches_the_kernel_on_the_blocks_dtype(graph, k, prep,
     g = builtin_graph(graph)
     circ = assemble(g, k, prep, style)
     circuits = [circ] + [lowered for lowered in [decompose_mc(circ)] if lowered.n_qubits <= 16]
-    calls = _gate_dtypes(monkeypatch)
-    kinds = _gate_kinds(monkeypatch)  # recorded for the same calls
+    kernel = sim.apply_gate
+    seen = []
+
+    def checked(state, gate):
+        # no gate of an ideal run reaches the dense kernel; an X/Z-type gate is a
+        # signed permutation of the sparse entries: X-type gates move indices
+        # only and Z-type gates flip signs only, both in place
+        assert isinstance(state, SparseState)
+        index, amp = state.index, state.amplitudes
+        before = index.copy(), amp.copy()
+        kernel(state, gate)
+        if gate.kind in CLASSICAL_KINDS:
+            assert state.index is index and state.amplitudes is amp
+            if gate.kind in sim._Z_KINDS:
+                assert np.array_equal(index, before[0])
+                assert np.array_equal(np.abs(amp), np.abs(before[1]))
+            else:
+                assert amp.tobytes() == before[1].tobytes()
+            seen.append(gate.kind)
+        return state
+
+    monkeypatch.setattr(sim, "apply_gate", checked)
     for circuit in circuits:
-        calls.clear()
-        kinds.clear()
+        seen.clear()
         run_ideal(circuit, shots=16, seed=1, measure=list(range(g.n)))
-        # an X/Z-type gate reaches the kernel only on a float32 label state,
-        # never on the block's float64 or complex128 amplitudes
-        assert len(calls) == len(kinds)
-        dtypes = {dtype for (_, dtype), (_, kind) in zip(calls, kinds) if kind in CLASSICAL_KINDS}
-        assert dtypes == {np.float32} and sim._amplitude_dtype(circuit.ops) not in dtypes
+        assert seen == [gate.kind for gate in circuit.ops if gate.kind in CLASSICAL_KINDS]
 
 
 @given(st.data())
@@ -511,15 +542,15 @@ def test_run_ideal_on_a_lowered_circuit_equals_the_full_kernel(graph, k, prep, s
                                                                monkeypatch):
     g = builtin_graph(graph)
     lowered = decompose_mc(assemble(g, k, prep, style))
-    calls = _gate_dtypes(monkeypatch)
+    calls = _gate_calls(monkeypatch)
     _assert_same_as_full_kernel(lowered, list(range(g.n)))
-    # statevector's calls come last, one per gate at full width
-    ideal, reference = calls[:-len(lowered.ops)], calls[-len(lowered.ops):]
-    assert set(reference) == {(lowered.n_qubits, np.complex128)}
-    # the lowered oracle's U3 gates widen the low block past the nodes, but no
-    # run leaves a qubit above it set: the full width is reached only by labels
-    assert (lowered.n_qubits, np.complex128) not in ideal
-    assert {dtype for width, dtype in ideal if width == lowered.n_qubits} == {np.float32}
+    # run_ideal applies each gate once to a complex128 sparse state;
+    # statevector's calls come last, one per gate on the dense state
+    ideal, reference = calls[:len(lowered.ops)], calls[len(lowered.ops):]
+    assert ideal == [(SparseState, lowered.n_qubits, np.complex128, gate.kind)
+                     for gate in lowered.ops]
+    assert reference == [(StateVector, lowered.n_qubits, np.complex128, gate.kind)
+                         for gate in lowered.ops]
 
 
 # -- X/Z-type gates against an index reference; short runs folded --------------
@@ -642,7 +673,7 @@ def test_folded_gates_write_through_non_contiguous_amplitudes(layout, monkeypatc
     assert np.array_equal(amp, contiguous)
 
 
-# -- the label pass against an integer walk of basis indices --------------------
+# -- X/Z-type runs on the sparse state against an integer walk ------------------
 
 @given(st.data())
 def test_signed_gather_matches_an_integer_walk_property(data):
@@ -659,36 +690,35 @@ def test_signed_gather_matches_an_integer_walk_property(data):
     else:
         run = data.draw(classical, label="run")
     dest, sign = _integer_walk(run, m)
-    gathered = sim._signed_gather(tuple(run), n, m)
-    if np.any(dest >> m):  # a label left the low block
-        assert gathered is None
-        return
-    source, expected_sign = np.empty(1 << m, dtype=np.intp), np.empty(1 << m)
-    source[dest], expected_sign[dest] = np.arange(1 << m), sign
-    assert gathered is not None
-    # a mirrored run gives its identity source as Ellipsis
-    assert np.array_equal(np.arange(1 << m) if gathered[0] is Ellipsis else gathered[0], source)
-    assert np.array_equal(gathered[1], expected_sign)
+    # labels 1 .. 2**m on the indices below 2**m, as a sparse state of every qubit
+    labels = np.arange(1.0, (1 << m) + 1)
+    state = SparseState(n, np.arange(1 << m, dtype=np.int64), labels.copy())
+    for gate in run:
+        apply_gate(state, gate)
+    # entry i still holds label i + 1, now at the index the walk sends i to and
+    # with its sign, also where the run leaves a qubit from m up set
+    assert np.array_equal(state.index, dest)
+    assert np.array_equal(state.amplitudes, sign * labels)
 
 
 @pytest.mark.parametrize("m, dtype", [(24, np.float32), (25, np.float64)])
 def test_labels_are_float32_while_it_holds_every_label(m, dtype, monkeypatch):
-    # labels run 1 .. 2**m; float32 holds 2**24 but not 2**24 + 1
-    assert int(np.float32(2**24)) == 2**24 and int(np.float32(2**24 + 1)) != 2**24 + 1
+    # a run that takes qubit m to 1 and back: every basis index is an int64, so
+    # no (m+1)-qubit state is allocated, float32 or float64; the one dense
+    # allocation is the marginal block of the measured qubit 0
+    allocated = []
+    zero = StateVector.zero
+    monkeypatch.setattr(StateVector, "zero", staticmethod(
+        lambda n_qubits, dtype=np.complex128: allocated.append((n_qubits, dtype))
+        or zero(n_qubits, dtype)))
+    circ = Circuit(m + 1, ops=[Gate("H", (0,)), Gate("CX", (0, m)), Gate("CX", (0, m))])
+    hist = run_ideal(circ, shots=64, seed=1, measure=[0])
+    assert (m + 1, dtype) not in allocated
+    assert allocated == [(1, np.float64)]
+    assert set(hist.counts) == {"0", "1"}
 
-    class Allocated(Exception):
-        pass
 
-    def zero(n_qubits, dtype):  # stands in for the 2**(m+1)-amplitude allocation
-        raise Allocated(n_qubits, dtype)
-
-    monkeypatch.setattr(StateVector, "zero", staticmethod(zero))
-    with pytest.raises(Allocated) as allocated:
-        sim._signed_gather((Gate("X", (m,)),), m + 1, m)
-    assert allocated.value.args == (m + 1, dtype)
-
-
-# -- CX-conjugated controlled rotations, fused in run_ideal ----------------------
+# -- CX-conjugated controlled rotations (Dicke blocks) on the sparse state -------
 
 _ROTATION_ANGLES = st.floats(-2 * math.pi, 2 * math.pi)
 
@@ -737,51 +767,50 @@ def test_fused_sandwiches_equal_the_full_kernel_bit_for_bit_property(data):
     _assert_same_as_full_kernel(Circuit(n, ops=ops), sorted(measure), shots=64)
 
 
-def _gate_kinds(monkeypatch) -> list[tuple[int, str]]:
-    """Width and kind of every ``apply_gate`` call from now on."""
-    calls = []
-    kernel = sim.apply_gate
-    monkeypatch.setattr(sim, "apply_gate", lambda state, gate: calls.append(
-        (state.n_qubits, gate.kind)) or kernel(state, gate))
-    return calls
-
-
 @pytest.mark.parametrize("graph, k", [("g4", 3), ("g6", 3), ("g6", 4)])
 def test_run_ideal_fuses_every_rotation_of_a_dicke_search(graph, k, monkeypatch):
     g = builtin_graph(graph)
     circ = assemble(g, k, "dicke", "checking")
-    assert {"CX", "CRY", "CCRY"} <= {gate.kind for gate in circ.ops if max(gate.qubits) < g.n}
-    calls = _gate_kinds(monkeypatch)
+    prep = prepare_state("dicke", g.n, k)
+    assert {"CX", "CRY", "CCRY"} <= {gate.kind for gate in prep.ops}
+    paths = _rotation_paths(monkeypatch)
     run_ideal(circ, shots=16, seed=1, measure=list(range(g.n)))
-    # the preparation, its adjoint in the diffusion, and the CXs at the oracle's
-    # edges are all sandwiches: no CX, CRY or CCRY reaches the low block's kernel
-    assert not {kind for width, kind in calls if width == g.n} & {"CX", "CRY", "CCRY"}
-    assert (circ.n_qubits, "CCX") in calls  # the oracle still goes by label
+    # the preparation grows the support to C(n, k) entries, sorted by index;
+    # from there on every rotation, in each diffusion's adjoint preparation and
+    # preparation, finds its pairs complete and in order, and rotates in place
+    grown = sum(gate.kind not in CLASSICAL_KINDS for gate in prep.ops)
+    assert len(paths) > grown and not all(in_place for _, in_place in paths[:grown])
+    assert all(in_place for _, in_place in paths[grown:])
 
 
+# planted gates, and whether each of their rotations rotates in place after an
+# H layer on all four qubits: a CX(c -> t) before a rotation on target c that t
+# does not control leaves its pairs out of order
 NEAR_MISSES = {
-    "sandwich": (_sandwich(0, 2, None, 0.7), []),
-    "ccry sandwich": (_sandwich(3, 1, 0, 0.7), []),
+    "sandwich": (_sandwich(0, 2, None, 0.7), [True]),
+    "ccry sandwich": (_sandwich(3, 1, 0, 0.7), [True]),
     "gate between": (_sandwich(0, 2, None, 0.7)[:2] + [Gate("H", (1,))]
-                     + _sandwich(0, 2, None, 0.7)[2:], ["CX", "CRY", "H"]),
+                     + _sandwich(0, 2, None, 0.7)[2:], [True, True]),
     "t not a control": ([Gate("CX", (0, 2)), Gate("CRY", (1, 0), (0.7,)), Gate("CX", (0, 2))],
-                        ["CX", "CRY"]),
+                        [False]),
     "reversed CX": ([Gate("CX", (0, 2)), Gate("CRY", (2, 0), (0.7,)), Gate("CX", (2, 0))],
-                    ["CX", "CRY", "CX"]),
+                    [True]),
     "other target": ([Gate("CX", (0, 2)), Gate("CCRY", (0, 2, 3), (0.7,)), Gate("CX", (0, 2))],
-                     ["CX", "CCRY"]),
+                     [True]),
 }
 
 
 @pytest.mark.parametrize("name", NEAR_MISSES)
 def test_only_sandwiches_skip_the_gate_kernel(name, monkeypatch):
-    planted, expected = NEAR_MISSES[name]
+    planted, in_place = NEAR_MISSES[name]
     circ = Circuit(4, ops=[Gate("H", (q,)) for q in range(4)] + planted)
-    calls = _gate_kinds(monkeypatch)
+    calls, paths = _gate_calls(monkeypatch), _rotation_paths(monkeypatch)
     hist, state = run_ideal(circ, shots=64, seed=2, return_state=True)
-    # an unfused CX is an X/Z-type run, evaluated by label once: a second,
-    # identical CX reuses its signed gather
-    assert calls[:4] == [(4, "H")] * 4 and calls[4:] == [(4, kind) for kind in expected]
+    # no gate skips the kernel, sandwich or near miss: each is applied once to
+    # the sparse state; the H layer grows the support to all 16 indices, sorted
+    assert calls == [(SparseState, 4, np.float64, gate.kind) for gate in circ.ops]
+    rotations = [gate.kind for gate in planted if gate.kind not in CLASSICAL_KINDS]
+    assert paths == [("H", False)] * 4 + list(zip(rotations, in_place))
     full = statevector(circ)
     assert (state.amplitudes + 0.0).tobytes() == (full.amplitudes + 0.0).tobytes()
 
@@ -805,37 +834,37 @@ def test_a_sandwich_that_closes_right_at_a_run_reaching_above_the_block_is_fused
     run = [Gate("CCX", (0, 1, 2)), Gate("Z", (2,)), Gate("CCX", (0, 1, 2))]
     circ = Circuit(3, ops=[Gate("H", (0,)), Gate("RY", (1,), (0.3,)), *_sandwich(0, 1, None, 0.7),
                            *run, *_sandwich(0, 1, None, -0.4)])
-    calls = _gate_kinds(monkeypatch)
+    calls, paths = _gate_calls(monkeypatch), _rotation_paths(monkeypatch)
     run_ideal(circ, shots=16, seed=1, measure=[0, 1])
-    # each sandwich took one pass and the run went by label: no low CX or CRY
-    assert calls == [(2, "H"), (2, "RY"), (3, "CCX"), (3, "Z")]
+    # every gate once; the run takes qubit 2 to 1 and back, so the second
+    # sandwich's rotation, like the first, rotates in place
+    assert calls == [(SparseState, 3, np.float64, gate.kind) for gate in circ.ops]
+    assert paths == [("H", False), ("RY", False), ("CRY", True), ("CRY", True)]
     _assert_same_as_full_kernel(circ, [0, 1], shots=64)
 
 
-def test_pair_views_fix_the_partner_opposite_the_target():
-    # qubits 3 (control), 2 (target) and 0 (partner) of four; qubit 1 untouched
-    shape, lo, hi = sim._pair_views(4, (3,), 2, 0)
-    assert shape == (2, 2, 2, 2)
-    assert lo == (1, 0, slice(None), 1, Ellipsis) and hi == (1, 1, slice(None), 0, Ellipsis)
-
-
-# -- the label pass keeps its gate temporaries on the heap ----------------------
+# -- a cold ideal run keeps its temporaries on the heap --------------------------
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
 def test_a_cold_label_pass_keeps_its_temporaries_on_the_heap():
     # a fresh process, so no earlier test has raised glibc's mmap threshold:
-    # a 4 MiB label state (1,024 pages) and, the run being a mirror, its first
-    # 16 gates and the MCZ with a 0.5-1 MiB temporary each, which faulted in
-    # over 4,300 pages when every temporary was mapped and unmapped again
+    # 65,536 sparse entries (512 KiB of int64 indices, above glibc's default
+    # 128 KiB threshold) through an oracle-shaped run of 33 gates, each with
+    # temporaries as large; mapped and unmapped per gate, they fault in over
+    # 8,000 pages (with MALLOC_MMAP_THRESHOLD_=131072, which fixes the threshold)
     script = (
         "import resource\n"
         "from qclique import sim\n"
-        "from qclique.circuit import Gate\n"
+        "from qclique.circuit import Circuit, Gate\n"
         "compute = ([Gate('CX', (q, 16 + q % 4)) for q in range(8)]\n"
         "           + [Gate('CCX', (q, q + 1, 16 + q % 4)) for q in range(8)])\n"
-        "run = tuple(compute + [Gate('MCZ', (16, 17, 18, 19))] + compute[::-1])\n"
+        "run = compute + [Gate('MCZ', (16, 17, 18, 19))] + compute[::-1]\n"
+        "state = sim.SparseState.basis(20, 0, float)\n"
+        "for q in range(16):\n"
+        "    sim.apply_gate(state, Gate('H', (q,)))\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-        "assert sim._signed_gather(run, 20, 16) is not None\n"
+        "for gate in run:\n"
+        "    sim.apply_gate(state, gate)\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
     src = str(Path(sim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -844,10 +873,23 @@ def test_a_cold_label_pass_keeps_its_temporaries_on_the_heap():
     assert int(done.stdout) < 3072
 
 
-# -- mirrored X/Z-type runs, evaluated from their first half ---------------------
+# -- mirrored X/Z-type runs take every index back to its entry ------------------
 
 MIRROR_CASES = ["mirror", "empty centre", "two-Z centre", "low gates before",
                 "X-type centre", "halves differ"]
+
+
+def _assert_run_is_a_phase(prefix: list[Gate], run, n: int) -> None:
+    """After ``prefix`` on a sparse state, ``run`` leaves every index where it
+    was, in place, and changes amplitudes by their sign only."""
+    state = SparseState.basis(n, 0, np.float64)
+    for gate in prefix:
+        apply_gate(state, gate)
+    index, amp = state.index.copy(), state.amplitudes.copy()
+    for gate in run:
+        apply_gate(state, gate)
+    assert np.array_equal(state.index, index)
+    assert np.array_equal(np.abs(state.amplitudes), np.abs(amp))
 
 
 @given(st.data())
@@ -856,7 +898,7 @@ def test_mirrored_runs_match_the_full_kernel_and_the_gather_property(data):
     m = data.draw(st.integers(1, n - 1), label="m")
     case = data.draw(st.sampled_from(MIRROR_CASES), label="case")
     classical = gates_on(n, CLASSICAL_KINDS)
-    # the first gate takes a label above the block
+    # the first gate takes an index above qubit m
     reach = data.draw(gates_on(n, sim._X_KINDS).filter(lambda g: g.target >= m), label="reach")
     half = [reach] + data.draw(st.lists(classical, max_size=5), label="half")
     sizes = {"empty centre": (0, 0), "two-Z centre": (2, 2)}.get(case, (1, 3))
@@ -870,56 +912,180 @@ def test_mirrored_runs_match_the_full_kernel_and_the_gather_property(data):
         at = data.draw(st.integers(0, len(second) - 1), label="differ at")
         second[at] = data.draw(classical.filter(lambda g: g != second[at]), label="other")
     run = half + centre + second
-    if case != "halves differ":  # which can still be a mirror with a shorter half
-        assert (sim._mirror_half(tuple(run)) is None) == (case == "X-type centre")
     before = data.draw(st.lists(gates_on(m, CLASSICAL_KINDS), min_size=1, max_size=3),
                        label="before") if case == "low gates before" else []
     spread = [Gate("H", (q,)) for q in range(m)]
     circ = Circuit(n, ops=spread + before + run + spread)
     measure = data.draw(st.lists(st.integers(0, m - 1), min_size=1, unique=True), label="measure")
-    state, _ = _assert_same_as_full_kernel(circ, sorted(measure), shots=64)
-    # the full kernel can leave a zero with the other sign, so the bytes are
-    # compared with the general path, the run's labels pushed through every gate
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sim, "_mirror_half", lambda run: None)
-        _, general = run_ideal(circ, shots=64, seed=7, measure=sorted(measure), return_state=True)
-    assert state.amplitudes.tobytes() == general.amplitudes.tobytes()
+    _assert_same_as_full_kernel(circ, sorted(measure), shots=64)
+    # a mirror A, M, A reversed is A^-1 M A, diagonal: every X/Z-type gate is
+    # its own inverse and M holds Z-type gates only
+    if case not in ("X-type centre", "halves differ"):
+        _assert_run_is_a_phase(spread + before, run, n)
 
 
 @pytest.mark.parametrize("graph, k", [("g4", 3), ("g6", 3)])
-def test_the_label_pass_of_a_dicke_search_takes_the_oracle_to_its_phase(graph, k, monkeypatch):
+def test_the_label_pass_of_a_dicke_search_takes_the_oracle_to_its_phase(graph, k):
     g = builtin_graph(graph)
-    circ = assemble(g, k, "dicke", "checking")
-    runs = []
-    gather = sim._signed_gather
-    monkeypatch.setattr(sim, "_signed_gather",
-                        lambda run, *args: runs.append(run) or gather(run, *args))
-    calls = _gate_kinds(monkeypatch)
-    run_ideal(circ, shots=16, seed=1, measure=list(range(g.n)))
-    # one distinct run reaches above the block, the oracle: compute, a Z on
-    # its flag, uncompute
-    [run] = [run for run in runs if max(q for gate in run for q in gate.qubits) >= g.n]
-    h = len(run) // 2
-    assert run[h].kind == "Z" and run[:h] == run[:h:-1]
-    # its labels go through the first h gates and the Z only
-    assert [kind for width, kind in calls if width == circ.n_qubits] == [
-        gate.kind for gate in run[:h + 1]]
+    plan = make_plan(g, k, "dicke", "checking")
+    prep, oracle = prepare_state("dicke", g.n, k), build_oracle(g, k, plan.oracle)
+    assert oracle.n_qubits > g.n
+    state = SparseState.basis(oracle.n_qubits, 0, np.float64)
+    for gate in prep.ops:
+        apply_gate(state, gate)
+    index, amp = state.index.copy(), state.amplitudes.copy()
+    for gate in oracle.ops:
+        apply_gate(state, gate)
+    # the oracle computes its counters and flags above the nodes, flips the
+    # phase and uncomputes: every index is back at its entry, and exactly the
+    # cliques changed sign
+    cliques = [sum(1 << v for v in clique) for clique in plan.solutions]
+    assert np.array_equal(state.index, index)
+    assert np.array_equal(state.amplitudes, np.where(np.isin(index, cliques), -amp, amp))
 
 
 def test_low_gates_at_both_ends_of_a_mirror_join_its_label_run(monkeypatch):
     # the w-complement shape: the same low X gates on both sides of a compute,
-    # phase flip and uncompute that reaches qubits 2 and 3 of the block [0, 2)
+    # phase flip and uncompute that reaches qubits 2 and 3 above the measured [0, 2)
     compute = [Gate("CCX", (0, 1, 2)), Gate("CX", (2, 3))]
     run = (Gate("X", (0,)), Gate("X", (1,)), *compute, Gate("Z", (3,)), *compute[::-1],
            Gate("X", (1,)), Gate("X", (0,)))
-    circ = Circuit(4, ops=[Gate("H", (0,)), Gate("RY", (1,), (0.3,)), *run, Gate("H", (0,))])
-    runs = []
-    gather = sim._signed_gather
-    monkeypatch.setattr(sim, "_signed_gather",
-                        lambda run, *args: runs.append(run) or gather(run, *args))
-    calls = _gate_kinds(monkeypatch)
+    prefix = [Gate("H", (0,)), Gate("RY", (1,), (0.3,))]
+    circ = Circuit(4, ops=[*prefix, *run, Gate("H", (0,))])
+    calls = _gate_calls(monkeypatch)
     run_ideal(circ, shots=16, seed=1, measure=[0, 1])
-    # one label run, still a mirror: its labels go through the first half and the Z
-    assert runs == [run] and sim._mirror_half(run) == 4
-    assert calls == [(2, "H"), (2, "RY"), *((4, g.kind) for g in run[:5]), (2, "H")]
+    # every gate once, the whole run on the sparse state, which it takes back
+    # to every index it started from
+    assert calls == [(SparseState, 4, np.float64, gate.kind) for gate in circ.ops]
+    _assert_run_is_a_phase(prefix, run, 4)
     _assert_same_as_full_kernel(circ, [0, 1], shots=64)
+
+
+# -- the sparse engine ------------------------------------------------------------
+
+_REAL_2X2_KINDS = REAL_KINDS - CLASSICAL_KINDS
+
+
+@st.composite
+def sparse_circuits(draw) -> Circuit:
+    """Rotations on the low qubits, planted Dicke preparations and sandwiches, and
+    X/Z-type runs over every qubit that may leave a high qubit set."""
+    n = draw(st.integers(4, 8), label="n")
+    low = draw(st.integers(2, n), label="low")
+    ops = [Gate("H", (q,)) for q in range(draw(st.integers(0, low), label="spread"))]
+    pieces = [st.lists(gates_on(low, _REAL_2X2_KINDS), min_size=1, max_size=3),
+              st.lists(gates_on(n, CLASSICAL_KINDS), min_size=1, max_size=4)]
+    if low >= 4:
+        pieces.append(sandwiches(low))
+    for _ in range(draw(st.integers(1, 5), label="pieces")):
+        ops += draw(st.one_of(pieces), label="piece")
+        if draw(st.booleans(), label="dicke"):
+            k = draw(st.integers(1, low - 1), label="k")
+            ops += prepare_state("dicke", low, k).ops
+    return Circuit(n, ops=ops)
+
+
+@given(st.data())
+def test_sparse_runs_equal_the_full_kernel_property(data):
+    circ = data.draw(sparse_circuits(), label="circuit")
+    if data.draw(st.booleans(), label="complex"):
+        circ = Circuit(circ.n_qubits, ops=circ.ops + [Gate("U3", (0,), (0.4, 0.3, -0.2))])
+    measure = data.draw(st.lists(st.integers(0, circ.n_qubits - 1), min_size=1, unique=True),
+                        label="measure")
+    _assert_same_as_full_kernel(circ, sorted(measure), shots=64)
+
+
+# (gates after an H on each of five qubits, the measured qubit, the counts of 64
+# shots at seed 7): in both, the outcomes sit at probabilities within rounding
+# of 1/2, where the order in which the marginal sums its 16 nonzero terms
+# decides which way the sampler's binomial draw goes; summed in another order,
+# as by a bincount over the sparse entries, the counts can come out swapped
+# (the second case's do under a bincount in index order)
+SUMMATION_ORDER_CASES = [
+    ([Gate("CX", (0, 1)), Gate("CRY", (1, 0), (2.0,)), Gate("CX", (1, 0)),
+      Gate("CCRY", (0, 1, 2), (0.0,)), Gate("H", (0,))], 1, {"0": 37, "1": 27}),
+    ([Gate("CCRY", (3, 1, 4), (0.0,)), Gate("CRY", (4, 3), (2.0,)), Gate("H", (3,))], 4,
+     {"0": 37, "1": 27}),
+]
+
+
+@pytest.mark.parametrize("gates, qubit, counts", SUMMATION_ORDER_CASES, ids=["q1", "q4"])
+def test_run_ideal_sums_each_marginal_in_the_full_kernels_order(gates, qubit, counts):
+    circ = Circuit(5, ops=[Gate("H", (q,)) for q in range(5)] + gates)
+    _assert_same_as_full_kernel(circ, [qubit], shots=64, seed=7)
+    assert run_ideal(circ, shots=64, seed=7, measure=[qubit]).counts == counts
+
+
+def _ideal_dicke20_circuit() -> Circuit:
+    """The ``ideal_dicke20`` benchmark circuit: criterion 10's 16-node graph at
+    workload seed 12, k = 3, Dicke preparation, checking oracle."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    n, edges = workloads.criterion10_edges(12)
+    return assemble(parse_edge_list(workloads.graph_text(n, edges)), 3, "dicke", "checking")
+
+
+@pytest.mark.parametrize("graph", ["g6", "ideal_dicke20"])
+def test_a_dicke_search_holds_at_most_n_choose_k_entries(graph, monkeypatch):
+    circ = _ideal_dicke20_circuit() if graph == "ideal_dicke20" else assemble(
+        builtin_graph(graph), 3, "dicke", "checking")
+    n = 16 if graph == "ideal_dicke20" else 6
+    sizes = []
+    kernel = sim.apply_gate
+    monkeypatch.setattr(sim, "apply_gate", lambda state, gate: sizes.append(
+        len(kernel(state, gate).index)))
+    run_ideal(circ, shots=16, seed=1, measure=list(range(n)))
+    # the preparation keeps the Hamming weight and the oracle's work qubits are
+    # functions of the nodes, so no gate holds more than C(n, 3) entries
+    assert len(sizes) == len(circ.ops)
+    assert max(sizes) == math.comb(n, 3)
+
+
+def test_a_rotation_drops_the_exact_zeros_it_makes():
+    state = SparseState.basis(2, 0b01, np.float64)
+    # RY(0) on qubit 1 where qubit 0 is set: the partner 0b11 comes out exactly 0
+    apply_gate(state, Gate("CRY", (0, 1), (0.0,)))
+    assert state.index.tolist() == [0b01] and state.amplitudes.tolist() == [1.0]
+    # H on qubit 0 takes (1/2, 1/2) to (1/sqrt 2, 0) and (1/2, -1/2) to (0, 1/sqrt 2);
+    # the entries are out of order, so they are paired by key and the zeros dropped
+    state = SparseState(2, np.array([0, 3, 1, 2], dtype=np.int64), np.array([0.5, -0.5, 0.5, 0.5]))
+    apply_gate(state, Gate("H", (0,)))
+    assert state.index.tolist() == [0b00, 0b11]
+    assert np.allclose(state.amplitudes, [0.5 ** 0.5, 0.5 ** 0.5], atol=1e-15)
+
+
+@given(st.data())
+def test_in_place_and_paired_rotations_give_the_same_entries_property(data):
+    n = data.draw(st.integers(3, 7), label="n")
+    gate = data.draw(gates_on(n, GATE_KINDS - CLASSICAL_KINDS).filter(
+        lambda g: len(g.controls) <= n - 2), label="gate")  # at least two pairs
+    dtype = sim._amplitude_dtype([gate])
+    amp = _random_amplitudes(data.draw(st.integers(0, 2**32 - 1), label="seed"), n, None, dtype)
+    # every index, sorted: the gate's pairs are complete and in order
+    in_place = SparseState(n, np.arange(1 << n, dtype=np.int64), amp.copy())
+    index = in_place.index
+    apply_gate(in_place, gate)
+    assert in_place.index is index
+    # the same entries with the first two target-0 entries the gate acts on
+    # swapped: the pairs are out of order, so they are paired by key
+    c, t = sim._mask(gate.controls), 1 << gate.target
+    first, second = np.flatnonzero((index & (c | t)) == c)[:2]
+    order = np.arange(1 << n)
+    order[[first, second]] = order[[second, first]]
+    paired = SparseState(n, index[order], amp[order])
+    apply_gate(paired, gate)
+    assert paired.index is not index
+    # the same entries, bit for bit; the in-place path keeps any zero it makes
+    kept = in_place.amplitudes != 0
+    assert np.array_equal(paired.index, in_place.index[kept])
+    assert paired.amplitudes.tobytes() == in_place.amplitudes[kept].tobytes()
+
+
+def test_run_ideal_rejects_a_circuit_wider_than_an_int64_index(monkeypatch):
+    monkeypatch.setattr(sim, "apply_gate", lambda *_: pytest.fail("simulated"))
+    circ = Circuit(64, ops=[Gate("H", (0,)), Gate("CX", (0, 63))])
+    with pytest.raises(ValueError, match="cannot run a 64-qubit circuit: a basis index is an "
+                                         "int64, which holds at most 63 qubits"):
+        run_ideal(circ, shots=1, seed=1, measure=[0])
