@@ -358,7 +358,7 @@ def main(argv=None) -> int:
         _emit(text, args.output)
         return code
     except (CliError, ValueError, MemoryError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 1
 
 

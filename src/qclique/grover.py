@@ -111,7 +111,11 @@ def assemble(g: Graph, k: int, prep: PrepMode, style: str = "checking",
     prep_circuit = prepare_state(plan.prep, g.n, k)
     oracle_circuit = build_oracle(g, k, plan.oracle)
     diffusion_circuit = diffusion(prep_circuit)
-
+    iteration = oracle_circuit.ops + diffusion_circuit.ops
+    try:
+        ops = prep_circuit.ops + plan.iterations * iteration
+    except MemoryError:
+        raise MemoryError(f"cannot assemble {plan.iterations} Grover iterations of "
+                          f"{len(iteration)} gates each") from None
     return Circuit(oracle_circuit.n_qubits, oracle_circuit.registers,
-                   f"grover({plan.prep.value},{plan.oracle.style},k={k})",
-                   prep_circuit.ops + plan.iterations * (oracle_circuit.ops + diffusion_circuit.ops))
+                   f"grover({plan.prep.value},{plan.oracle.style},k={k})", ops)

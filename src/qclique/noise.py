@@ -21,6 +21,15 @@ contiguous run of ``B * 2**q`` amplitudes.  A block has the circuit's
 amplitude dtype (:func:`qclique.sim._amplitude_dtype`): float64 for every
 circuit whose gates all have real matrices, which both channels keep real,
 since their flips, resets, no-jump factors and jump copies are all real.
+A block runs with a Pauli frame (:class:`qclique.sim.StateVector`): an
+uncontrolled X toggles one bit of ``state.frame`` instead of swapping the
+block's halves, and a relaxation step on a flipped qubit takes the stored 0
+half as its |1>.  The frame follows the gate list alone, never a draw.
+Element-wise products see the same values under it, but a sum over a half
+would meet its terms in another order and round differently, so a Kraus
+step first flips the other qubits back and a reset sums a copy laid out as
+in the frameless block.  Before the marginals the frame is cleared (at most
+one X per qubit), and the block holds the bytes a frameless run leaves.
 Runs are deterministic given the seed: block ``b`` draws from
 ``numpy.random.default_rng(SeedSequence(entropy=seed, spawn_key=(b,)))``, the
 calling process builds every block's ``SeedSequence`` before handing blocks
@@ -218,64 +227,120 @@ class RelaxationChannel:
         out[1, 0] *= self.decay2
         return out
 
-    def apply(self, amplitudes: np.ndarray, qubit: int, rng: np.random.Generator) -> None:
-        """One stochastic application, in place and renormalized.
+    def apply(self, amplitudes: np.ndarray, qubit: int, rng: np.random.Generator,
+              frame: int = 0) -> int:
+        """One stochastic application, in place and renormalized; returns the
+        frame left after it.
 
         ``amplitudes`` is one pure state ``(2**n,)`` or a block ``(2**n, B)``
         of them, one per column; each column draws its own branch from ``rng``.
         They may be complex128 or float64: every factor the channel applies is
         real, so a real state stays real.
+
+        ``frame`` is the Pauli frame of a framed block (see
+        :class:`qclique.sim.StateVector`), 0 for a plain one.  When it flips
+        ``qubit``, the qubit's |1> is the stored 0 half.  A flip of any other
+        qubit reorders a sum over the half.  So a reset sums a copy laid out
+        as in the frameless block (:func:`_frameless_half`), or first flips
+        those qubits back (:func:`_settle`) when the step expects at least one
+        reset across the block's columns; a Kraus step, which sums every
+        column, always flips them back first.  The draws and every result are
+        then those of the frameless block.
         """
         if self.t_ns == 0.0:
-            return
+            return frame
         # (qubits above, qubit value, qubits below, column)
         view = amplitudes.reshape(amplitudes.shape[0] >> (qubit + 1), 2, 1 << qubit, -1)
+        flipped = frame >> qubit & 1
+        one = 1 ^ flipped  # the stored half of the qubit's |1>
         if self.implementation == "mixture":
             u = rng.random(view.shape[-1])
             event = u < self.p_reset + self.p_z
             if not np.count_nonzero(event):
-                return
+                return frame
             # events are rare: each column that draws one is handled on its own view
             for column in event.nonzero()[0]:
-                if u[column] < self.p_reset:
-                    _reset(view[..., column], rng)
-                else:
-                    view[:, 1, :, column] *= -1.0
-            return
+                if u[column] >= self.p_reset:
+                    view[:, one, :, column] *= -1.0
+                    continue
+                twin = None
+                if frame & ~(1 << qubit):
+                    if view.shape[-1] * self.p_reset >= 1.0:
+                        # a reset is expected at every step: flipping the other
+                        # qubits back once costs less than a copy at each step
+                        frame = _settle(amplitudes, frame, qubit)
+                    else:
+                        twin = _frameless_half(view, column, qubit, frame)
+                _reset(view[..., column], rng, flipped, twin)
+            return frame
         # kraus: amplitude damping with Born-weighted branch selection, then a
-        # phase flip for the residual pure dephasing; one factor per half and
-        # column, shaped (2, 1, B) to multiply the view
+        # phase flip for the residual pure dephasing; one factor per logical
+        # half and column, shaped (2, 1, B) to multiply the view
+        frame = _settle(amplitudes, frame, qubit)
         draws = rng.random((2, view.shape[-1]))
-        p1 = _column_norms(view[:, 1])
+        p1 = _column_norms(view[:, one])
         damped = self.gamma * p1
         factors = self.no_jump * (1.0 - damped) ** -0.5
         jump = draws[0] < damped
         if np.count_nonzero(jump):
-            view[:, 0, :, jump] = view[:, 1, :, jump]
+            view[:, flipped, :, jump] = view[:, one, :, jump]
             factors[0, 0, jump] = p1[jump] ** -0.5
             factors[1, 0, jump] = 0.0
         flip = draws[1] < self.p_phi
         if np.count_nonzero(flip):
             factors[1, 0, flip] *= -1.0
-        view *= factors
+        view *= factors[::-1] if flipped else factors
+        return frame
 
 
-def _reset(state: np.ndarray, rng: np.random.Generator) -> None:
+def _settle(amplitudes: np.ndarray, frame: int, qubit: int) -> int:
+    """Flip back every qubit but ``qubit`` that ``frame`` flips, one X each,
+    and return the frame left: a sum over a half of ``qubit`` then meets its
+    terms in the frameless block's order."""
+    if frame & ~(1 << qubit):
+        state = StateVector(amplitudes.shape[0].bit_length() - 1, amplitudes, frame)
+        state.clear_frame(keep=1 << qubit)
+        frame = state.frame
+    return frame
+
+
+def _frameless_half(view: np.ndarray, column: int, qubit: int, frame: int) -> np.ndarray:
+    """One column's |1> half of ``qubit``, in a block viewed as
+    ``(above, 2, below, B)`` whose frame flips other qubits too: a copy in
+    logical order, in a scratch block laid out as ``view``, so that a sum
+    over it runs as over the frameless block's half.  ``np.vdot`` picks its
+    summation by the layout (one strided run, or a contiguous copy in memory
+    order), and the frame's other flips reorder the stored half."""
+    others = frame & ~(1 << qubit)
+    # half row j (index bits above and below the qubit) holds logical row j ^ packed
+    packed = others >> (qubit + 1) << qubit | others & ((1 << qubit) - 1)
+    rows = np.arange(view.shape[0] * view.shape[2]) ^ packed
+    twin = np.empty_like(view)[:, 1, :, column]
+    twin[...] = view[:, 1 ^ (frame >> qubit & 1), :, column].reshape(-1)[rows].reshape(twin.shape)
+    return twin
+
+
+def _reset(state: np.ndarray, rng: np.random.Generator, flipped: int = 0,
+           twin: np.ndarray | None = None) -> None:
     """Reset instruction on one state viewed as ``(above, 2, below)``: a
-    projective measurement of the qubit, then set |0>.
+    projective measurement of the qubit, then set |0>.  With ``flipped`` set,
+    the qubit's |0> and |1> are the stored 1 and 0 halves.  ``twin``, when
+    given, is the |1> half laid out as in the frameless block, which the
+    measurement's norm sums instead (:func:`_frameless_half`).
 
     Measured 0 means p1 <= the draw < 1, so 1 - p1 > 0.  Each half is written
     once: the 0 half gets the scaled survivor, and a scale of 1.0, as at
     p1 = 0, leaves it as it is.
     """
-    one = state[:, 1]
-    p1 = np.vdot(one, one).real
+    zero, one = state[:, flipped], state[:, 1 ^ flipped]
+    summed = one if twin is None else twin
+    p1 = np.vdot(summed, summed).real
     if rng.random() < p1:
-        np.multiply(one, p1 ** -0.5, out=state[:, 0])
+        np.multiply(one, p1 ** -0.5, out=zero)
     else:
         scale = (1.0 - p1) ** -0.5
         if scale != 1.0:
-            state[:, 0] *= scale
+            zero *= scale
     one[...] = 0.0
 
 
@@ -356,6 +421,17 @@ def _keep_on_heap(nbytes: int) -> None:
     np.empty(nbytes, dtype=np.uint8)
 
 
+def _evolve(state: StateVector, steps: list, rng: np.random.Generator) -> None:
+    """Apply a compiled program's steps to a framed block, each gate as one
+    :func:`~qclique.sim.apply_gate` call; the block keeps its frame."""
+    amp = state.amplitudes
+    for step in steps:
+        if step[0] == "gate":
+            apply_gate(state, step[1])
+        else:
+            state.frame = step[2].apply(amp, step[1], rng, state.frame)
+
+
 def _run_trajectory_blocks(args) -> np.ndarray:
     steps, n_qubits, dtype, measured, shots, trajectories, blocks = args
     size = _block_size(n_qubits, dtype)
@@ -368,14 +444,11 @@ def _run_trajectory_blocks(args) -> np.ndarray:
     for block, seed_sequence in blocks:
         first, stop = block * size, min((block + 1) * size, trajectories)
         rng = np.random.default_rng(seed_sequence)
-        state = StateVector(n_qubits, np.zeros((1 << n_qubits, stop - first), dtype=dtype))
-        amp = state.amplitudes
-        amp[0] = 1.0
-        for step in steps:
-            if step[0] == "gate":
-                apply_gate(state, step[1])
-            else:
-                step[2].apply(amp, step[1], rng)
+        state = StateVector(n_qubits, np.zeros((1 << n_qubits, stop - first), dtype=dtype),
+                            frame=0)
+        state.amplitudes[0] = 1.0
+        _evolve(state, steps, rng)
+        state.clear_frame()
         probs = np.clip(marginal_probabilities(state, measured), 0.0, None).T  # a row per trajectory
         row_shots = base + (np.arange(first, stop) < extra)  # round-robin shot allocation
         counts += rng.multinomial(row_shots, probs / probs.sum(axis=1, keepdims=True)).sum(axis=0)

@@ -54,6 +54,19 @@ one contiguous run of ``B * 2**q`` amplitudes (``q`` the lowest qubit the
 gate touches), and the marginals have one column per state.  A 1-D state is a
 block of one.  :func:`statevector` and the noisy trajectories always run
 dense, at full width.
+
+A dense state may carry a Pauli frame (Knill, Nature 434, 39, 2005; Gidney,
+Quantum 5, 497, 2021), as the trajectory blocks of :mod:`qclique.noise` do:
+an int whose bit ``q`` set means that the stored value of qubit ``q`` is its
+logical value flipped.  An uncontrolled X then toggles its bit and moves no
+amplitude.  Every other gate fixes each control axis to the stored value of
+a logical 1 and takes the target's logical 0 and 1 halves, so each output is
+the same products of the same two amplitudes as on a frameless state, and
+:meth:`StateVector.clear_frame` (one X per set bit) leaves the bytes a
+frameless run leaves.  A sum over a framed state would meet its terms in
+another order, so :func:`marginal_probabilities` refuses a state whose frame
+has bits set.  A state with no frame (``None``, the default) takes every X
+as a swap.
 """
 from __future__ import annotations
 
@@ -70,10 +83,18 @@ from .circuit import Circuit, Gate
 @dataclass
 class StateVector:
     """``2**n_qubits`` amplitudes, complex128 or float64; index bit i
-    corresponds to qubit i."""
+    corresponds to qubit i.
+
+    ``frame`` is ``None`` for a plain state.  An int makes it a framed state:
+    bit ``q`` set means the stored value of qubit ``q`` is its logical value
+    flipped, and :func:`apply_gate` takes an uncontrolled X by toggling that
+    bit.  The amplitudes of a framed state are its logical amplitudes with
+    the frame's qubits flipped, until :meth:`clear_frame`.
+    """
 
     n_qubits: int
     amplitudes: np.ndarray
+    frame: int | None = None
 
     @classmethod
     def zero(cls, n_qubits: int, dtype=np.complex128) -> StateVector:
@@ -94,6 +115,15 @@ class StateVector:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
+
+    def clear_frame(self, keep: int = 0) -> None:
+        """Flip the stored value of every qubit the frame holds, except those
+        in the mask ``keep``, one X each, and drop them from the frame; with
+        no ``keep`` the amplitudes are then the logical ones."""
+        for q in range(self.n_qubits):
+            if (self.frame & ~keep) >> q & 1:
+                _apply_dense(self, Gate("X", (q,)), 0)
+        self.frame &= keep
 
 
 #: A basis index is an int64, whose sign bit leaves qubits 0 to 62.
@@ -162,18 +192,21 @@ def _amplitude_dtype(gates) -> type:
 
 
 @lru_cache(maxsize=1024)
-def _pair_views(n_qubits: int, controls: tuple[int, ...], target: int):
+def _pair_views(n_qubits: int, controls: tuple[int, ...], target: int, flips: int):
     """View shape and index tuples of a gate's target-0 and target-1 halves.
 
     The shape is ``(2,)*n`` (axis ``n-1-q`` is qubit ``q``) with each run of
     qubits the gate does not touch merged into one axis, so numpy iterates
     over as few and as long axes as possible.  The index tuples fix every
-    control axis to 1 and the target axis to 0 or 1.  Each ends with
-    ``Ellipsis``, which stands for the trailing block axis: a gate that fixes
-    every qubit axis still yields a view rather than a scalar copy.
+    control axis to 1 and the target axis to 0 or 1, each value XORed with
+    bit ``q`` of ``flips``: the stored values of the logical ones and zeros of
+    a framed state's qubits.  Each ends with ``Ellipsis``, which stands for
+    the trailing block axis: a gate that fixes every qubit axis still yields
+    a view rather than a scalar copy.
     """
-    fixed = {q: (1, 1) for q in controls}
-    fixed[target] = (0, 1)
+    fixed = {q: (1 ^ (flips >> q & 1),) * 2 for q in controls}
+    flipped = flips >> target & 1
+    fixed[target] = (flipped, 1 ^ flipped)
     shape, lo, hi = [], [], []
     top = n_qubits
     for q in (*sorted(fixed, reverse=True), -1):
@@ -195,6 +228,14 @@ def _rotate_pairs(a0: np.ndarray, a1: np.ndarray, gate: Gate) -> None:
     m = _gate_matrix_2x2(gate)
     if not np.iscomplexobj(a0):
         m = m.real  # its imaginary parts are zeros
+        if gate.kind == "H":
+            # m10 == m00 and m11 == -m01 exactly, and x + (-y) is x - y, so two
+            # products give the four-product result bit for bit; a complex
+            # product could change a zero's sign, so only real states take it
+            t0, t1 = m[0, 0] * a0, m[0, 1] * a1
+            np.add(t0, t1, out=a0)
+            np.subtract(t0, t1, out=a1)
+            return
     tmp = a0.copy()
     a0[...] = m[0, 0] * tmp + m[0, 1] * a1
     a1[...] = m[1, 0] * tmp + m[1, 1] * a1
@@ -211,18 +252,33 @@ def apply_gate(state: StateVector | SparseState, gate: Gate) -> StateVector | Sp
     """Apply one gate in place (exact unitary action) and return the state.
 
     A :class:`SparseState` goes to :func:`_apply_sparse`, a
-    :class:`StateVector` to the strided-view kernel.  A float64 state takes
-    only the kinds in ``_REAL_KINDS``; any other kind raises
-    :class:`ValueError` rather than drop its imaginary part.
+    :class:`StateVector` to the strided-view kernel.  A framed state takes an
+    uncontrolled X by toggling its frame bit, and every other gate at the
+    stored values of its qubits' logical ones.  A float64 state takes only
+    the kinds in ``_REAL_KINDS``; any other kind raises :class:`ValueError`
+    rather than drop its imaginary part.
     """
     if max(gate.qubits) >= state.n_qubits:
         raise ValueError(f"gate {gate} exceeds state width {state.n_qubits}")
-    amp, kind = state.amplitudes, gate.kind
-    if kind not in _REAL_KINDS and not np.iscomplexobj(amp):
-        raise ValueError(f"{kind} has a complex matrix and cannot act on a {amp.dtype} state")
+    kind = gate.kind
+    if kind not in _REAL_KINDS and not np.iscomplexobj(state.amplitudes):
+        raise ValueError(f"{kind} has a complex matrix and cannot act on a "
+                         f"{state.amplitudes.dtype} state")
     if isinstance(state, SparseState):
         _apply_sparse(state, gate)
         return state
+    frame = state.frame
+    if frame is not None and kind == "X":
+        state.frame = frame ^ 1 << gate.target
+        return state
+    _apply_dense(state, gate, frame & _mask(gate.qubits) if frame else 0)
+    return state
+
+
+def _apply_dense(state: StateVector, gate: Gate, flips: int) -> None:
+    """The strided-view kernel: ``gate`` on the stored amplitudes, each of its
+    qubits in ``flips`` taken as flipped."""
+    amp, kind = state.amplitudes, gate.kind
     n, controls, target = state.n_qubits, gate.controls, gate.target
     if kind in _X_KINDS:
         # the qubits below the lowest operand index one run of
@@ -232,7 +288,8 @@ def apply_gate(state: StateVector | SparseState, gate: Gate) -> StateVector | Sp
         if amp.itemsize < run <= _FOLD_BYTES and amp.flags.c_contiguous:
             amp = amp.reshape(-1).view(np.dtype((np.void, run)))
             n, controls, target = n - low, tuple(c - low for c in controls), target - low
-    shape, lo, hi = _pair_views(n, controls, target)
+            flips >>= low
+    shape, lo, hi = _pair_views(n, controls, target, flips)
     view = amp.reshape((*shape, -1))
     a0, a1 = view[lo], view[hi]
     if kind in _X_KINDS:
@@ -243,7 +300,6 @@ def apply_gate(state: StateVector | SparseState, gate: Gate) -> StateVector | Sp
         a1 *= -1.0
     else:
         _rotate_pairs(a0, a1, gate)
-    return state
 
 
 def _mask(qubits) -> int:
@@ -311,7 +367,12 @@ def marginal_probabilities(state: StateVector, qubits: list[int]) -> np.ndarray:
     A ``(2**n, B)`` block of states gives one column of marginals per state.
     Each state's probabilities are laid out contiguously before the sum, so a
     state sums in the same order, to the same bits, in a block as alone.
+    A state whose frame has bits set raises :class:`ValueError`: its stored
+    qubits are not the logical ones until :meth:`StateVector.clear_frame`.
     """
+    if state.frame:
+        raise ValueError(f"the state's frame flips qubits (mask {state.frame:#x}); "
+                         f"clear it before reading marginals")
     probs = np.abs(state.amplitudes.T, order="C") ** 2  # one row per state
     n, kept = state.n_qubits, set(qubits)
     dropped = tuple(n - q for q in range(n) if q not in kept)  # axis 0 is the block

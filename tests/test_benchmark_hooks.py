@@ -9,6 +9,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from qclique import graph, grover, noise, sim
 from qclique.cli import load_profile
 
@@ -118,4 +120,20 @@ def test_the_layer_metrics_of_a_traced_ideal_run_read_every_gate_kind(monkeypatc
         assert layers[f"sim.apply_gate_calls.{kind}"] == counts[kind]
         assert layers[f"sim.apply_gate_us.{kind}"] > 0
     assert layers["sim.apply_gate_calls.other"] == counts["CRY"] + counts["CCRY"]
+    assert [op.get("error") for op in out["ops"]] == [None]
+
+
+def test_a_traced_noisy_pass_makes_one_x_call_per_gate_and_block(monkeypatch):
+    # passes.py puts src/ and perfbench/ on sys.path to import its workloads
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    passes, tracing = load_perfbench("passes"), load_perfbench("tracing")
+    tracer = tracing.Tracer()
+    # one traced noisy_full12 pass as `perfbench/run.py --trace 1` runs it; a
+    # framed X changes no amplitude but is still one apply_gate call per block
+    with tracing.installed(tracer):
+        out = passes.run_pass("noisy_full12", 9101, 1, 1, False, tracer)
+    layers = out["layers"]
+    blocks = -(-out["trajectories"] // noise._block_size(out["circuit"]["n_qubits"], np.float64))
+    assert blocks == 19
+    assert layers["sim.apply_gate_calls.X"] == out["circuit"]["counts"]["X"] * blocks == 684
     assert [op.get("error") for op in out["ops"]] == [None]

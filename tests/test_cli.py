@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -476,3 +480,30 @@ def test_solve_rejects_noisy_run_flags_without_noise(capsys, flags, named):
                              *flags)
     assert code == 1 and out == ""
     assert err == f"error: no noisy run to apply {named} to; add --noise\n"
+
+
+def test_an_iteration_count_too_large_to_assemble_is_an_error_line(capsys):
+    # the gate list cannot even be sized, so this fails before allocating anything;
+    # counts near 10**7 would really try to allocate gigabytes
+    code, out, err = run_cli(capsys, "solve", "--graph", "g4", "--k", "3",
+                             "--iters", "99999999999")
+    assert code == 1 and out == ""
+    assert err == "error: cannot assemble 99999999999 Grover iterations of 64 gates each\n"
+
+
+def test_an_error_without_a_message_is_named_by_its_type(capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli, "assemble", no_memory)
+    code, out, err = run_cli(capsys, "solve", "--graph", "g4", "--k", "3")
+    assert code == 1 and out == ""
+    assert err == "error: MemoryError\n"
+
+
+def test_python_dash_m_qclique_runs_the_command_line():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "qclique", "verify", "--graph", "g4", "--k", "3"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "1 clique(s) of size 3\n  [0, 1, 2] -> |0111>\n"

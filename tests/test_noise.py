@@ -26,7 +26,7 @@ from qclique.noise import (
     gate_duration_ns,
     run_noisy,
 )
-from qclique.sim import run_ideal
+from qclique.sim import StateVector, apply_gate, run_ideal
 from test_sim import BAD_MEASURE_LISTS
 
 
@@ -585,3 +585,78 @@ def test_run_noisy_matches_exact_density_matrix_at_12_qubits(g4):
                      trajectories=trajectories, seed=29, measure=list(range(4)), workers=2)
     sigma = math.sqrt(exact * (1 - exact) / shots)
     assert abs(hist.success_probability("0111") - exact) < 4 * sigma
+
+
+# -- the Pauli frame of a trajectory block --------------------------------------
+
+def _random_program(rng, n: int, profile: NoiseProfile, complex_gates: bool) -> list:
+    """The compiled steps of a random circuit with many uncontrolled X gates,
+    controlled X/Z-type gates and 2x2 gates on ``n`` qubits."""
+    kinds = ["X", "X", "X", "CX", "CCX", "MCX", "Z", "CZ", "MCZ", "H", "RY", "CRY", "CCRY"]
+    kinds += ["U3", "U2"] if complex_gates else []
+    arity = {"X": 1, "Z": 1, "H": 1, "RY": 1, "U3": 1, "U2": 1, "CX": 2, "CZ": 2, "CRY": 2,
+             "CCX": 3, "CCRY": 3}
+    params = {"RY": 1, "CRY": 1, "CCRY": 1, "U3": 3, "U2": 2}
+    circ = Circuit(n)
+    while len(circ.ops) < 30:
+        kind = kinds[rng.integers(len(kinds))]
+        width = arity.get(kind) or int(rng.integers(2, n + 1))
+        if width <= n:
+            qubits = tuple(int(q) for q in rng.permutation(n)[:width])
+            circ.append(Gate(kind, qubits, tuple(rng.uniform(-3, 3, params.get(kind, 0)))))
+    return compile_noisy_program(circ, profile)
+
+
+@pytest.mark.parametrize("spec, n, columns, path", [
+    ("2:2", 5, 1, "copy"),      # mixture, fewer than one reset per step: copied halves
+    ("2:2", 5, 16, "settle"),   # mixture, a reset at most steps: other flips undone
+    ("2:2", 16, 1, "copy"),     # one 16-qubit state per block
+    ("2:3", 5, 4, "settle"),    # kraus: every step sums its columns
+], ids=["mixture-few-resets", "mixture-many-resets", "mixture-16-qubits", "kraus"])
+def test_framed_blocks_end_byte_equal_to_frameless_ones(spec, n, columns, path, monkeypatch):
+    seen = {"copy": 0, "settle": 0}
+    settle, frameless_half = noise._settle, noise._frameless_half
+
+    def counted_settle(amplitudes, frame, qubit):
+        left = settle(amplitudes, frame, qubit)
+        seen["settle"] += left != frame
+        return left
+
+    def counted_frameless_half(*args):
+        seen["copy"] += 1
+        return frameless_half(*args)
+
+    monkeypatch.setattr(noise, "_settle", counted_settle)
+    monkeypatch.setattr(noise, "_frameless_half", counted_frameless_half)
+    profile = load_profile(spec)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        steps = _random_program(rng, n, profile, complex_gates=seed % 2 == 1)
+        amp = rng.normal(size=(1 << n, columns))
+        if seed % 2:  # U3 and U2 gates need a complex128 block
+            amp = amp + 1j * rng.normal(size=amp.shape)
+        amp /= np.linalg.norm(amp, axis=0)
+        plain, framed = amp.copy(), amp.copy()
+        draws = np.random.default_rng(100 + seed)
+        state = StateVector(n, plain)
+        for step in steps:
+            if step[0] == "gate":
+                apply_gate(state, step[1])
+            else:
+                step[2].apply(plain, step[1], draws)
+        state = StateVector(n, framed, frame=0)
+        noise._evolve(state, steps, np.random.default_rng(100 + seed))
+        state.clear_frame()
+        assert framed.tobytes() == plain.tobytes(), seed
+    assert seen[path] > 0
+
+
+def test_a_kraus_step_on_a_flipped_qubit_takes_the_stored_0_half_as_its_1():
+    channel = RelaxationChannel(20_000.0, NoiseProfile("k", 20.0, 30.0), "kraus")
+    amp = np.random.default_rng(3).normal(size=(8, 64))
+    amp /= np.linalg.norm(amp, axis=0)
+    flipped = amp.reshape(2, 2, 2, 64)[:, ::-1].reshape(8, 64)  # qubit 1 flipped
+    channel.apply(amp, 1, np.random.default_rng(4))
+    assert channel.apply(flipped, 1, np.random.default_rng(4), frame=0b010) == 0b010
+    assert flipped.reshape(2, 2, 2, 64)[:, ::-1].reshape(8, 64).tobytes() == amp.tobytes()
+

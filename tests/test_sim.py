@@ -1089,3 +1089,97 @@ def test_run_ideal_rejects_a_circuit_wider_than_an_int64_index(monkeypatch):
     with pytest.raises(ValueError, match="cannot run a 64-qubit circuit: a basis index is an "
                                          "int64, which holds at most 63 qubits"):
         run_ideal(circ, shots=1, seed=1, measure=[0])
+
+
+# -- the real Hadamard's two-product form --------------------------------------
+
+def _signed_zeros(rng: np.random.Generator, shape) -> np.ndarray:
+    """Random float64 values with a third of them +0.0 or -0.0."""
+    values = rng.normal(size=shape)
+    zero = rng.random(shape) < 1 / 3
+    values[zero] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zero]
+    return values
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_real_hadamard_is_the_four_product_form_byte_for_byte(seed):
+    rng = np.random.default_rng(seed)
+    m = sim._H_MATRIX.real
+    for qubit in range(4):
+        amp = _signed_zeros(rng, (1 << 12, 16))  # 12 qubits, a block of 16 states
+        view = amp.reshape(1 << (11 - qubit), 2, -1)
+        a0, a1 = view[:, 0], view[:, 1]
+        expected = (m[0, 0] * a0 + m[0, 1] * a1, m[1, 0] * a0 + m[1, 1] * a1)
+        apply_gate(StateVector(12, amp), Gate("H", (qubit,)))
+        assert a0.tobytes() == expected[0].tobytes()
+        assert a1.tobytes() == expected[1].tobytes()
+
+
+def test_a_complex_hadamard_keeps_the_four_product_form():
+    # a complex product can give a zero the other sign, so complex states keep
+    # the four products
+    rng = np.random.default_rng(5)
+    amp = _signed_zeros(rng, 1 << 6) + 1j * _signed_zeros(rng, 1 << 6)
+    view = amp.reshape(-1, 2, 1 << 2)
+    a0, a1 = view[:, 0], view[:, 1]
+    m = sim._H_MATRIX
+    expected = (m[0, 0] * a0 + m[0, 1] * a1, m[1, 0] * a0 + m[1, 1] * a1)
+    apply_gate(StateVector(6, amp), Gate("H", (2,)))
+    assert a0.tobytes() == expected[0].tobytes()
+    assert a1.tobytes() == expected[1].tobytes()
+
+
+# -- the Pauli frame of a dense state ------------------------------------------
+
+FRAME_KINDS = ("X", "CX", "CCX", "MCX", "Z", "CZ", "MCZ", "H", "RY", "CRY", "CCRY")
+
+
+@given(st.data())
+def test_framed_and_frameless_states_end_byte_equal_property(data):
+    n = data.draw(st.integers(1, 6), label="n")
+    kinds = FRAME_KINDS + (("U3", "U2") if data.draw(st.booleans(), label="complex") else ())
+    gates = data.draw(st.lists(gates_on(n, kinds), max_size=30), label="gates")
+    dtype = sim._amplitude_dtype(gates)
+    amp = data.draw(blocks(n), label="block")
+    amp = amp if dtype is np.complex128 else np.ascontiguousarray(amp.real)
+    plain, framed = StateVector(n, amp.copy()), StateVector(n, amp.copy(), frame=0)
+    for gate in gates:
+        apply_gate(plain, gate)
+        apply_gate(framed, gate)
+    flips = 0
+    for gate in gates:
+        if gate.kind == "X":
+            flips ^= 1 << gate.target
+    assert framed.frame == flips
+    framed.clear_frame()
+    assert framed.frame == 0
+    assert framed.amplitudes.tobytes() == plain.amplitudes.tobytes()
+
+
+def test_a_framed_x_moves_no_amplitude_and_a_frameless_one_swaps():
+    amp = np.arange(8.0)
+    framed = apply_gate(StateVector(3, amp.copy(), frame=0b001), Gate("X", (2,)))
+    assert framed.frame == 0b101 and np.array_equal(framed.amplitudes, amp)
+    plain = apply_gate(StateVector(3, amp.copy()), Gate("X", (2,)))
+    assert plain.frame is None and np.array_equal(plain.amplitudes, np.roll(amp, 4))
+    # a controlled X on a framed state reads its control at the stored value of 1
+    cx = apply_gate(StateVector(2, np.arange(4.0), frame=0b01), Gate("CX", (0, 1)))
+    assert np.array_equal(cx.amplitudes, [2.0, 1.0, 0.0, 3.0])
+
+
+def test_clear_frame_keeps_the_qubits_it_is_told_to():
+    amp = np.arange(8.0)
+    state = StateVector(3, amp.copy(), frame=0b110)
+    state.clear_frame(keep=0b100)
+    assert state.frame == 0b100
+    assert np.array_equal(state.amplitudes, amp.reshape(2, 2, 2)[:, ::-1].reshape(-1))
+
+
+def test_marginals_refuse_a_state_whose_frame_flips_a_qubit():
+    state = StateVector(2, np.array([1.0, 0.0, 0.0, 0.0]), frame=0b10)
+    with pytest.raises(ValueError, match=r"frame flips qubits \(mask 0x2\)"):
+        marginal_probabilities(state, [0, 1])
+    state.clear_frame()
+    assert np.array_equal(marginal_probabilities(state, [1]), [0.0, 1.0])
+    # a zero frame reads as a plain state
+    assert np.array_equal(marginal_probabilities(state, [0]), [1.0, 0.0])
