@@ -114,7 +114,7 @@ def assemble(g: Graph, k: int, prep: PrepMode, style: str = "checking",
     iteration = oracle_circuit.ops + diffusion_circuit.ops
     try:
         ops = prep_circuit.ops + plan.iterations * iteration
-    except MemoryError:
+    except (MemoryError, OverflowError):  # too large to size, or to count as an index
         raise MemoryError(f"cannot assemble {plan.iterations} Grover iterations of "
                           f"{len(iteration)} gates each") from None
     return Circuit(oracle_circuit.n_qubits, oracle_circuit.registers,

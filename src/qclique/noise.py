@@ -24,12 +24,13 @@ since their flips, resets, no-jump factors and jump copies are all real.
 A block runs with a Pauli frame (:class:`qclique.sim.StateVector`): an
 uncontrolled X toggles one bit of ``state.frame`` instead of swapping the
 block's halves, and a relaxation step on a flipped qubit takes the stored 0
-half as its |1>.  The frame follows the gate list alone, never a draw.
-Element-wise products see the same values under it, but a sum over a half
-would meet its terms in another order and round differently, so a Kraus
-step first flips the other qubits back and a reset sums a copy laid out as
-in the frameless block.  Before the marginals the frame is cleared (at most
-one X per qubit), and the block holds the bytes a frameless run leaves.
+half as its |1>.  Element-wise products see the same values under the frame,
+but a sum over a half would meet its terms in another order and round
+differently.  So a Kraus step first clears the frame (one X per set bit),
+and a reset either sums a copy of its half laid out as in the frameless
+block or, in a step that expects a reset in some column, clears the frame.
+The run clears it before the marginals too, and the block then holds the
+bytes a frameless run leaves.
 Runs are deterministic given the seed: block ``b`` draws from
 ``numpy.random.default_rng(SeedSequence(entropy=seed, spawn_key=(b,)))``, the
 calling process builds every block's ``SeedSequence`` before handing blocks
@@ -240,77 +241,75 @@ class RelaxationChannel:
         ``frame`` is the Pauli frame of a framed block (see
         :class:`qclique.sim.StateVector`), 0 for a plain one.  When it flips
         ``qubit``, the qubit's |1> is the stored 0 half.  A flip of any other
-        qubit reorders a sum over the half.  So a reset sums a copy laid out
-        as in the frameless block (:func:`_frameless_half`), or first flips
-        those qubits back (:func:`_settle`) when the step expects at least one
-        reset across the block's columns; a Kraus step, which sums every
-        column, always flips them back first.  The draws and every result are
-        then those of the frameless block.
+        qubit reorders a sum over the half, so a step that sums first undoes
+        the flips it would meet.  A Kraus step sums every column: it clears
+        the frame.  A reset sums one column: it sums a copy of that column's
+        half laid out as in the frameless block (:func:`_frameless_half`), or,
+        when the step expects a reset in at least one of the block's columns,
+        clears the frame, which later resets then find clear.  The draws and
+        every result are those of the frameless block.
         """
         if self.t_ns == 0.0:
             return frame
         # (qubits above, qubit value, qubits below, column)
         view = amplitudes.reshape(amplitudes.shape[0] >> (qubit + 1), 2, 1 << qubit, -1)
-        flipped = frame >> qubit & 1
-        one = 1 ^ flipped  # the stored half of the qubit's |1>
         if self.implementation == "mixture":
             u = rng.random(view.shape[-1])
             event = u < self.p_reset + self.p_z
             if not np.count_nonzero(event):
                 return frame
             # events are rare: each column that draws one is handled on its own view
+            flipped, others = frame >> qubit & 1, frame & ~(1 << qubit)
             for column in event.nonzero()[0]:
                 if u[column] >= self.p_reset:
-                    view[:, one, :, column] *= -1.0
-                    continue
-                twin = None
-                if frame & ~(1 << qubit):
-                    if view.shape[-1] * self.p_reset >= 1.0:
-                        # a reset is expected at every step: flipping the other
-                        # qubits back once costs less than a copy at each step
-                        frame = _settle(amplitudes, frame, qubit)
-                    else:
-                        twin = _frameless_half(view, column, qubit, frame)
-                _reset(view[..., column], rng, flipped, twin)
+                    view[:, 1 ^ flipped, :, column] *= -1.0
+                elif not others:
+                    _reset(view[..., column], rng, flipped)
+                elif view.shape[-1] * self.p_reset >= 1.0:
+                    # resets come at every step: clearing the frame once
+                    # costs less than a copy at each of them
+                    frame = flipped = others = _clear_frame(amplitudes, frame)
+                    _reset(view[..., column], rng)
+                else:
+                    _reset(view[..., column], rng, flipped,
+                           _frameless_half(view, column, qubit, frame))
             return frame
         # kraus: amplitude damping with Born-weighted branch selection, then a
-        # phase flip for the residual pure dephasing; one factor per logical
-        # half and column, shaped (2, 1, B) to multiply the view
-        frame = _settle(amplitudes, frame, qubit)
+        # phase flip for the residual pure dephasing; one factor per half and
+        # column, shaped (2, 1, B) to multiply the view
+        frame = _clear_frame(amplitudes, frame)
         draws = rng.random((2, view.shape[-1]))
-        p1 = _column_norms(view[:, one])
+        p1 = _column_norms(view[:, 1])
         damped = self.gamma * p1
         factors = self.no_jump * (1.0 - damped) ** -0.5
         jump = draws[0] < damped
         if np.count_nonzero(jump):
-            view[:, flipped, :, jump] = view[:, one, :, jump]
+            view[:, 0, :, jump] = view[:, 1, :, jump]
             factors[0, 0, jump] = p1[jump] ** -0.5
             factors[1, 0, jump] = 0.0
         flip = draws[1] < self.p_phi
         if np.count_nonzero(flip):
             factors[1, 0, flip] *= -1.0
-        view *= factors[::-1] if flipped else factors
+        view *= factors
         return frame
 
 
-def _settle(amplitudes: np.ndarray, frame: int, qubit: int) -> int:
-    """Flip back every qubit but ``qubit`` that ``frame`` flips, one X each,
-    and return the frame left: a sum over a half of ``qubit`` then meets its
-    terms in the frameless block's order."""
-    if frame & ~(1 << qubit):
-        state = StateVector(amplitudes.shape[0].bit_length() - 1, amplitudes, frame)
-        state.clear_frame(keep=1 << qubit)
-        frame = state.frame
-    return frame
+def _clear_frame(amplitudes: np.ndarray, frame: int) -> int:
+    """Flip back every qubit ``frame`` flips, one X each, and return the
+    frame left, 0."""
+    if frame:
+        StateVector(amplitudes.shape[0].bit_length() - 1, amplitudes, frame).clear_frame()
+    return 0
 
 
 def _frameless_half(view: np.ndarray, column: int, qubit: int, frame: int) -> np.ndarray:
     """One column's |1> half of ``qubit``, in a block viewed as
     ``(above, 2, below, B)`` whose frame flips other qubits too: a copy in
     logical order, in a scratch block laid out as ``view``, so that a sum
-    over it runs as over the frameless block's half.  ``np.vdot`` picks its
-    summation by the layout (one strided run, or a contiguous copy in memory
-    order), and the frame's other flips reorder the stored half."""
+    over it runs as over the frameless block's half.  The frame's other flips
+    reorder the stored half, and ``np.vdot`` sums a half that is one strided
+    run in place but copies any other half first, which rounds differently;
+    the same layout gives the same sum either way."""
     others = frame & ~(1 << qubit)
     # half row j (index bits above and below the qubit) holds logical row j ^ packed
     packed = others >> (qubit + 1) << qubit | others & ((1 << qubit) - 1)
@@ -332,15 +331,15 @@ def _reset(state: np.ndarray, rng: np.random.Generator, flipped: int = 0,
     once: the 0 half gets the scaled survivor, and a scale of 1.0, as at
     p1 = 0, leaves it as it is.
     """
-    zero, one = state[:, flipped], state[:, 1 ^ flipped]
+    one = state[:, 1 ^ flipped]
     summed = one if twin is None else twin
     p1 = np.vdot(summed, summed).real
     if rng.random() < p1:
-        np.multiply(one, p1 ** -0.5, out=zero)
+        np.multiply(one, p1 ** -0.5, out=state[:, flipped])
     else:
         scale = (1.0 - p1) ** -0.5
         if scale != 1.0:
-            zero *= scale
+            state[:, flipped] *= scale
     one[...] = 0.0
 
 

@@ -116,14 +116,13 @@ class StateVector:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def clear_frame(self, keep: int = 0) -> None:
-        """Flip the stored value of every qubit the frame holds, except those
-        in the mask ``keep``, one X each, and drop them from the frame; with
-        no ``keep`` the amplitudes are then the logical ones."""
+    def clear_frame(self) -> None:
+        """Flip the stored value of every qubit the frame holds, one X each,
+        and set the frame to 0: the amplitudes are then the logical ones."""
         for q in range(self.n_qubits):
-            if (self.frame & ~keep) >> q & 1:
+            if self.frame >> q & 1:
                 _apply_dense(self, Gate("X", (q,)), 0)
-        self.frame &= keep
+        self.frame = 0
 
 
 #: A basis index is an int64, whose sign bit leaves qubits 0 to 62.

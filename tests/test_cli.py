@@ -482,13 +482,14 @@ def test_solve_rejects_noisy_run_flags_without_noise(capsys, flags, named):
     assert err == f"error: no noisy run to apply {named} to; add --noise\n"
 
 
-def test_an_iteration_count_too_large_to_assemble_is_an_error_line(capsys):
-    # the gate list cannot even be sized, so this fails before allocating anything;
-    # counts near 10**7 would really try to allocate gigabytes
-    code, out, err = run_cli(capsys, "solve", "--graph", "g4", "--k", "3",
-                             "--iters", "99999999999")
+@pytest.mark.parametrize("iters", ["1000000000000000000", "10000000000000000000"])
+def test_an_iteration_count_too_large_to_assemble_is_an_error_line(capsys, iters):
+    # 64 * 10**18 gates exceed what a list can hold and 10**19 exceeds an index,
+    # so both fail before anything is allocated; a count whose list merely does
+    # not fit in memory would ask the allocator for it
+    code, out, err = run_cli(capsys, "solve", "--graph", "g4", "--k", "3", "--iters", iters)
     assert code == 1 and out == ""
-    assert err == "error: cannot assemble 99999999999 Grover iterations of 64 gates each\n"
+    assert err == f"error: cannot assemble {iters} Grover iterations of 64 gates each\n"
 
 
 def test_an_error_without_a_message_is_named_by_its_type(capsys, monkeypatch):

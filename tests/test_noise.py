@@ -608,25 +608,24 @@ def _random_program(rng, n: int, profile: NoiseProfile, complex_gates: bool) -> 
 
 
 @pytest.mark.parametrize("spec, n, columns, path", [
-    ("2:2", 5, 1, "copy"),      # mixture, fewer than one reset per step: copied halves
-    ("2:2", 5, 16, "settle"),   # mixture, a reset at most steps: other flips undone
-    ("2:2", 16, 1, "copy"),     # one 16-qubit state per block
-    ("2:3", 5, 4, "settle"),    # kraus: every step sums its columns
+    ("3:2", 5, 1, "copy"),      # mixture, fewer than one reset per step: copied halves
+    ("3:2", 5, 16, "clear"),    # mixture, a reset at most steps: the frame cleared
+    ("3:2", 16, 1, "copy"),     # one 16-qubit state per block
+    ("2:3", 5, 4, "clear"),     # kraus: every step sums its columns
 ], ids=["mixture-few-resets", "mixture-many-resets", "mixture-16-qubits", "kraus"])
 def test_framed_blocks_end_byte_equal_to_frameless_ones(spec, n, columns, path, monkeypatch):
-    seen = {"copy": 0, "settle": 0}
-    settle, frameless_half = noise._settle, noise._frameless_half
+    seen = {"copy": 0, "clear": 0}
+    clear_frame, frameless_half = noise._clear_frame, noise._frameless_half
 
-    def counted_settle(amplitudes, frame, qubit):
-        left = settle(amplitudes, frame, qubit)
-        seen["settle"] += left != frame
-        return left
+    def counted_clear_frame(amplitudes, frame):
+        seen["clear"] += frame != 0
+        return clear_frame(amplitudes, frame)
 
     def counted_frameless_half(*args):
         seen["copy"] += 1
         return frameless_half(*args)
 
-    monkeypatch.setattr(noise, "_settle", counted_settle)
+    monkeypatch.setattr(noise, "_clear_frame", counted_clear_frame)
     monkeypatch.setattr(noise, "_frameless_half", counted_frameless_half)
     profile = load_profile(spec)
     for seed in range(6):
@@ -651,12 +650,54 @@ def test_framed_blocks_end_byte_equal_to_frameless_ones(spec, n, columns, path, 
     assert seen[path] > 0
 
 
-def test_a_kraus_step_on_a_flipped_qubit_takes_the_stored_0_half_as_its_1():
+def _stored(amp: np.ndarray, frame: int) -> np.ndarray:
+    """A ``(2**n, B)`` block as a frame would store it: the qubits in
+    ``frame`` flipped."""
+    n = amp.shape[0].bit_length() - 1
+    flips = tuple(slice(None, None, -1 if frame >> q & 1 else 1) for q in reversed(range(n)))
+    return np.ascontiguousarray(amp.reshape((2,) * n + (-1,))[flips]).reshape(amp.shape)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_a_copied_half_sums_as_the_frameless_half(dtype):
+    # numpy sums a half that is one strided run in place and copies any other
+    # half first, and the two sums round differently; these widths, columns
+    # and qubits give halves of both kinds, contiguous ones included
+    rng = np.random.default_rng(8)
+    for n, columns in [(1, 1), (2, 3), (3, 1), (5, 16), (8, 3), (12, 16)]:
+        amp = rng.normal(size=(1 << n, columns)).astype(dtype)
+        if dtype is np.complex128:
+            amp += 1j * rng.normal(size=amp.shape)
+        for _ in range(6):
+            frame, column = int(rng.integers(1 << n)), int(rng.integers(columns))
+            framed = _stored(amp, frame)
+            for qubit in range(n):
+                plain = amp.reshape(amp.shape[0] >> (qubit + 1), 2, 1 << qubit, -1)[:, 1, :, column]
+                view = framed.reshape(plain.shape[0], 2, plain.shape[1], -1)
+                twin = noise._frameless_half(view, column, qubit, frame)
+                assert twin.tobytes() == plain.tobytes()
+                assert np.vdot(twin, twin).tobytes() == np.vdot(plain, plain).tobytes(), \
+                    (n, columns, frame, qubit)
+
+
+def test_a_kraus_step_clears_the_frame_before_it_sums():
     channel = RelaxationChannel(20_000.0, NoiseProfile("k", 20.0, 30.0), "kraus")
     amp = np.random.default_rng(3).normal(size=(8, 64))
     amp /= np.linalg.norm(amp, axis=0)
-    flipped = amp.reshape(2, 2, 2, 64)[:, ::-1].reshape(8, 64)  # qubit 1 flipped
+    flipped = amp.reshape(2, 2, 2, 64)[::-1, ::-1].reshape(8, 64)  # qubits 1 and 2 flipped
     channel.apply(amp, 1, np.random.default_rng(4))
-    assert channel.apply(flipped, 1, np.random.default_rng(4), frame=0b010) == 0b010
-    assert flipped.reshape(2, 2, 2, 64)[:, ::-1].reshape(8, 64).tobytes() == amp.tobytes()
+    assert channel.apply(flipped, 1, np.random.default_rng(4), frame=0b110) == 0
+    assert flipped.tobytes() == amp.tobytes()
+
+
+def test_a_phase_flip_on_a_flipped_qubit_negates_the_stored_0_half_and_keeps_the_frame():
+    channel = RelaxationChannel(20_000.0, NoiseProfile("m", 1e9, 20.0), "mixture")
+    assert channel.p_z > 0.3  # resets are 1e-8 likely: the step draws phase flips alone
+    start = np.random.default_rng(5).normal(size=(8, 64))
+    amp = start.copy()
+    flipped = start.reshape(2, 2, 2, 64)[::-1, ::-1].reshape(8, 64)  # qubits 1 and 2 flipped
+    channel.apply(amp, 1, np.random.default_rng(6))
+    assert channel.apply(flipped, 1, np.random.default_rng(6), frame=0b110) == 0b110
+    assert flipped.reshape(2, 2, 2, 64)[::-1, ::-1].reshape(8, 64).tobytes() == amp.tobytes()
+    assert not np.array_equal(amp, start)
 

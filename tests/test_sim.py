@@ -1167,12 +1167,12 @@ def test_a_framed_x_moves_no_amplitude_and_a_frameless_one_swaps():
     assert np.array_equal(cx.amplitudes, [2.0, 1.0, 0.0, 3.0])
 
 
-def test_clear_frame_keeps_the_qubits_it_is_told_to():
+def test_clear_frame_flips_each_framed_qubit_once():
     amp = np.arange(8.0)
     state = StateVector(3, amp.copy(), frame=0b110)
-    state.clear_frame(keep=0b100)
-    assert state.frame == 0b100
-    assert np.array_equal(state.amplitudes, amp.reshape(2, 2, 2)[:, ::-1].reshape(-1))
+    state.clear_frame()
+    assert state.frame == 0
+    assert np.array_equal(state.amplitudes, amp.reshape(2, 2, 2)[::-1, ::-1].reshape(-1))
 
 
 def test_marginals_refuse_a_state_whose_frame_flips_a_qubit():
