@@ -7,6 +7,7 @@ the master correctness check for the oracle and diffusion construction.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 from .circuit import Circuit, Gate
@@ -112,10 +113,25 @@ def assemble(g: Graph, k: int, prep: PrepMode, style: str = "checking",
     oracle_circuit = build_oracle(g, k, plan.oracle)
     diffusion_circuit = diffusion(prep_circuit)
     iteration = oracle_circuit.ops + diffusion_circuit.ops
+    # a list holds one 8-byte reference per gate; a list larger than memory
+    # would be filled until the process is killed, where the allocator allows it
+    if plan.iterations * len(iteration) * 8 > _physical_memory():
+        raise _cannot_assemble(plan.iterations, len(iteration))
     try:
         ops = prep_circuit.ops + plan.iterations * iteration
     except (MemoryError, OverflowError):  # too large to size, or to count as an index
-        raise MemoryError(f"cannot assemble {plan.iterations} Grover iterations of "
-                          f"{len(iteration)} gates each") from None
+        raise _cannot_assemble(plan.iterations, len(iteration)) from None
     return Circuit(oracle_circuit.n_qubits, oracle_circuit.registers,
                    f"grover({plan.prep.value},{plan.oracle.style},k={k})", ops)
+
+
+def _cannot_assemble(iterations: int, gates: int) -> MemoryError:
+    return MemoryError(f"cannot assemble {iterations} Grover iterations of {gates} gates each")
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory, or no bound where the platform does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return math.inf

@@ -13,24 +13,21 @@ Two trajectory implementations realize it:
   Born-rule branch weights and renormalization, followed by a probabilistic
   phase flip for the residual pure dephasing.
 
-Trajectories run in blocks of 512 KiB, one ``(2**n, B)`` array each, column
-``b`` holding trajectory ``b``: every scheduled gate is applied once to the
-whole block, and every relaxation step draws its branch for all columns at
-once.  With the block axis last, every gate and relaxation view ends in one
-contiguous run of ``B * 2**q`` amplitudes.  A block has the circuit's
-amplitude dtype (:func:`qclique.sim._amplitude_dtype`): float64 for every
-circuit whose gates all have real matrices, which both channels keep real,
-since their flips, resets, no-jump factors and jump copies are all real.
-A block runs with a Pauli frame (:class:`qclique.sim.StateVector`): an
-uncontrolled X toggles one bit of ``state.frame`` instead of swapping the
-block's halves, and a relaxation step on a flipped qubit takes the stored 0
-half as its |1>.  Element-wise products see the same values under the frame,
-but a sum over a half would meet its terms in another order and round
-differently.  So a Kraus step first clears the frame (one X per set bit),
-and a reset either sums a copy of its half laid out as in the frameless
-block or, in a step that expects a reset in some column, clears the frame.
-The run clears it before the marginals too, and the block then holds the
-bytes a frameless run leaves.
+Trajectories run in blocks of B columns, column ``b`` holding trajectory
+``b``: every scheduled gate is applied once to the whole block, and every
+relaxation step draws its branch for all columns at once.  B is what a dense
+``(2**n, B)`` block of 512 KiB would hold, but a block runs on its support: a
+:class:`qclique.sim.SparseState` that lists the K basis states some column
+holds, with a ``(K, B)`` array of their amplitudes.  X-type gates then only flip
+index bits, a phase flip negates the rows with the qubit set, and only 2x2
+gates, resets and Kraus jumps add rows.  A block has the circuit's amplitude
+dtype (:func:`qclique.sim._amplitude_dtype`): float64 for every circuit whose
+gates all have real matrices, which both channels keep real, since their
+flips, resets, no-jump factors and jump copies are all real.  A sparse block
+draws the same numbers in the same order as a dense one and ends in the same
+amplitudes: every product is of the same two numbers, and every sum (a
+reset's norm, a Kraus step's column norms, the marginals) sees the dense
+block's terms in the dense block's layout, so it rounds as there.
 Runs are deterministic given the seed: block ``b`` draws from
 ``numpy.random.default_rng(SeedSequence(entropy=seed, spawn_key=(b,)))``, the
 calling process builds every block's ``SeedSequence`` before handing blocks
@@ -61,8 +58,10 @@ import numpy as np
 from .circuit import Circuit, Gate, _critical_path, _lower_gate
 from .sim import (
     MeasurementHistogram,
-    StateVector,
+    SparseState,
     _amplitude_dtype,
+    _check_index_width,
+    _find,
     _histogram,
     _measured_qubits,
     apply_gate,
@@ -228,118 +227,169 @@ class RelaxationChannel:
         out[1, 0] *= self.decay2
         return out
 
-    def apply(self, amplitudes: np.ndarray, qubit: int, rng: np.random.Generator,
-              frame: int = 0) -> int:
-        """One stochastic application, in place and renormalized; returns the
-        frame left after it.
+    def apply(self, state: np.ndarray | SparseState, qubit: int,
+              rng: np.random.Generator) -> None:
+        """One stochastic application, in place and renormalized.
 
-        ``amplitudes`` is one pure state ``(2**n,)`` or a block ``(2**n, B)``
-        of them, one per column; each column draws its own branch from ``rng``.
-        They may be complex128 or float64: every factor the channel applies is
-        real, so a real state stays real.
-
-        ``frame`` is the Pauli frame of a framed block (see
-        :class:`qclique.sim.StateVector`), 0 for a plain one.  When it flips
-        ``qubit``, the qubit's |1> is the stored 0 half.  A flip of any other
-        qubit reorders a sum over the half, so a step that sums first undoes
-        the flips it would meet.  A Kraus step sums every column: it clears
-        the frame.  A reset sums one column: it sums a copy of that column's
-        half laid out as in the frameless block (:func:`_frameless_half`), or,
-        when the step expects a reset in at least one of the block's columns,
-        clears the frame, which later resets then find clear.  The draws and
-        every result are those of the frameless block.
+        ``state`` is a dense array, one pure state ``(2**n,)`` or a block
+        ``(2**n, B)`` of them, one per column, or a
+        :class:`~qclique.sim.SparseState` block (:meth:`_apply_sparse`).  Each
+        column draws its own branch from ``rng``.  The amplitudes may be
+        complex128 or float64: every factor the channel applies is real, so a
+        real state stays real.
         """
         if self.t_ns == 0.0:
-            return frame
+            return
+        if isinstance(state, SparseState):
+            self._apply_sparse(state, qubit, rng)
+            return
         # (qubits above, qubit value, qubits below, column)
-        view = amplitudes.reshape(amplitudes.shape[0] >> (qubit + 1), 2, 1 << qubit, -1)
+        view = state.reshape(state.shape[0] >> (qubit + 1), 2, 1 << qubit, -1)
         if self.implementation == "mixture":
             u = rng.random(view.shape[-1])
             event = u < self.p_reset + self.p_z
             if not np.count_nonzero(event):
-                return frame
+                return
             # events are rare: each column that draws one is handled on its own view
-            flipped, others = frame >> qubit & 1, frame & ~(1 << qubit)
             for column in event.nonzero()[0]:
-                if u[column] >= self.p_reset:
-                    view[:, 1 ^ flipped, :, column] *= -1.0
-                elif not others:
-                    _reset(view[..., column], rng, flipped)
-                elif view.shape[-1] * self.p_reset >= 1.0:
-                    # resets come at every step: clearing the frame once
-                    # costs less than a copy at each of them
-                    frame = flipped = others = _clear_frame(amplitudes, frame)
+                if u[column] < self.p_reset:
                     _reset(view[..., column], rng)
                 else:
-                    _reset(view[..., column], rng, flipped,
-                           _frameless_half(view, column, qubit, frame))
-            return frame
+                    view[:, 1, :, column] *= -1.0
+            return
         # kraus: amplitude damping with Born-weighted branch selection, then a
         # phase flip for the residual pure dephasing; one factor per half and
         # column, shaped (2, 1, B) to multiply the view
-        frame = _clear_frame(amplitudes, frame)
         draws = rng.random((2, view.shape[-1]))
         p1 = _column_norms(view[:, 1])
+        factors, jump = self._kraus_factors(draws, p1)
+        if np.count_nonzero(jump):
+            view[:, 0, :, jump] = view[:, 1, :, jump]
+        view *= factors
+
+    def _kraus_factors(self, draws: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A Kraus step's factors, shaped ``(2, 1, B)`` (one per half and
+        column), and its jump mask: a column that jumps takes its |1> half,
+        scaled, as its |0> half."""
         damped = self.gamma * p1
         factors = self.no_jump * (1.0 - damped) ** -0.5
         jump = draws[0] < damped
         if np.count_nonzero(jump):
-            view[:, 0, :, jump] = view[:, 1, :, jump]
             factors[0, 0, jump] = p1[jump] ** -0.5
             factors[1, 0, jump] = 0.0
         flip = draws[1] < self.p_phi
         if np.count_nonzero(flip):
             factors[1, 0, flip] *= -1.0
-        view *= factors
-        return frame
+        return factors, jump
+
+    def _apply_sparse(self, state: SparseState, qubit: int, rng: np.random.Generator) -> None:
+        """:meth:`apply` on a sparse block, whose amplitudes are ``(K, B)``:
+        the dense block's draws, in the same order, and its amplitudes on
+        the rows the block lists.
+
+        A phase flip negates the rows with the qubit set.  A reset that
+        measures 1, or a Kraus jump, takes each such row to its partner with
+        the qubit clear (:func:`_move_down`), which may add that row.  A
+        mixture step in which one column draws an event works on that
+        column's view (:meth:`_one_event`); one with more handles all its
+        events together, as the wide blocks' steps do.  Each sum sees the
+        dense block's terms in the dense block's layout (:func:`_reset_norms`,
+        :func:`_sparse_column_norms`), so it rounds as there; every other
+        result is a product of the same two numbers.
+        """
+        if self.implementation == "mixture":
+            u = rng.random(state.amplitudes.shape[1])
+            event = u < self.p_reset + self.p_z
+            events = np.count_nonzero(event)
+            if not events:
+                return
+            bits = state.index >> qubit & 1
+            ones = bits.nonzero()[0]
+            if events == 1:
+                self._one_event(state, qubit, rng, int(event.argmax()), u, bits, ones)
+                return
+            columns = event.nonzero()[0]
+            resets = (u[columns] < self.p_reset).nonzero()[0]  # positions in columns
+            # the dense block's resets draw one number each, in column order
+            draws = rng.random(len(resets)) if len(resets) else None
+            halves = state.amplitudes.take(ones, axis=0).take(columns, axis=1)  # the |1> halves
+            live = halves.any(axis=0)
+            if not np.count_nonzero(live):
+                return  # a flip or a reset of a zero |1> half changes nothing
+            factors = _PHASE_FLIP.repeat(len(columns), axis=1)
+            if draws is not None:
+                p1, alive = np.zeros(len(resets)), live[resets]
+                p1[alive] = _reset_norms(state, qubit, ones, halves[:, resets[alive]])
+                moved = draws < p1
+                factors[0, resets] = [p ** -0.5 if m else (1.0 - p) ** -0.5
+                                      for p, m in zip(p1, moved)]
+                factors[1, resets] = 0.0
+                if np.count_nonzero(moved):
+                    moved = resets[moved]
+                    _move_down(state, qubit, ones, columns[moved], halves[:, moved],
+                               factors[0, moved])
+                    factors[:, moved] = 1.0  # those columns are done
+                    bits = state.index >> qubit & 1
+            state.amplitudes[:, columns] *= factors[bits]
+            return
+        draws = rng.random((2, state.amplitudes.shape[1]))
+        bits = state.index >> qubit & 1
+        ones = bits.nonzero()[0]
+        if not len(ones):
+            return  # p1 = 0 in every column: the factors leave the |0> half as it is
+        factors, jump = self._kraus_factors(draws, _sparse_column_norms(state, qubit, ones))
+        if np.count_nonzero(jump):
+            columns = jump.nonzero()[0]
+            _move_down(state, qubit, ones, columns,
+                       state.amplitudes.take(ones, axis=0).take(columns, axis=1),
+                       factors[0, 0, columns])
+            factors[:, 0, columns] = 1.0  # those columns are done
+            bits = state.index >> qubit & 1
+        state.amplitudes *= factors[:, 0][bits]
+
+    def _one_event(self, state: SparseState, qubit: int, rng: np.random.Generator,
+                   column: int, u: np.ndarray, bits: np.ndarray, ones: np.ndarray) -> None:
+        """A mixture step in which ``column`` alone draws an event, on that
+        column's 1-D view: the common case in narrow blocks, where the
+        batched path's numpy calls cost more than the event itself.
+        ``bits`` holds the qubit's value per row and ``ones`` its 1 rows."""
+        col = state.amplitudes[:, column]
+        half = col.take(ones)
+        if u[column] >= self.p_reset:  # a phase flip
+            col[ones] = -half
+            return
+        draw = rng.random()
+        if not half.any():
+            return  # p1 = 0: the reset changes nothing
+        p1 = _reset_norms(state, qubit, ones, half[:, None])[0]
+        if draw < p1:
+            _move_down(state, qubit, ones, np.array([column]), half[:, None], p1 ** -0.5)
+            return
+        zeros = (bits == 0).nonzero()[0]
+        col[zeros] = col.take(zeros) * (1.0 - p1) ** -0.5
+        col[ones] = 0.0
 
 
-def _clear_frame(amplitudes: np.ndarray, frame: int) -> int:
-    """Flip back every qubit ``frame`` flips, one X each, and return the
-    frame left, 0."""
-    if frame:
-        StateVector(amplitudes.shape[0].bit_length() - 1, amplitudes, frame).clear_frame()
-    return 0
+#: A phase flip's factors on the |0> and |1> halves.
+_PHASE_FLIP = np.array([[1.0], [-1.0]])
 
 
-def _frameless_half(view: np.ndarray, column: int, qubit: int, frame: int) -> np.ndarray:
-    """One column's |1> half of ``qubit``, in a block viewed as
-    ``(above, 2, below, B)`` whose frame flips other qubits too: a copy in
-    logical order, in a scratch block laid out as ``view``, so that a sum
-    over it runs as over the frameless block's half.  The frame's other flips
-    reorder the stored half, and ``np.vdot`` sums a half that is one strided
-    run in place but copies any other half first, which rounds differently;
-    the same layout gives the same sum either way."""
-    others = frame & ~(1 << qubit)
-    # half row j (index bits above and below the qubit) holds logical row j ^ packed
-    packed = others >> (qubit + 1) << qubit | others & ((1 << qubit) - 1)
-    rows = np.arange(view.shape[0] * view.shape[2]) ^ packed
-    twin = np.empty_like(view)[:, 1, :, column]
-    twin[...] = view[:, 1 ^ (frame >> qubit & 1), :, column].reshape(-1)[rows].reshape(twin.shape)
-    return twin
-
-
-def _reset(state: np.ndarray, rng: np.random.Generator, flipped: int = 0,
-           twin: np.ndarray | None = None) -> None:
+def _reset(state: np.ndarray, rng: np.random.Generator) -> None:
     """Reset instruction on one state viewed as ``(above, 2, below)``: a
-    projective measurement of the qubit, then set |0>.  With ``flipped`` set,
-    the qubit's |0> and |1> are the stored 1 and 0 halves.  ``twin``, when
-    given, is the |1> half laid out as in the frameless block, which the
-    measurement's norm sums instead (:func:`_frameless_half`).
+    projective measurement of the qubit, then set |0>.
 
     Measured 0 means p1 <= the draw < 1, so 1 - p1 > 0.  Each half is written
     once: the 0 half gets the scaled survivor, and a scale of 1.0, as at
     p1 = 0, leaves it as it is.
     """
-    one = state[:, 1 ^ flipped]
-    summed = one if twin is None else twin
-    p1 = np.vdot(summed, summed).real
+    one = state[:, 1]
+    p1 = np.vdot(one, one).real
     if rng.random() < p1:
-        np.multiply(one, p1 ** -0.5, out=state[:, flipped])
+        np.multiply(one, p1 ** -0.5, out=state[:, 0])
     else:
         scale = (1.0 - p1) ** -0.5
         if scale != 1.0:
-            state[:, flipped] *= scale
+            state[:, 0] *= scale
     one[...] = 0.0
 
 
@@ -349,6 +399,73 @@ def _column_norms(half: np.ndarray) -> np.ndarray:
     re_im = half.view(np.float64)  # the last axis is contiguous, so this is a view
     squares = np.einsum("ijk,ijk->k", re_im, re_im)  # innermost loop: all B or 2B floats
     return squares.reshape(half.shape[-1], -1).sum(axis=1)
+
+
+def _scratch_column(state: SparseState) -> np.ndarray:
+    """A zeroed column of ``2**n`` amplitudes laid out as a column of the
+    sparse block's dense twin: contiguous for a block of one column, strided
+    otherwise, since numpy and BLAS sum a strided run in another order than a
+    contiguous one."""
+    amp = state.amplitudes
+    return np.zeros((1 << state.n_qubits, min(amp.shape[1], 2)), amp.dtype)[:, 0]
+
+
+def _reset_norms(state: SparseState, qubit: int, ones: np.ndarray,
+                 halves: np.ndarray) -> np.ndarray:
+    """Squared norm of each column of ``halves``, the |1> half of ``qubit``
+    (the rows ``ones`` of a sparse block) in some of its columns, summed as
+    :func:`_reset` sums the dense block's half.
+
+    ``np.vdot`` sums a half that is one strided run (qubit 0, and qubit n-1
+    of a block wider than one column) in place and copies any other half to
+    a contiguous array first, so each column is scattered into a scratch
+    column laid out as the dense block's (:func:`_scratch_column`) and summed
+    there."""
+    rows = state.index[ones]
+    column = _scratch_column(state)
+    half = column.reshape(-1, 2, 1 << qubit)[:, 1]
+    p1 = np.empty(halves.shape[1])
+    for j in range(len(p1)):
+        column[rows] = halves[:, j]
+        p1[j] = np.vdot(half, half).real
+    return p1
+
+
+def _sparse_column_norms(state: SparseState, qubit: int, ones: np.ndarray) -> np.ndarray:
+    """:func:`_column_norms` of the |1> half of ``qubit`` (rows ``ones``) in
+    a sparse block, bit for bit.  einsum sums the rows in ascending index
+    order as it sums the dense half, except for one float64 column, whose
+    dense half it sums in runs; that column is summed in a scratch column
+    laid out as the dense block's (:func:`_scratch_column`)."""
+    idx, amp = state.index, state.amplitudes
+    if amp.shape[1] > 1 or np.iscomplexobj(amp):
+        return _column_norms(amp.take(ones[idx[ones].argsort()], axis=0)[:, None])
+    column = _scratch_column(state)
+    column[idx[ones]] = amp[:, 0].take(ones)
+    return _column_norms(column.reshape(-1, 2, 1 << qubit, 1)[:, 1])
+
+
+def _move_down(state: SparseState, qubit: int, ones: np.ndarray, columns: np.ndarray,
+               halves: np.ndarray, scales) -> None:
+    """A reset that measures 1, or a Kraus jump, in ``columns`` of a sparse
+    block: each index with ``qubit`` clear takes the amplitude of its partner
+    with the qubit set times the column's scale, or 0 where that partner is
+    not listed, and each index with the qubit set takes 0.  ``ones`` are the
+    rows with the qubit set and ``halves`` their amplitudes in ``columns``.
+    A row of ``ones`` that is nonzero there and whose partner is not listed
+    gets one, zero in every column."""
+    bit = 1 << qubit
+    idx = state.index
+    partners = _find(state, idx[ones] ^ bit)
+    lone = ((partners < 0) & halves.any(axis=1)).nonzero()[0]
+    if len(lone):
+        partners[lone] = np.arange(len(idx), len(idx) + len(lone))
+        added = np.zeros_like(state.amplitudes, shape=(len(lone), state.amplitudes.shape[1]))
+        state.index = np.concatenate((idx, idx[ones[lone]] ^ bit))
+        state.amplitudes = np.concatenate((state.amplitudes, added))
+    paired = (partners >= 0).nonzero()[0]
+    state.amplitudes[:, columns] = 0.0
+    state.amplitudes[partners[paired, None], columns] = halves[paired] * scales
 
 
 def compile_noisy_program(circuit: Circuit, profile: NoiseProfile) -> list:
@@ -396,9 +513,10 @@ def compile_noisy_program(circuit: Circuit, profile: NoiseProfile) -> list:
     return steps
 
 
-# Bytes held by one block of trajectories: 512 KiB, that is 2**16 float64 or
-# 2**15 complex128 amplitudes.  A float64 block holds 256 trajectories at 8
-# qubits, 16 at 12 and 1 from 16 qubits up; a complex128 block half as many.
+# Bytes a dense block of trajectories would hold: 512 KiB, that is 2**16
+# float64 or 2**15 complex128 amplitudes.  It sizes the sparse blocks too, so
+# that every block draws as before: a float64 block holds 256 trajectories at
+# 8 qubits, 16 at 12 and 1 from 16 qubits up; a complex128 block half as many.
 _BLOCK_BYTES = 512 << 10
 
 
@@ -407,47 +525,20 @@ def _block_size(n_qubits: int, dtype) -> int:
     return max(1, (_BLOCK_BYTES // np.dtype(dtype).itemsize) >> n_qubits)
 
 
-def _keep_on_heap(nbytes: int) -> None:
-    """Have glibc serve requests below ``nbytes`` from its heap from now on.
-
-    Freeing a mapped chunk raises glibc's mmap threshold to that chunk's size
-    (and its trim threshold to twice it), so this maps and frees one array of
-    ``nbytes``.  Below the threshold, the temporaries a gate makes are reused
-    heap memory; above it, each is mapped, faulted in page by page and
-    unmapped again.  The thresholds only rise, and other allocators merely
-    allocate and free the array.
-    """
-    np.empty(nbytes, dtype=np.uint8)
-
-
-def _evolve(state: StateVector, steps: list, rng: np.random.Generator) -> None:
-    """Apply a compiled program's steps to a framed block, each gate as one
-    :func:`~qclique.sim.apply_gate` call; the block keeps its frame."""
-    amp = state.amplitudes
-    for step in steps:
-        if step[0] == "gate":
-            apply_gate(state, step[1])
-        else:
-            state.frame = step[2].apply(amp, step[1], rng, state.frame)
-
-
 def _run_trajectory_blocks(args) -> np.ndarray:
     steps, n_qubits, dtype, measured, shots, trajectories, blocks = args
     size = _block_size(n_qubits, dtype)
-    # a block and its gate temporaries stay on the heap; otherwise the first
-    # block gives the temporaries back to the system after every gate and
-    # faults them in again
-    _keep_on_heap(2 * _BLOCK_BYTES)
     base, extra = divmod(shots, trajectories)
     counts = np.zeros(1 << len(measured), dtype=np.int64)
     for block, seed_sequence in blocks:
         first, stop = block * size, min((block + 1) * size, trajectories)
         rng = np.random.default_rng(seed_sequence)
-        state = StateVector(n_qubits, np.zeros((1 << n_qubits, stop - first), dtype=dtype),
-                            frame=0)
-        state.amplitudes[0] = 1.0
-        _evolve(state, steps, rng)
-        state.clear_frame()
+        state = SparseState.basis(n_qubits, 0, dtype, columns=stop - first)
+        for step in steps:
+            if step[0] == "gate":
+                apply_gate(state, step[1])
+            else:
+                step[2].apply(state, step[1], rng)
         probs = np.clip(marginal_probabilities(state, measured), 0.0, None).T  # a row per trajectory
         row_shots = base + (np.arange(first, stop) < extra)  # round-robin shot allocation
         counts += rng.multinomial(row_shots, probs / probs.sum(axis=1, keepdims=True)).sum(axis=0)
@@ -523,31 +614,35 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, trajectories:
     applications, then contributes its share of the ``shots`` (round-robin
     allocation), so at most ``shots`` trajectories run.  The channel follows
     the profile's T1/T2, as in :func:`compile_noisy_program`.  Trajectories
-    run in blocks of 512 KiB, one ``(2**n, B)`` array per block of the
-    circuit's amplitude dtype: ``B = max(1, 2**16 >> n)`` for float64 (every
-    circuit whose gates all have real matrices) and ``max(1, 2**15 >> n)`` for
-    complex128.  Block ``b`` draws every channel branch and its shots from
-    ``SeedSequence(entropy=seed, spawn_key=(b,))``.  Those seed sequences are
-    built here, in the calling process, so ``numpy.random`` is imported once
-    rather than in every worker.  ``measure`` is checked before anything runs:
-    an empty list, a qubit outside the circuit or one listed twice raises
-    :class:`ValueError`.
+    run in blocks of B, each a sparse block of the circuit's amplitude dtype
+    on its support: ``B = max(1, 2**16 >> n)`` for float64 (every circuit
+    whose gates all have real matrices) and ``max(1, 2**15 >> n)`` for
+    complex128, what a dense block of 512 KiB would hold.  Block ``b`` draws
+    every channel branch and its shots from ``SeedSequence(entropy=seed,
+    spawn_key=(b,))``.  Those seed sequences are built here, in the calling
+    process, so ``numpy.random`` is imported once rather than in every
+    worker.  ``measure`` is checked before anything runs: an empty list, a
+    qubit outside the circuit or one listed twice raises :class:`ValueError`.
     Identical (circuit, profile, shots, trajectories, seed) produce identical
     histograms for any ``workers`` count, because workers receive whole blocks
     and counts are aggregated by order-independent summation.
 
-    ``min(workers, blocks)`` jobs run; one runs in this process.  More go to
-    the process's worker pool, which the first such call starts and later
-    calls reuse; a call that needs more processes than the pool has replaces
-    it.  The pool stops when the process exits, and its workers exit on their
-    own if the process is killed.  A worker that dies mid-run raises
-    :class:`ChildProcessError`, and the next call starts a new pool.
+    ``min(workers, blocks)`` jobs run.  A single job runs in this process;
+    with two or more, every job goes to the process's worker pool and this
+    process only waits for them.  The first such call starts the pool and
+    later calls reuse it; a call that needs more processes than the pool has
+    replaces it.  The pool stops when the process exits, and its workers exit
+    on their own if the process is killed.  A worker that dies mid-run raises
+    :class:`ChildProcessError`, and the next call starts a new pool.  A
+    circuit wider than the 63 qubits an int64 basis index holds raises
+    :class:`ValueError` before anything runs.
     """
     if shots < 1 or trajectories < 1:
         raise ValueError("shots and trajectories must be >= 1")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     measured = _measured_qubits(measure, circuit.n_qubits)
+    _check_index_width(circuit.n_qubits)
     steps = compile_noisy_program(circuit, profile)
     trajectories = min(trajectories, shots)  # a trajectory without a shot adds nothing
     dtype = _amplitude_dtype(circuit.ops)

@@ -9,32 +9,35 @@ Every gate goes through :func:`apply_gate`, on one of two state types.
 
 A dense :class:`StateVector` holds all ``2**n`` amplitudes and goes through
 one strided-view kernel, the amplitude-pair scheme of QuEST (Jones et al.,
-Sci. Rep. 9, 10736, 2019) and of Haener & Steiger (SC17, arXiv:1704.01127).
-The amplitudes are viewed, without copying, as an array of shape ``(2,)*n``
-in which axis ``n-1-q`` is qubit ``q``; runs of qubits a gate does not touch
-are merged into one axis.  Fixing each control axis to 1 and splitting the
-target axis into its 0 and 1 halves gives two views of the amplitude pairs
-the gate mixes: X-type gates swap the halves, Z-type gates negate the 1 half,
-and every other kind applies its 2x2 matrix.  The amplitudes below an X-type
+Sci. Rep. 9, 10736, 2019) and of Haener & Steiger (SC17, arXiv:1704.01127);
+:func:`statevector` and direct callers use it.  The amplitudes are viewed,
+without copying, as an array of shape ``(2,)*n`` in which axis ``n-1-q`` is
+qubit ``q``; runs of qubits a gate does not touch are merged into one axis.
+Fixing each control axis to 1 and splitting the target axis into its 0 and 1
+halves gives two views of the amplitude pairs the gate mixes: X-type gates
+swap the halves, Z-type gates negate the 1 half, and every other kind
+applies its 2x2 matrix.  The amplitudes below an X-type
 gate's lowest operand move together; when such a run is longer than one
 scalar and at most one 64-byte cache line, a C-contiguous state is viewed as
 one opaque element per run and the gate swaps those, so numpy's innermost
 loop does not walk 2-16 scalars.  The swap moves the same bytes either way.
 Marginal probabilities use the ``(2,)*n`` view and sum over the unmeasured
-axes.
+axes; a sparse state's probabilities are scattered into that layout first,
+so they sum as its dense twin's.
 
 A :class:`SparseState` holds only the basis states that carry amplitude, as
 an int64 index array and an amplitude array: the sparse simulation of Jaques
 & Haener (ACM TQC 3(3), 2022, arXiv:2105.01533).  X-type gates flip the
 target bit of the indices whose controls are set, Z-type gates negate the
 amplitudes whose qubits are all set, and a 2x2 gate pairs each index with
-its target-flipped partner, a missing partner standing for a zero amplitude,
-and applies the same two products per pair as the dense kernel.
-:func:`run_ideal` runs on it.  The paper's circuits touch few basis states:
-the Dicke preparation keeps the Hamming weight (Baertschi & Eidenbenz,
-arXiv:1904.07358) and the oracle's counters and flags are classical
-functions of the node register, so a k-clique search on n nodes never holds
-more than C(n, k) entries.
+its target-flipped partner, a missing partner becoming a zero row, and
+applies the same two products per pair as the dense kernel.  :func:`run_ideal`
+and the noisy trajectory blocks run on it.  The paper's circuits touch few
+basis states: the Dicke preparation keeps the Hamming weight (Baertschi &
+Eidenbenz, arXiv:1904.07358) and the oracle's counters and flags are
+classical functions of the node register, so a k-clique search on n nodes
+never holds more than C(n, k) entries, and a trajectory block only those
+its columns' resets and jumps add.
 
 Amplitudes are float64 or complex128.  X/Z-type gates, H, RY, CRY and CCRY
 have real matrices, so a circuit made only of them keeps a real state real:
@@ -47,26 +50,15 @@ zero may carry the other sign.  :func:`run_ideal` and the trajectories of
 handed back stay complex128.  The kernel refuses a complex matrix on a real
 state.
 
-A dense state's amplitudes may also be a ``(2**n, B)`` block of B states, one
-per column (the trajectory blocks of :mod:`qclique.noise`).  The gate
-kernel's views then keep the block as their trailing axis, so each ends in
-one contiguous run of ``B * 2**q`` amplitudes (``q`` the lowest qubit the
-gate touches), and the marginals have one column per state.  A 1-D state is a
-block of one.  :func:`statevector` and the noisy trajectories always run
-dense, at full width.
-
-A dense state may carry a Pauli frame (Knill, Nature 434, 39, 2005; Gidney,
-Quantum 5, 497, 2021), as the trajectory blocks of :mod:`qclique.noise` do:
-an int whose bit ``q`` set means that the stored value of qubit ``q`` is its
-logical value flipped.  An uncontrolled X then toggles its bit and moves no
-amplitude.  Every other gate fixes each control axis to the stored value of
-a logical 1 and takes the target's logical 0 and 1 halves, so each output is
-the same products of the same two amplitudes as on a frameless state, and
-:meth:`StateVector.clear_frame` (one X per set bit) leaves the bytes a
-frameless run leaves.  A sum over a framed state would meet its terms in
-another order, so :func:`marginal_probabilities` refuses a state whose frame
-has bits set.  A state with no frame (``None``, the default) takes every X
-as a swap.
+A state's amplitudes may also be a block of B states, one per column: a
+dense ``(2**n, B)`` array, or a sparse ``(K, B)`` array whose row ``j`` holds
+basis index ``index[j]`` in every column (the trajectory blocks of
+:mod:`qclique.noise`, which run on their support).  Every gate acts on every
+column: the dense kernel's views keep the block as their trailing axis, so
+each ends in one contiguous run of ``B * 2**q`` amplitudes (``q`` the lowest
+qubit the gate touches), and a sparse block's X-type gates still only flip
+index bits.  The marginals have one column per state.  A 1-D state is a
+block of one.  :func:`statevector` runs dense, at full width.
 """
 from __future__ import annotations
 
@@ -83,18 +75,10 @@ from .circuit import Circuit, Gate
 @dataclass
 class StateVector:
     """``2**n_qubits`` amplitudes, complex128 or float64; index bit i
-    corresponds to qubit i.
-
-    ``frame`` is ``None`` for a plain state.  An int makes it a framed state:
-    bit ``q`` set means the stored value of qubit ``q`` is its logical value
-    flipped, and :func:`apply_gate` takes an uncontrolled X by toggling that
-    bit.  The amplitudes of a framed state are its logical amplitudes with
-    the frame's qubits flipped, until :meth:`clear_frame`.
-    """
+    corresponds to qubit i."""
 
     n_qubits: int
     amplitudes: np.ndarray
-    frame: int | None = None
 
     @classmethod
     def zero(cls, n_qubits: int, dtype=np.complex128) -> StateVector:
@@ -116,17 +100,16 @@ class StateVector:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def clear_frame(self) -> None:
-        """Flip the stored value of every qubit the frame holds, one X each,
-        and set the frame to 0: the amplitudes are then the logical ones."""
-        for q in range(self.n_qubits):
-            if self.frame >> q & 1:
-                _apply_dense(self, Gate("X", (q,)), 0)
-        self.frame = 0
-
 
 #: A basis index is an int64, whose sign bit leaves qubits 0 to 62.
 _MAX_INDEX_QUBITS = 63
+
+
+def _check_index_width(n_qubits: int) -> None:
+    """Raise :class:`ValueError` for a register too wide for an int64 index."""
+    if n_qubits > _MAX_INDEX_QUBITS:
+        raise ValueError(f"cannot run a {n_qubits}-qubit circuit: a basis index is an int64, "
+                         f"which holds at most {_MAX_INDEX_QUBITS} qubits")
 
 
 @dataclass
@@ -134,20 +117,26 @@ class SparseState:
     """The basis states of an ``n_qubits`` register that carry amplitude:
     ``amplitudes[j]`` (complex128 or float64) is the amplitude of basis index
     ``index[j]`` (int64), each index listed at most once, and every index not
-    listed has amplitude 0.  A listed amplitude may be an exact zero that a
-    rotation in place made (see :func:`_apply_sparse`)."""
+    listed has amplitude 0.  ``amplitudes`` is ``(K,)`` for one state or
+    ``(K, B)`` for a block of B states that share the listed indices, one
+    state per column.  A listed amplitude may be an exact zero, in some
+    columns or in all (see :func:`_apply_sparse`)."""
 
     n_qubits: int
     index: np.ndarray
     amplitudes: np.ndarray
 
     @classmethod
-    def basis(cls, n_qubits: int, index: int, dtype=np.complex128) -> SparseState:
-        return cls(n_qubits, np.array([index], dtype=np.int64), np.ones(1, dtype))
+    def basis(cls, n_qubits: int, index: int, dtype=np.complex128,
+              columns: int | None = None) -> SparseState:
+        """Basis state ``index``; with ``columns``, a block of that many copies."""
+        shape = (1,) if columns is None else (1, columns)
+        return cls(n_qubits, np.array([index], dtype=np.int64), np.ones(shape, dtype))
 
     def dense(self, width: int, dtype=np.complex128) -> StateVector:
-        """The amplitudes as a ``width``-qubit :class:`StateVector` of ``dtype``,
-        +0.0 at every index not listed; every index must be below ``2**width``."""
+        """The amplitudes of one state as a ``width``-qubit
+        :class:`StateVector` of ``dtype``, +0.0 at every index not listed;
+        every index must be below ``2**width``."""
         state = StateVector.zero(width, dtype)
         state.amplitudes[0] = 0.0  # the 1 that zero() put there
         state.amplitudes[self.index] = self.amplitudes
@@ -191,21 +180,18 @@ def _amplitude_dtype(gates) -> type:
 
 
 @lru_cache(maxsize=1024)
-def _pair_views(n_qubits: int, controls: tuple[int, ...], target: int, flips: int):
+def _pair_views(n_qubits: int, controls: tuple[int, ...], target: int):
     """View shape and index tuples of a gate's target-0 and target-1 halves.
 
     The shape is ``(2,)*n`` (axis ``n-1-q`` is qubit ``q``) with each run of
     qubits the gate does not touch merged into one axis, so numpy iterates
     over as few and as long axes as possible.  The index tuples fix every
-    control axis to 1 and the target axis to 0 or 1, each value XORed with
-    bit ``q`` of ``flips``: the stored values of the logical ones and zeros of
-    a framed state's qubits.  Each ends with ``Ellipsis``, which stands for
-    the trailing block axis: a gate that fixes every qubit axis still yields
-    a view rather than a scalar copy.
+    control axis to 1 and the target axis to 0 or 1.  Each ends with
+    ``Ellipsis``, which stands for the trailing block axis: a gate that fixes
+    every qubit axis still yields a view rather than a scalar copy.
     """
-    fixed = {q: (1 ^ (flips >> q & 1),) * 2 for q in controls}
-    flipped = flips >> target & 1
-    fixed[target] = (flipped, 1 ^ flipped)
+    fixed = {q: (1, 1) for q in controls}
+    fixed[target] = (0, 1)
     shape, lo, hi = [], [], []
     top = n_qubits
     for q in (*sorted(fixed, reverse=True), -1):
@@ -251,11 +237,9 @@ def apply_gate(state: StateVector | SparseState, gate: Gate) -> StateVector | Sp
     """Apply one gate in place (exact unitary action) and return the state.
 
     A :class:`SparseState` goes to :func:`_apply_sparse`, a
-    :class:`StateVector` to the strided-view kernel.  A framed state takes an
-    uncontrolled X by toggling its frame bit, and every other gate at the
-    stored values of its qubits' logical ones.  A float64 state takes only
-    the kinds in ``_REAL_KINDS``; any other kind raises :class:`ValueError`
-    rather than drop its imaginary part.
+    :class:`StateVector` to the strided-view kernel.  A float64 state takes
+    only the kinds in ``_REAL_KINDS``; any other kind raises
+    :class:`ValueError` rather than drop its imaginary part.
     """
     if max(gate.qubits) >= state.n_qubits:
         raise ValueError(f"gate {gate} exceeds state width {state.n_qubits}")
@@ -265,18 +249,13 @@ def apply_gate(state: StateVector | SparseState, gate: Gate) -> StateVector | Sp
                          f"{state.amplitudes.dtype} state")
     if isinstance(state, SparseState):
         _apply_sparse(state, gate)
-        return state
-    frame = state.frame
-    if frame is not None and kind == "X":
-        state.frame = frame ^ 1 << gate.target
-        return state
-    _apply_dense(state, gate, frame & _mask(gate.qubits) if frame else 0)
+    else:
+        _apply_dense(state, gate)
     return state
 
 
-def _apply_dense(state: StateVector, gate: Gate, flips: int) -> None:
-    """The strided-view kernel: ``gate`` on the stored amplitudes, each of its
-    qubits in ``flips`` taken as flipped."""
+def _apply_dense(state: StateVector, gate: Gate) -> None:
+    """The strided-view kernel."""
     amp, kind = state.amplitudes, gate.kind
     n, controls, target = state.n_qubits, gate.controls, gate.target
     if kind in _X_KINDS:
@@ -287,8 +266,7 @@ def _apply_dense(state: StateVector, gate: Gate, flips: int) -> None:
         if amp.itemsize < run <= _FOLD_BYTES and amp.flags.c_contiguous:
             amp = amp.reshape(-1).view(np.dtype((np.void, run)))
             n, controls, target = n - low, tuple(c - low for c in controls), target - low
-            flips >>= low
-    shape, lo, hi = _pair_views(n, controls, target, flips)
+    shape, lo, hi = _pair_views(n, controls, target)
     view = amp.reshape((*shape, -1))
     a0, a1 = view[lo], view[hi]
     if kind in _X_KINDS:
@@ -307,49 +285,79 @@ def _mask(qubits) -> int:
 
 
 def _apply_sparse(state: SparseState, gate: Gate) -> None:
-    """:func:`apply_gate` on a sparse state.
+    """:func:`apply_gate` on a sparse state or block.
 
-    A 2x2 gate applies its matrix through :func:`_rotate_pairs` to each pair
-    of entries that differ only in the target bit and have every control set,
-    so each output is the same two products as the dense kernel's.  When every
-    such entry has its partner, in the same order, it rotates them in place
-    and keeps any zero it makes.  Entries sorted by index are in that order
-    for every gate whose pairs are all present, and the paper's circuits keep
+    X-type gates flip the target bit of the indices whose controls are set,
+    and Z-type gates negate the rows whose qubits are all set.  A 2x2 gate
+    applies its matrix through :func:`_rotate_pairs` to each pair of rows
+    that differ only in the target bit and have every control set, so each
+    output is the same two products as the dense kernel's.  When every such
+    row has its partner, in the same order, it rotates them in place and
+    keeps any zero it makes.  Rows sorted by index are in that order for
+    every gate whose pairs are all present, and the paper's circuits keep
     them so: an uncontrolled X flips one bit of every index, which keeps each
     gate's pairs in order, a Dicke block's CX keeps its rotation's pairs in
     order, and an oracle's uncompute puts every index back.  Otherwise it
-    pairs the entries by their index with the target bit cleared, a missing
-    partner standing for a zero, drops the exact zeros and sorts the entries
-    by index.
+    finds each row's partner by index (:func:`_find`), a missing partner
+    becoming a zero row, then drops the rows that are zero in every column
+    and sorts the rest by index.
     """
     idx, amp, kind = state.index, state.amplitudes, gate.kind
-    if kind in _Z_KINDS:
-        mask = _mask(gate.qubits)
-        np.multiply(amp, -1.0, out=amp, where=(idx & mask) == mask)
-        return
     c, t = _mask(gate.controls), 1 << gate.target
+    if kind in _Z_KINDS:
+        # amp.T puts the rows last, where the (K,) condition broadcasts
+        np.multiply(amp.T, -1.0, out=amp.T, where=(idx & (c | t)) == c | t)
+        return
     if kind in _X_KINDS:
-        idx ^= ((idx & c) == c) * t
+        if c:
+            np.bitwise_xor(idx, t, out=idx, where=(idx & c) == c)
+        else:
+            idx ^= t
         return
     sel = idx & (c | t)
-    p0, p1 = np.flatnonzero(sel == c), np.flatnonzero(sel == c | t)
+    p0, p1 = (sel == c).nonzero()[0], (sel == c | t).nonzero()[0]
     i0, i1 = idx[p0], idx[p1]
-    if len(p0) == len(p1) and np.array_equal(i0 | t, i1):
-        a0, a1 = amp[p0], amp[p1]
+    if len(p0) == len(p1) and (i0 | t == i1).all():
+        a0, a1 = amp.take(p0, axis=0), amp.take(p1, axis=0)
         _rotate_pairs(a0, a1, gate)
         amp[p0], amp[p1] = a0, a1
         return
-    keys, slot = np.unique(np.concatenate((i0, i1 ^ t)), return_inverse=True)
-    pairs = np.zeros_like(amp, shape=(2, len(keys)))
-    pairs[0, slot[:len(p0)]] = amp[p0]
-    pairs[1, slot[len(p0):]] = amp[p1]
-    _rotate_pairs(pairs[0], pairs[1], gate)
-    rest = (sel | t) != (c | t)  # a control is not set
+    # pair each p0 row with its partner and each p1 row that has none with a
+    # zero: index -1 takes the zero row appended below the others
+    n0 = len(p0)
+    found = _find(state, np.concatenate((i0 | t, i1 ^ t)))
+    lone = (found[n0:] < 0).nonzero()[0]  # the p1 rows without a partner
+    padded = np.concatenate((amp, np.zeros_like(amp[:1])))
+    a0 = padded.take(np.concatenate((p0, np.full(len(lone), -1))), axis=0)
+    a1 = padded.take(np.concatenate((found[:n0], p1[lone])), axis=0)
+    _rotate_pairs(a0, a1, gate)
+    keys = np.concatenate((i0, i1[lone] ^ t))
+    rest = ((idx & c) != c).nonzero()[0]  # the rows with a control clear
     idx = np.concatenate((idx[rest], keys, keys | t))
-    amp = np.concatenate((amp[rest], pairs.reshape(-1)))
-    kept = np.flatnonzero(amp)
-    order = kept[np.argsort(idx[kept])]
-    state.index, state.amplitudes = idx[order], amp[order]
+    amp = np.concatenate((amp.take(rest, axis=0), a0, a1))
+    # drop the rows that are zero in every column and sort the rest by index
+    kept = amp.reshape(len(amp), -1).any(axis=1).nonzero()[0]
+    order = kept[idx[kept].argsort()]
+    state.index, state.amplitudes = idx[order], amp.take(order, axis=0)
+
+
+#: Registers up to this width find rows through a table of every index,
+#: which costs less than a sorted search there.
+_TABLE_QUBITS = 12
+
+
+def _find(state: SparseState, keys: np.ndarray) -> np.ndarray:
+    """The row of each of ``keys`` in ``state.index``, -1 where it is not
+    listed: an index-to-row table for a narrow register, a sorted search for
+    a wide one."""
+    index = state.index
+    if state.n_qubits <= _TABLE_QUBITS:
+        table = np.full(1 << state.n_qubits, -1)
+        table[index] = np.arange(len(index))
+        return table[keys]
+    order = index.argsort()
+    rows = order[np.minimum(index.searchsorted(keys, sorter=order), len(index) - 1)]
+    return np.where(index[rows] == keys, rows, -1)
 
 
 def statevector(circuit: Circuit, initial: int = 0) -> StateVector:
@@ -360,19 +368,20 @@ def statevector(circuit: Circuit, initial: int = 0) -> StateVector:
     return state
 
 
-def marginal_probabilities(state: StateVector, qubits: list[int]) -> np.ndarray:
+def marginal_probabilities(state: StateVector | SparseState, qubits: list[int]) -> np.ndarray:
     """Born probabilities over ``qubits`` (ascending order defines outcome bits).
 
-    A ``(2**n, B)`` block of states gives one column of marginals per state.
-    Each state's probabilities are laid out contiguously before the sum, so a
-    state sums in the same order, to the same bits, in a block as alone.
-    A state whose frame has bits set raises :class:`ValueError`: its stored
-    qubits are not the logical ones until :meth:`StateVector.clear_frame`.
+    A block of states gives one column of marginals per state.  Each state's
+    probabilities are laid out contiguously before the sum, so a state sums
+    in the same order, to the same bits, in a block as alone.  A sparse
+    state's probabilities are scattered into that layout, 0 at every index
+    it does not list, so they sum as its dense twin's.
     """
-    if state.frame:
-        raise ValueError(f"the state's frame flips qubits (mask {state.frame:#x}); "
-                         f"clear it before reading marginals")
     probs = np.abs(state.amplitudes.T, order="C") ** 2  # one row per state
+    if isinstance(state, SparseState):
+        dense = np.zeros(probs.shape[:-1] + (1 << state.n_qubits,))
+        dense[..., state.index] = probs
+        probs = dense
     n, kept = state.n_qubits, set(qubits)
     dropped = tuple(n - q for q in range(n) if q not in kept)  # axis 0 is the block
     return probs.reshape((-1,) + (2,) * n).sum(axis=dropped).reshape(probs.shape[:-1] + (-1,)).T
@@ -473,9 +482,7 @@ def run_ideal(circuit: Circuit, shots: int, seed: int,
         raise ValueError("shots must be >= 1")
     n = circuit.n_qubits
     qubits = _measured_qubits(measure, n)
-    if n > _MAX_INDEX_QUBITS:
-        raise ValueError(f"cannot run a {n}-qubit circuit: a basis index is an int64, "
-                         f"which holds at most {_MAX_INDEX_QUBITS} qubits")
+    _check_index_width(n)
     state = SparseState.basis(n, 0, _amplitude_dtype(circuit.ops))
     for gate in circuit.ops:
         apply_gate(state, gate)

@@ -492,6 +492,15 @@ def test_an_iteration_count_too_large_to_assemble_is_an_error_line(capsys, iters
     assert err == f"error: cannot assemble {iters} Grover iterations of 64 gates each\n"
 
 
+def test_an_iteration_count_whose_gate_list_exceeds_memory_is_an_error_line(capsys):
+    # 64 gates per iteration at 8 bytes per list entry is about 51 TB: the size
+    # is checked before the list is built, so nothing is allocated
+    code, out, err = run_cli(capsys, "solve", "--graph", "g4", "--k", "3",
+                             "--iters", "99999999999")
+    assert code == 1 and out == ""
+    assert err == "error: cannot assemble 99999999999 Grover iterations of 64 gates each\n"
+
+
 def test_an_error_without_a_message_is_named_by_its_type(capsys, monkeypatch):
     def no_memory(*args, **kwargs):
         raise MemoryError

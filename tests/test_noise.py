@@ -10,9 +10,12 @@ import sys
 import time
 from multiprocessing.connection import wait
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qclique import noise
 from qclique.circuit import Circuit, Gate, decompose_mc
@@ -26,7 +29,8 @@ from qclique.noise import (
     gate_duration_ns,
     run_noisy,
 )
-from qclique.sim import StateVector, apply_gate, run_ideal
+from qclique.sim import SparseState, StateVector, apply_gate, marginal_probabilities, run_ideal
+from helpers import gates_on
 from test_sim import BAD_MEASURE_LISTS
 
 
@@ -550,6 +554,13 @@ def test_run_noisy_validation(g4):
         run_noisy(circ, prof, shots=10, trajectories=0, seed=1)
 
 
+def test_run_noisy_rejects_a_circuit_wider_than_an_int64_index():
+    # a block lists int64 basis indices; nothing is compiled or allocated
+    with pytest.raises(ValueError, match="cannot run a 64-qubit circuit"):
+        run_noisy(Circuit(64), NoiseProfile("t", 100.0, 100.0), shots=1, trajectories=1,
+                  seed=0, measure=[0])
+
+
 def test_run_noisy_shot_allocation_more_shots_than_trajectories():
     circ = Circuit(1)
     circ.add("X", 0)
@@ -587,117 +598,76 @@ def test_run_noisy_matches_exact_density_matrix_at_12_qubits(g4):
     assert abs(hist.success_probability("0111") - exact) < 4 * sigma
 
 
-# -- the Pauli frame of a trajectory block --------------------------------------
+# -- sparse trajectory blocks against the dense engine ----------------------------
 
-def _random_program(rng, n: int, profile: NoiseProfile, complex_gates: bool) -> list:
-    """The compiled steps of a random circuit with many uncontrolled X gates,
-    controlled X/Z-type gates and 2x2 gates on ``n`` qubits."""
-    kinds = ["X", "X", "X", "CX", "CCX", "MCX", "Z", "CZ", "MCZ", "H", "RY", "CRY", "CCRY"]
-    kinds += ["U3", "U2"] if complex_gates else []
-    arity = {"X": 1, "Z": 1, "H": 1, "RY": 1, "U3": 1, "U2": 1, "CX": 2, "CZ": 2, "CRY": 2,
-             "CCX": 3, "CCRY": 3}
-    params = {"RY": 1, "CRY": 1, "CCRY": 1, "U3": 3, "U2": 2}
+BLOCK_KINDS = ("X", "CX", "CCX", "MCX", "Z", "MCZ", "H", "RY", "CRY", "CCRY")
+
+
+def _run_steps(state, steps, rng, amplitudes=None) -> None:
+    """A compiled program on a state: each gate through ``apply_gate``, each
+    relaxation step through ``RelaxationChannel.apply`` on ``amplitudes``
+    (the dense array) or on the state itself (a sparse block)."""
+    for step in steps:
+        if step[0] == "gate":
+            apply_gate(state, step[1])
+        else:
+            step[2].apply(state if amplitudes is None else amplitudes, step[1], rng)
+
+
+@pytest.mark.parametrize("columns", [1, 2, 16])
+@pytest.mark.parametrize("spec", ["3:2", "2:3"], ids=["mixture", "kraus"])
+@settings(max_examples=30)
+@given(data=st.data())
+def test_a_sparse_block_ends_byte_equal_to_its_dense_twin_property(spec, columns, data):
+    # a random circuit from a random start on a random support; 3:2 runs the
+    # mixture with phase flips and resets, 2:3 the Kraus channel
+    n = data.draw(st.integers(2, 6), label="n")
+    complex_ = data.draw(st.booleans(), label="complex")
+    kinds = BLOCK_KINDS + (("U3",) if complex_ else ())
     circ = Circuit(n)
-    while len(circ.ops) < 30:
-        kind = kinds[rng.integers(len(kinds))]
-        width = arity.get(kind) or int(rng.integers(2, n + 1))
-        if width <= n:
-            qubits = tuple(int(q) for q in rng.permutation(n)[:width])
-            circ.append(Gate(kind, qubits, tuple(rng.uniform(-3, 3, params.get(kind, 0)))))
-    return compile_noisy_program(circ, profile)
-
-
-@pytest.mark.parametrize("spec, n, columns, path", [
-    ("3:2", 5, 1, "copy"),      # mixture, fewer than one reset per step: copied halves
-    ("3:2", 5, 16, "clear"),    # mixture, a reset at most steps: the frame cleared
-    ("3:2", 16, 1, "copy"),     # one 16-qubit state per block
-    ("2:3", 5, 4, "clear"),     # kraus: every step sums its columns
-], ids=["mixture-few-resets", "mixture-many-resets", "mixture-16-qubits", "kraus"])
-def test_framed_blocks_end_byte_equal_to_frameless_ones(spec, n, columns, path, monkeypatch):
-    seen = {"copy": 0, "clear": 0}
-    clear_frame, frameless_half = noise._clear_frame, noise._frameless_half
-
-    def counted_clear_frame(amplitudes, frame):
-        seen["clear"] += frame != 0
-        return clear_frame(amplitudes, frame)
-
-    def counted_frameless_half(*args):
-        seen["copy"] += 1
-        return frameless_half(*args)
-
-    monkeypatch.setattr(noise, "_clear_frame", counted_clear_frame)
-    monkeypatch.setattr(noise, "_frameless_half", counted_frameless_half)
-    profile = load_profile(spec)
-    for seed in range(6):
-        rng = np.random.default_rng(seed)
-        steps = _random_program(rng, n, profile, complex_gates=seed % 2 == 1)
-        amp = rng.normal(size=(1 << n, columns))
-        if seed % 2:  # U3 and U2 gates need a complex128 block
-            amp = amp + 1j * rng.normal(size=amp.shape)
-        amp /= np.linalg.norm(amp, axis=0)
-        plain, framed = amp.copy(), amp.copy()
-        draws = np.random.default_rng(100 + seed)
-        state = StateVector(n, plain)
-        for step in steps:
-            if step[0] == "gate":
-                apply_gate(state, step[1])
-            else:
-                step[2].apply(plain, step[1], draws)
-        state = StateVector(n, framed, frame=0)
-        noise._evolve(state, steps, np.random.default_rng(100 + seed))
-        state.clear_frame()
-        assert framed.tobytes() == plain.tobytes(), seed
-    assert seen[path] > 0
-
-
-def _stored(amp: np.ndarray, frame: int) -> np.ndarray:
-    """A ``(2**n, B)`` block as a frame would store it: the qubits in
-    ``frame`` flipped."""
-    n = amp.shape[0].bit_length() - 1
-    flips = tuple(slice(None, None, -1 if frame >> q & 1 else 1) for q in reversed(range(n)))
-    return np.ascontiguousarray(amp.reshape((2,) * n + (-1,))[flips]).reshape(amp.shape)
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_a_copied_half_sums_as_the_frameless_half(dtype):
-    # numpy sums a half that is one strided run in place and copies any other
-    # half first, and the two sums round differently; these widths, columns
-    # and qubits give halves of both kinds, contiguous ones included
-    rng = np.random.default_rng(8)
-    for n, columns in [(1, 1), (2, 3), (3, 1), (5, 16), (8, 3), (12, 16)]:
-        amp = rng.normal(size=(1 << n, columns)).astype(dtype)
-        if dtype is np.complex128:
-            amp += 1j * rng.normal(size=amp.shape)
-        for _ in range(6):
-            frame, column = int(rng.integers(1 << n)), int(rng.integers(columns))
-            framed = _stored(amp, frame)
-            for qubit in range(n):
-                plain = amp.reshape(amp.shape[0] >> (qubit + 1), 2, 1 << qubit, -1)[:, 1, :, column]
-                view = framed.reshape(plain.shape[0], 2, plain.shape[1], -1)
-                twin = noise._frameless_half(view, column, qubit, frame)
-                assert twin.tobytes() == plain.tobytes()
-                assert np.vdot(twin, twin).tobytes() == np.vdot(plain, plain).tobytes(), \
-                    (n, columns, frame, qubit)
-
-
-def test_a_kraus_step_clears_the_frame_before_it_sums():
-    channel = RelaxationChannel(20_000.0, NoiseProfile("k", 20.0, 30.0), "kraus")
-    amp = np.random.default_rng(3).normal(size=(8, 64))
+    for gate in data.draw(st.lists(gates_on(n, kinds), min_size=1, max_size=20), label="gates"):
+        circ.append(gate)
+    steps = compile_noisy_program(circ, load_profile(spec))
+    start = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="start"))
+    index = np.sort(start.choice(1 << n, size=int(start.integers(1, (1 << n) + 1)), replace=False))
+    amp = start.normal(size=(len(index), columns))
+    if complex_:
+        amp = amp + 1j * start.normal(size=amp.shape)
     amp /= np.linalg.norm(amp, axis=0)
-    flipped = amp.reshape(2, 2, 2, 64)[::-1, ::-1].reshape(8, 64)  # qubits 1 and 2 flipped
-    channel.apply(amp, 1, np.random.default_rng(4))
-    assert channel.apply(flipped, 1, np.random.default_rng(4), frame=0b110) == 0
-    assert flipped.tobytes() == amp.tobytes()
 
+    # the first seed whose run resets, or jumps on, qubits 0 and n-1 while
+    # their |1> half is nonzero: there numpy sums a half that is one strided run
+    hits = set()
+    reset_norms, move_down = noise._reset_norms, noise._move_down
 
-def test_a_phase_flip_on_a_flipped_qubit_negates_the_stored_0_half_and_keeps_the_frame():
-    channel = RelaxationChannel(20_000.0, NoiseProfile("m", 1e9, 20.0), "mixture")
-    assert channel.p_z > 0.3  # resets are 1e-8 likely: the step draws phase flips alone
-    start = np.random.default_rng(5).normal(size=(8, 64))
-    amp = start.copy()
-    flipped = start.reshape(2, 2, 2, 64)[::-1, ::-1].reshape(8, 64)  # qubits 1 and 2 flipped
-    channel.apply(amp, 1, np.random.default_rng(6))
-    assert channel.apply(flipped, 1, np.random.default_rng(6), frame=0b110) == 0b110
-    assert flipped.reshape(2, 2, 2, 64)[::-1, ::-1].reshape(8, 64).tobytes() == amp.tobytes()
-    assert not np.array_equal(amp, start)
+    def seen_reset_norms(state, qubit, *args):  # summed only where the half is nonzero
+        hits.add(qubit)
+        return reset_norms(state, qubit, *args)
 
+    def seen_move_down(state, qubit, *args):
+        hits.add(qubit)
+        return move_down(state, qubit, *args)
+
+    with mock.patch.object(noise, "_reset_norms", seen_reset_norms), \
+            mock.patch.object(noise, "_move_down", seen_move_down):
+        for seed in range(64):
+            hits.clear()
+            _run_steps(SparseState(n, index.copy(), amp.copy()), steps, np.random.default_rng(seed))
+            if {0, n - 1} <= hits:
+                break
+    assume({0, n - 1} <= hits)
+
+    sparse = SparseState(n, index.copy(), amp.copy())
+    dense = StateVector(n, np.zeros((1 << n, columns), amp.dtype))
+    dense.amplitudes[index] = amp
+    sparse_rng, dense_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    _run_steps(sparse, steps, sparse_rng)
+    _run_steps(dense, steps, dense_rng, dense.amplitudes)
+    assert sparse_rng.bit_generator.state == dense_rng.bit_generator.state
+    scattered = np.zeros_like(dense.amplitudes)
+    scattered[sparse.index] = sparse.amplitudes
+    assert np.array_equal(scattered, dense.amplitudes)  # equal values; a zero's sign may differ
+    measured = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True), label="measured")
+    for qubits in (measured, list(range(n))):
+        assert (marginal_probabilities(sparse, qubits).tobytes()
+                == marginal_probabilities(dense, qubits).tobytes())

@@ -1128,58 +1128,3 @@ def test_a_complex_hadamard_keeps_the_four_product_form():
     assert a0.tobytes() == expected[0].tobytes()
     assert a1.tobytes() == expected[1].tobytes()
 
-
-# -- the Pauli frame of a dense state ------------------------------------------
-
-FRAME_KINDS = ("X", "CX", "CCX", "MCX", "Z", "CZ", "MCZ", "H", "RY", "CRY", "CCRY")
-
-
-@given(st.data())
-def test_framed_and_frameless_states_end_byte_equal_property(data):
-    n = data.draw(st.integers(1, 6), label="n")
-    kinds = FRAME_KINDS + (("U3", "U2") if data.draw(st.booleans(), label="complex") else ())
-    gates = data.draw(st.lists(gates_on(n, kinds), max_size=30), label="gates")
-    dtype = sim._amplitude_dtype(gates)
-    amp = data.draw(blocks(n), label="block")
-    amp = amp if dtype is np.complex128 else np.ascontiguousarray(amp.real)
-    plain, framed = StateVector(n, amp.copy()), StateVector(n, amp.copy(), frame=0)
-    for gate in gates:
-        apply_gate(plain, gate)
-        apply_gate(framed, gate)
-    flips = 0
-    for gate in gates:
-        if gate.kind == "X":
-            flips ^= 1 << gate.target
-    assert framed.frame == flips
-    framed.clear_frame()
-    assert framed.frame == 0
-    assert framed.amplitudes.tobytes() == plain.amplitudes.tobytes()
-
-
-def test_a_framed_x_moves_no_amplitude_and_a_frameless_one_swaps():
-    amp = np.arange(8.0)
-    framed = apply_gate(StateVector(3, amp.copy(), frame=0b001), Gate("X", (2,)))
-    assert framed.frame == 0b101 and np.array_equal(framed.amplitudes, amp)
-    plain = apply_gate(StateVector(3, amp.copy()), Gate("X", (2,)))
-    assert plain.frame is None and np.array_equal(plain.amplitudes, np.roll(amp, 4))
-    # a controlled X on a framed state reads its control at the stored value of 1
-    cx = apply_gate(StateVector(2, np.arange(4.0), frame=0b01), Gate("CX", (0, 1)))
-    assert np.array_equal(cx.amplitudes, [2.0, 1.0, 0.0, 3.0])
-
-
-def test_clear_frame_flips_each_framed_qubit_once():
-    amp = np.arange(8.0)
-    state = StateVector(3, amp.copy(), frame=0b110)
-    state.clear_frame()
-    assert state.frame == 0
-    assert np.array_equal(state.amplitudes, amp.reshape(2, 2, 2)[::-1, ::-1].reshape(-1))
-
-
-def test_marginals_refuse_a_state_whose_frame_flips_a_qubit():
-    state = StateVector(2, np.array([1.0, 0.0, 0.0, 0.0]), frame=0b10)
-    with pytest.raises(ValueError, match=r"frame flips qubits \(mask 0x2\)"):
-        marginal_probabilities(state, [0, 1])
-    state.clear_frame()
-    assert np.array_equal(marginal_probabilities(state, [1]), [0.0, 1.0])
-    # a zero frame reads as a plain state
-    assert np.array_equal(marginal_probabilities(state, [0]), [1.0, 0.0])
