@@ -341,20 +341,10 @@ def _apply_sparse(state: SparseState, gate: Gate) -> None:
     state.index, state.amplitudes = idx[order], amp.take(order, axis=0)
 
 
-#: Registers up to this width find rows through a table of every index,
-#: which costs less than a sorted search there.
-_TABLE_QUBITS = 12
-
-
 def _find(state: SparseState, keys: np.ndarray) -> np.ndarray:
     """The row of each of ``keys`` in ``state.index``, -1 where it is not
-    listed: an index-to-row table for a narrow register, a sorted search for
-    a wide one."""
+    listed."""
     index = state.index
-    if state.n_qubits <= _TABLE_QUBITS:
-        table = np.full(1 << state.n_qubits, -1)
-        table[index] = np.arange(len(index))
-        return table[keys]
     order = index.argsort()
     rows = order[np.minimum(index.searchsorted(keys, sorter=order), len(index) - 1)]
     return np.where(index[rows] == keys, rows, -1)
