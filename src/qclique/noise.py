@@ -28,6 +28,19 @@ draws the same numbers in the same order as a dense one and ends in the same
 amplitudes: every product is of the same two numbers, and every sum (a
 reset's norm, a Kraus step's column norms, the marginals) sees the dense
 block's terms in the dense block's layout, so it rounds as there.
+
+Narrow blocks run in stacks: up to ``_STACK_COLUMNS // B`` of a job's blocks
+(8 at 12 qubits, 1 at 8) are one sparse state whose index holds the block
+number in the bits above the register, so each gate is one call per stack.
+No gate mixes blocks: X-type gates flip only register bits and a 2x2 gate
+pairs rows that differ in one.  A narrower last block fills only its first
+columns; the rest stay zero.  What stays per block: its generator and every
+draw from it, in the order it makes them alone; its rows, which a
+relaxation step works on as a view of its own and to which it adds rows;
+each reset's and Kraus step's norms, summed in the block's own dense
+layout; and its marginals and multinomial.  So a block ends in the same
+amplitudes and counts in any stack.
+
 Runs are deterministic given the seed: block ``b`` draws from
 ``numpy.random.default_rng(SeedSequence(entropy=seed, spawn_key=(b,)))``, the
 calling process builds every block's ``SeedSequence`` before handing blocks
@@ -57,6 +70,7 @@ import numpy as np
 
 from .circuit import Circuit, Gate, _critical_path, _lower_gate
 from .sim import (
+    _MAX_INDEX_QUBITS,
     MeasurementHistogram,
     SparseState,
     _amplitude_dtype,
@@ -227,21 +241,22 @@ class RelaxationChannel:
         out[1, 0] *= self.decay2
         return out
 
-    def apply(self, state: np.ndarray | SparseState, qubit: int,
-              rng: np.random.Generator) -> None:
+    def apply(self, state: np.ndarray | SparseState, qubit: int, rng) -> None:
         """One stochastic application, in place and renormalized.
 
         ``state`` is a dense array, one pure state ``(2**n,)`` or a block
         ``(2**n, B)`` of them, one per column, or a
-        :class:`~qclique.sim.SparseState` block (:meth:`_apply_sparse`).  Each
-        column draws its own branch from ``rng``.  The amplitudes may be
-        complex128 or float64: every factor the channel applies is real, so a
-        real state stays real.
+        :class:`~qclique.sim.SparseState` block, or a stack of blocks
+        (:class:`_Stack`, :meth:`_apply_sparse`).  ``rng`` is a
+        :class:`numpy.random.Generator`, or a sequence of them, one per block
+        of a stack.  Each column draws its own branch from its block's
+        generator.  The amplitudes may be complex128 or float64: every factor
+        the channel applies is real, so a real state stays real.
         """
         if self.t_ns == 0.0:
             return
         if isinstance(state, SparseState):
-            self._apply_sparse(state, qubit, rng)
+            self._apply_sparse(state, qubit, [rng] if isinstance(rng, np.random.Generator) else rng)
             return
         # (qubits above, qubit value, qubits below, column)
         view = state.reshape(state.shape[0] >> (qubit + 1), 2, 1 << qubit, -1)
@@ -282,73 +297,101 @@ class RelaxationChannel:
             factors[1, 0, flip] *= -1.0
         return factors, jump
 
-    def _apply_sparse(self, state: SparseState, qubit: int, rng: np.random.Generator) -> None:
-        """:meth:`apply` on a sparse block, whose amplitudes are ``(K, B)``:
-        the dense block's draws, in the same order, and its amplitudes on
-        the rows the block lists.
+    def _apply_sparse(self, state: SparseState, qubit: int, rngs) -> None:
+        """:meth:`apply` on a stack of ``len(rngs)`` sparse blocks, block ``g``
+        drawing from ``rngs[g]``: each block draws what it draws alone, in the
+        same order, and ends in the amplitudes it ends in alone.
+
+        Block ``g`` is the rows whose index holds ``g`` in the bits from
+        ``n_qubits`` up (:func:`_block_bounds`), in its first
+        ``state.columns[g]`` columns (:class:`_Stack`; every column of a
+        plain :class:`~qclique.sim.SparseState`).  A mixture step draws every
+        block's branches, then works on the blocks that drew an event; a
+        Kraus step works on every block.  Each works on a
+        :class:`~qclique.sim.SparseState` view of its own rows and columns
+        (:meth:`_mixture_block`, :meth:`_kraus_block`), and the rows it adds
+        are inserted after them (:func:`_insert_rows`).
+        """
+        n, width = state.n_qubits, state.amplitudes.shape[1]
+        columns = state.columns if isinstance(state, _Stack) else (width,) * len(rngs)
+        if self.implementation == "mixture":
+            u = np.ones((len(rngs), width))  # a column a block does not hold draws no event
+            for g, rng in enumerate(rngs):
+                rng.random(out=u[g, :columns[g]])
+            event = u < self.p_reset + self.p_z
+            if not np.count_nonzero(event):
+                return
+            events: dict[int, list[int]] = {}  # block -> its event columns, in order
+            for g, column in zip(*(axis.tolist() for axis in event.nonzero())):
+                events.setdefault(g, []).append(column)
+            blocks = events
+        else:
+            blocks = range(len(rngs))
+        idx, amp = state.index, state.amplitudes
+        bounds = _block_bounds(state, len(rngs))
+        inserts = []
+        for g in blocks:
+            lo, hi = bounds[g], bounds[g + 1]
+            block = SparseState(n, idx[lo:hi], amp[lo:hi, :columns[g]])
+            if self.implementation == "mixture":
+                added = self._mixture_block(block, qubit, rngs[g], u[g], events[g])
+            else:
+                added = self._kraus_block(block, qubit, rngs[g])
+            if added is not None:
+                index, rows = added
+                if columns[g] < width:  # a narrower block's rows are zero in the other columns
+                    pad = np.zeros_like(rows, shape=(len(rows), width - columns[g]))
+                    rows = np.concatenate((rows, pad), axis=1)
+                inserts.append((hi, index, rows))
+        if inserts:
+            _insert_rows(state, inserts)
+
+    def _mixture_block(self, state: SparseState, qubit: int, rng: np.random.Generator,
+                       u: np.ndarray, columns: list[int]):
+        """A mixture step on one sparse block whose ``columns`` drew an event
+        (``u`` holds the block's draws).  It returns the rows to add,
+        as :func:`_move_down` does.
 
         A phase flip negates the rows with the qubit set.  A reset that
-        measures 1, or a Kraus jump, takes each such row to its partner with
-        the qubit clear (:func:`_move_down`), which may add that row.  A
-        mixture step in which one column draws an event works on that
-        column's view (:meth:`_one_event`); one with more handles all its
-        events together, as the wide blocks' steps do.  Each sum sees the
-        dense block's terms in the dense block's layout (:func:`_reset_norms`,
-        :func:`_sparse_column_norms`), so it rounds as there; every other
-        result is a product of the same two numbers.
+        measures 1 takes each such row to its partner with the qubit clear
+        (:func:`_move_down`).  A step in which one column draws an event
+        works on that column's view (:meth:`_one_event`); one with more
+        handles all its events together.  A reset's norm sees the dense
+        block's terms in the dense block's layout (:func:`_reset_norms`), so
+        it rounds as there; every other result is a product of the same two
+        numbers.
         """
-        if self.implementation == "mixture":
-            u = rng.random(state.amplitudes.shape[1])
-            event = u < self.p_reset + self.p_z
-            events = np.count_nonzero(event)
-            if not events:
-                return
-            bits = state.index >> qubit & 1
-            ones = bits.nonzero()[0]
-            if events == 1:
-                self._one_event(state, qubit, rng, int(event.argmax()), u, bits, ones)
-                return
-            columns = event.nonzero()[0]
-            resets = (u[columns] < self.p_reset).nonzero()[0]  # positions in columns
-            # the dense block's resets draw one number each, in column order
-            draws = rng.random(len(resets)) if len(resets) else None
-            halves = state.amplitudes.take(ones, axis=0).take(columns, axis=1)  # the |1> halves
-            live = halves.any(axis=0)
-            if not np.count_nonzero(live):
-                return  # a flip or a reset of a zero |1> half changes nothing
-            factors = _PHASE_FLIP.repeat(len(columns), axis=1)
-            if draws is not None:
-                p1, alive = np.zeros(len(resets)), live[resets]
-                p1[alive] = _reset_norms(state, qubit, ones, halves[:, resets[alive]])
-                moved = draws < p1
-                factors[0, resets] = [p ** -0.5 if m else (1.0 - p) ** -0.5
-                                      for p, m in zip(p1, moved)]
-                factors[1, resets] = 0.0
-                if np.count_nonzero(moved):
-                    moved = resets[moved]
-                    _move_down(state, qubit, ones, columns[moved], halves[:, moved],
-                               factors[0, moved])
-                    factors[:, moved] = 1.0  # those columns are done
-                    bits = state.index >> qubit & 1
-            state.amplitudes[:, columns] *= factors[bits]
-            return
-        draws = rng.random((2, state.amplitudes.shape[1]))
         bits = state.index >> qubit & 1
         ones = bits.nonzero()[0]
-        if not len(ones):
-            return  # p1 = 0 in every column: the factors leave the |0> half as it is
-        factors, jump = self._kraus_factors(draws, _sparse_column_norms(state, qubit, ones))
-        if np.count_nonzero(jump):
-            columns = jump.nonzero()[0]
-            _move_down(state, qubit, ones, columns,
-                       state.amplitudes.take(ones, axis=0).take(columns, axis=1),
-                       factors[0, 0, columns])
-            factors[:, 0, columns] = 1.0  # those columns are done
-            bits = state.index >> qubit & 1
-        state.amplitudes *= factors[:, 0][bits]
+        if len(columns) == 1:
+            return self._one_event(state, qubit, rng, columns[0], u, bits, ones)
+        columns = np.array(columns)
+        resets = (u[columns] < self.p_reset).nonzero()[0]  # positions in columns
+        # the dense block's resets draw one number each, in column order
+        draws = rng.random(len(resets)) if len(resets) else None
+        halves = state.amplitudes.take(ones, axis=0).take(columns, axis=1)  # the |1> halves
+        live = halves.any(axis=0)
+        if not np.count_nonzero(live):
+            return None  # a flip or a reset of a zero |1> half changes nothing
+        factors = _PHASE_FLIP.repeat(len(columns), axis=1)
+        added = None
+        if draws is not None:
+            p1, alive = np.zeros(len(resets)), live[resets]
+            p1[alive] = _reset_norms(state, qubit, ones, halves[:, resets[alive]])
+            moved = draws < p1
+            factors[0, resets] = [p ** -0.5 if m else (1.0 - p) ** -0.5
+                                  for p, m in zip(p1, moved)]
+            factors[1, resets] = 0.0
+            if np.count_nonzero(moved):
+                moved = resets[moved]
+                added = _move_down(state, qubit, ones, columns[moved], halves[:, moved],
+                                   factors[0, moved])
+                factors[:, moved] = 1.0  # those columns are done
+        state.amplitudes[:, columns] *= factors[bits]
+        return added
 
     def _one_event(self, state: SparseState, qubit: int, rng: np.random.Generator,
-                   column: int, u: np.ndarray, bits: np.ndarray, ones: np.ndarray) -> None:
+                   column: int, u: np.ndarray, bits: np.ndarray, ones: np.ndarray):
         """A mixture step in which ``column`` alone draws an event, on that
         column's 1-D view: the common case in narrow blocks, where the
         batched path's numpy calls cost more than the event itself.
@@ -357,17 +400,37 @@ class RelaxationChannel:
         half = col.take(ones)
         if u[column] >= self.p_reset:  # a phase flip
             col[ones] = -half
-            return
+            return None
         draw = rng.random()
         if not half.any():
-            return  # p1 = 0: the reset changes nothing
+            return None  # p1 = 0: the reset changes nothing
         p1 = _reset_norms(state, qubit, ones, half[:, None])[0]
         if draw < p1:
-            _move_down(state, qubit, ones, np.array([column]), half[:, None], p1 ** -0.5)
-            return
-        zeros = (bits == 0).nonzero()[0]
-        col[zeros] = col.take(zeros) * (1.0 - p1) ** -0.5
-        col[ones] = 0.0
+            return _move_down(state, qubit, ones, np.array([column]), half[:, None], p1 ** -0.5)
+        col *= np.array([(1.0 - p1) ** -0.5, 0.0])[bits]  # a zero may carry the other sign
+        return None
+
+    def _kraus_block(self, state: SparseState, qubit: int, rng: np.random.Generator):
+        """A Kraus step on one sparse block; it returns the rows to add, as
+        :func:`_move_down` does.  A jump takes each row with the qubit set
+        to its partner with the qubit clear.  The column norms see the dense
+        block's terms in the dense block's layout
+        (:func:`_sparse_column_norms`)."""
+        draws = rng.random((2, state.amplitudes.shape[1]))
+        bits = state.index >> qubit & 1
+        ones = bits.nonzero()[0]
+        if not len(ones):
+            return None  # p1 = 0 in every column: the factors leave the |0> half as it is
+        factors, jump = self._kraus_factors(draws, _sparse_column_norms(state, qubit, ones))
+        added = None
+        if np.count_nonzero(jump):
+            columns = jump.nonzero()[0]
+            added = _move_down(state, qubit, ones, columns,
+                               state.amplitudes.take(ones, axis=0).take(columns, axis=1),
+                               factors[0, 0, columns])
+            factors[:, 0, columns] = 1.0  # those columns are done
+        state.amplitudes *= factors[:, 0][bits]
+        return added
 
 
 #: A phase flip's factors on the |0> and |1> halves.
@@ -401,13 +464,27 @@ def _column_norms(half: np.ndarray) -> np.ndarray:
     return squares.reshape(half.shape[-1], -1).sum(axis=1)
 
 
-def _scratch_column(state: SparseState) -> np.ndarray:
-    """A zeroed column of ``2**n`` amplitudes laid out as a column of the
-    sparse block's dense twin: contiguous for a block of one column, strided
-    otherwise, since numpy and BLAS sum a strided run in another order than a
-    contiguous one."""
+@lru_cache(maxsize=4)
+def _scratch_column(n_qubits: int, columns: int, dtype: np.dtype) -> np.ndarray:
+    """A column of ``2**n`` zeros laid out as a column of a dense block of
+    ``columns`` (1 or 2) states: contiguous for one column, strided
+    otherwise, since numpy and BLAS sum a strided run in another order than
+    a contiguous one.  One is made per run (:func:`_run_trajectory_blocks`
+    clears the cache) and kept zero: whoever writes rows into it sets them
+    back to 0."""
+    return np.zeros((1 << n_qubits, columns), dtype)[:, 0]
+
+
+def _register_bits(state: SparseState, rows: np.ndarray) -> np.ndarray:
+    """The basis indices of ``rows`` without the block number a stacked
+    block's index carries above the register."""
+    return state.index[rows] & ((1 << state.n_qubits) - 1)
+
+
+def _block_scratch(state: SparseState) -> np.ndarray:
+    """The scratch column laid out as a column of ``state``'s dense twin."""
     amp = state.amplitudes
-    return np.zeros((1 << state.n_qubits, min(amp.shape[1], 2)), amp.dtype)[:, 0]
+    return _scratch_column(state.n_qubits, min(amp.shape[1], 2), amp.dtype)
 
 
 def _reset_norms(state: SparseState, qubit: int, ones: np.ndarray,
@@ -421,13 +498,14 @@ def _reset_norms(state: SparseState, qubit: int, ones: np.ndarray,
     a contiguous array first, so each column is scattered into a scratch
     column laid out as the dense block's (:func:`_scratch_column`) and summed
     there."""
-    rows = state.index[ones]
-    column = _scratch_column(state)
+    rows = _register_bits(state, ones)
+    column = _block_scratch(state)
     half = column.reshape(-1, 2, 1 << qubit)[:, 1]
     p1 = np.empty(halves.shape[1])
     for j in range(len(p1)):
         column[rows] = halves[:, j]
         p1[j] = np.vdot(half, half).real
+    column[rows] = 0.0
     return p1
 
 
@@ -440,32 +518,63 @@ def _sparse_column_norms(state: SparseState, qubit: int, ones: np.ndarray) -> np
     idx, amp = state.index, state.amplitudes
     if amp.shape[1] > 1 or np.iscomplexobj(amp):
         return _column_norms(amp.take(ones[idx[ones].argsort()], axis=0)[:, None])
-    column = _scratch_column(state)
-    column[idx[ones]] = amp[:, 0].take(ones)
-    return _column_norms(column.reshape(-1, 2, 1 << qubit, 1)[:, 1])
+    rows = _register_bits(state, ones)
+    column = _block_scratch(state)
+    column[rows] = amp[:, 0].take(ones)
+    p1 = _column_norms(column.reshape(-1, 2, 1 << qubit, 1)[:, 1])
+    column[rows] = 0.0
+    return p1
 
 
 def _move_down(state: SparseState, qubit: int, ones: np.ndarray, columns: np.ndarray,
-               halves: np.ndarray, scales) -> None:
+               halves: np.ndarray, scales):
     """A reset that measures 1, or a Kraus jump, in ``columns`` of a sparse
     block: each index with ``qubit`` clear takes the amplitude of its partner
     with the qubit set times the column's scale, or 0 where that partner is
     not listed, and each index with the qubit set takes 0.  ``ones`` are the
     rows with the qubit set and ``halves`` their amplitudes in ``columns``.
-    A row of ``ones`` that is nonzero there and whose partner is not listed
-    gets one, zero in every column."""
+
+    Only the rows of ``ones`` that are nonzero in some of ``columns`` look up
+    their partners.  A partner that is not listed is not added here: it is
+    returned, as ``(index, amplitudes)`` rows that are zero outside
+    ``columns``, for the caller to insert; without one, ``None``."""
     bit = 1 << qubit
-    idx = state.index
-    partners = _find(state, idx[ones] ^ bit)
-    lone = ((partners < 0) & halves.any(axis=1)).nonzero()[0]
-    if len(lone):
-        partners[lone] = np.arange(len(idx), len(idx) + len(lone))
-        added = np.zeros_like(state.amplitudes, shape=(len(lone), state.amplitudes.shape[1]))
-        state.index = np.concatenate((idx, idx[ones[lone]] ^ bit))
-        state.amplitudes = np.concatenate((state.amplitudes, added))
-    paired = (partners >= 0).nonzero()[0]
+    nonzero = halves.any(axis=1).nonzero()[0]
+    moved = halves[nonzero] * scales
+    partners = _find(state, state.index[ones[nonzero]] ^ bit)
+    found, lone = (partners >= 0).nonzero()[0], (partners < 0).nonzero()[0]
     state.amplitudes[:, columns] = 0.0
-    state.amplitudes[partners[paired, None], columns] = halves[paired] * scales
+    state.amplitudes[partners[found, None], columns] = moved[found]
+    if not len(lone):
+        return None
+    added = np.zeros_like(state.amplitudes, shape=(len(lone), state.amplitudes.shape[1]))
+    added[:, columns] = moved[lone]
+    return state.index[ones[nonzero[lone]]] ^ bit, added
+
+
+def _block_bounds(state: SparseState, blocks: int):
+    """Row bounds of each block of a stack: block ``g`` is rows
+    ``bounds[g]:bounds[g + 1]``.  A stack keeps each block's rows together,
+    in block order: X-type gates flip only bits below ``n_qubits``, a 2x2
+    gate that moves rows sorts them by index, and a relaxation step inserts
+    a block's new rows after its others."""
+    if blocks == 1:
+        return 0, len(state.index)
+    # every row of a block lies below every row of the next, so a sorted
+    # search finds where each block starts
+    return state.index.searchsorted(np.arange(blocks + 1) << state.n_qubits)
+
+
+def _insert_rows(state: SparseState, inserts: list) -> None:
+    """Insert each of ``inserts``, ``(row, index, amplitudes)`` in ascending
+    ``row`` order, before row ``row`` of ``state``, in one copy."""
+    index, amplitudes, start = [], [], 0
+    for row, idx, amp in inserts:
+        index += (state.index[start:row], idx)
+        amplitudes += (state.amplitudes[start:row], amp)
+        start = row
+    state.index = np.concatenate((*index, state.index[start:]))
+    state.amplitudes = np.concatenate((*amplitudes, state.amplitudes[start:]))
 
 
 def compile_noisy_program(circuit: Circuit, profile: NoiseProfile) -> list:
@@ -525,23 +634,66 @@ def _block_size(n_qubits: int, dtype) -> int:
     return max(1, (_BLOCK_BYTES // np.dtype(dtype).itemsize) >> n_qubits)
 
 
+#: Columns a stack of narrow blocks holds at most: ``_STACK_COLUMNS // B``
+#: blocks of B columns run as one sparse state, so each gate is one call per
+#: stack rather than per block.  A relaxation step that adds rows copies the
+#: whole stack, which sets the limit.
+_STACK_COLUMNS = 128
+
+
+@dataclass
+class _Stack(SparseState):
+    """Trajectory blocks run as one sparse state.  Block ``g`` is the rows
+    whose index holds ``g`` in the bits from ``n_qubits`` up, in its first
+    ``columns[g]`` columns; a narrower block's other columns stay zero.  A
+    gate never mixes blocks: X-type gates flip only register bits, and a 2x2
+    gate pairs rows that differ in one of them."""
+
+    columns: tuple[int, ...] = ()
+
+
+def _stacks(blocks: list, size: int, n_qubits: int) -> list:
+    """``blocks`` (``(block, seed sequence)`` pairs, in order) cut into
+    stacks of at most ``_STACK_COLUMNS // size`` blocks, and no more than
+    the bits above the register leave room to number, spread evenly over
+    the fewest stacks that hold them."""
+    most = max(1, min(_STACK_COLUMNS // size, 1 << (_MAX_INDEX_QUBITS - n_qubits)))
+    count = -(-len(blocks) // most)
+    return [blocks[i * len(blocks) // count:(i + 1) * len(blocks) // count] for i in range(count)]
+
+
 def _run_trajectory_blocks(args) -> np.ndarray:
     steps, n_qubits, dtype, measured, shots, trajectories, blocks = args
     size = _block_size(n_qubits, dtype)
     base, extra = divmod(shots, trajectories)
     counts = np.zeros(1 << len(measured), dtype=np.int64)
-    for block, seed_sequence in blocks:
-        first, stop = block * size, min((block + 1) * size, trajectories)
-        rng = np.random.default_rng(seed_sequence)
-        state = SparseState.basis(n_qubits, 0, dtype, columns=stop - first)
-        for step in steps:
-            if step[0] == "gate":
-                apply_gate(state, step[1])
-            else:
-                step[2].apply(state, step[1], rng)
-        probs = np.clip(marginal_probabilities(state, measured), 0.0, None).T  # a row per trajectory
-        row_shots = base + (np.arange(first, stop) < extra)  # round-robin shot allocation
-        counts += rng.multinomial(row_shots, probs / probs.sum(axis=1, keepdims=True)).sum(axis=0)
+    try:
+        for stack in _stacks(blocks, size, n_qubits):
+            rngs = [np.random.default_rng(seed_sequence) for _, seed_sequence in stack]
+            columns = tuple(min(size, trajectories - block * size) for block, _ in stack)
+            # block g starts as basis state 0 of its register, index g << n
+            amplitudes = np.zeros((len(stack), max(columns)), dtype)
+            for g, width in enumerate(columns):
+                amplitudes[g, :width] = 1.0
+            state = _Stack(n_qubits, np.arange(len(stack), dtype=np.int64) << n_qubits,
+                           amplitudes, columns)
+            for step in steps:
+                if step[0] == "gate":
+                    apply_gate(state, step[1])
+                else:
+                    step[2].apply(state, step[1], rngs)
+            bounds = _block_bounds(state, len(stack))
+            for g, (block, _) in enumerate(stack):
+                rows = slice(bounds[g], bounds[g + 1])
+                alone = SparseState(n_qubits, state.index[rows] ^ (g << n_qubits),
+                                    state.amplitudes[rows, :columns[g]])
+                probs = np.clip(marginal_probabilities(alone, measured), 0.0, None).T  # a row per trajectory
+                first = block * size
+                row_shots = base + (np.arange(first, first + columns[g]) < extra)  # round-robin shot allocation
+                counts += rngs[g].multinomial(row_shots,
+                                              probs / probs.sum(axis=1, keepdims=True)).sum(axis=0)
+    finally:
+        _scratch_column.cache_clear()  # one scratch column per run
     return counts
 
 
@@ -617,15 +769,19 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, trajectories:
     run in blocks of B, each a sparse block of the circuit's amplitude dtype
     on its support: ``B = max(1, 2**16 >> n)`` for float64 (every circuit
     whose gates all have real matrices) and ``max(1, 2**15 >> n)`` for
-    complex128, what a dense block of 512 KiB would hold.  Block ``b`` draws
-    every channel branch and its shots from ``SeedSequence(entropy=seed,
-    spawn_key=(b,))``.  Those seed sequences are built here, in the calling
-    process, so ``numpy.random`` is imported once rather than in every
-    worker.  ``measure`` is checked before anything runs: an empty list, a
+    complex128, what a dense block of 512 KiB would hold.  Up to
+    ``_STACK_COLUMNS // B`` of a job's blocks run as one stack, so each gate
+    is one call per stack; each block keeps its own generator and draws, its
+    own rows and norm sums, and its own marginals and multinomial, so it
+    ends as it ends alone.  Block ``b`` draws every channel branch and its
+    shots from ``SeedSequence(entropy=seed, spawn_key=(b,))``.  Those seed
+    sequences are built here, in the calling process, so ``numpy.random`` is
+    imported once rather than in every worker.  ``measure`` is checked before anything runs: an empty list, a
     qubit outside the circuit or one listed twice raises :class:`ValueError`.
     Identical (circuit, profile, shots, trajectories, seed) produce identical
-    histograms for any ``workers`` count, because workers receive whole blocks
-    and counts are aggregated by order-independent summation.
+    histograms for any ``workers`` count and any stack size, because workers
+    receive whole blocks, a block ends as it ends alone, and counts are
+    aggregated by order-independent summation.
 
     ``min(workers, blocks)`` jobs run.  A single job runs in this process;
     with two or more, every job goes to the process's worker pool and this

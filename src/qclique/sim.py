@@ -127,11 +127,9 @@ class SparseState:
     amplitudes: np.ndarray
 
     @classmethod
-    def basis(cls, n_qubits: int, index: int, dtype=np.complex128,
-              columns: int | None = None) -> SparseState:
-        """Basis state ``index``; with ``columns``, a block of that many copies."""
-        shape = (1,) if columns is None else (1, columns)
-        return cls(n_qubits, np.array([index], dtype=np.int64), np.ones(shape, dtype))
+    def basis(cls, n_qubits: int, index: int, dtype=np.complex128) -> SparseState:
+        """Basis state ``index``."""
+        return cls(n_qubits, np.array([index], dtype=np.int64), np.ones(1, dtype))
 
     def dense(self, width: int, dtype=np.complex128) -> StateVector:
         """The amplitudes of one state as a ``width``-qubit
@@ -155,16 +153,24 @@ def _u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
 _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
 
 
-def _gate_matrix_2x2(gate: Gate) -> np.ndarray:
-    if gate.kind == "H":
-        return _H_MATRIX
-    if gate.kind in ("RY", "CRY", "CCRY"):
-        return _u3_matrix(gate.params[0], 0.0, 0.0)
-    if gate.kind == "U3":
-        return _u3_matrix(*gate.params)
-    if gate.kind == "U2":
-        return _u3_matrix(math.pi / 2.0, *gate.params)
-    raise ValueError(f"no 2x2 matrix for {gate.kind}")  # pragma: no cover
+@lru_cache(maxsize=4096)
+def _gate_matrix_2x2(kind: str, params: tuple[float, ...], real: bool) -> np.ndarray:
+    """The 2x2 matrix of a gate of ``kind`` with angles ``params``, or with
+    ``real`` its real part, built once per key and read-only."""
+    if kind == "H":
+        m = _H_MATRIX.copy()
+    elif kind in ("RY", "CRY", "CCRY"):
+        m = _u3_matrix(params[0], 0.0, 0.0)
+    elif kind == "U3":
+        m = _u3_matrix(*params)
+    elif kind == "U2":
+        m = _u3_matrix(math.pi / 2.0, *params)
+    else:
+        raise ValueError(f"no 2x2 matrix for {kind}")  # pragma: no cover
+    if real:
+        m = m.real.copy()  # its imaginary parts are zeros
+    m.flags.writeable = False
+    return m
 
 
 _X_KINDS = frozenset({"X", "CX", "CCX", "MCX"})
@@ -210,9 +216,11 @@ def _pair_views(n_qubits: int, controls: tuple[int, ...], target: int):
 def _rotate_pairs(a0: np.ndarray, a1: np.ndarray, gate: Gate) -> None:
     """Apply ``gate``'s 2x2 matrix to every amplitude pair ``(a0, a1)`` in place;
     on a real state, the real part of the matrix."""
-    m = _gate_matrix_2x2(gate)
-    if not np.iscomplexobj(a0):
-        m = m.real  # its imaginary parts are zeros
+    real = not np.iscomplexobj(a0)
+    # the cache keys 0.0 and -0.0 alike, and a zero angle's sign is a zero entry's
+    build = _gate_matrix_2x2.__wrapped__ if 0.0 in gate.params else _gate_matrix_2x2
+    m = build(gate.kind, gate.params, real)
+    if real:
         if gate.kind == "H":
             # m10 == m00 and m11 == -m01 exactly, and x + (-y) is x - y, so two
             # products give the four-product result bit for bit; a complex
@@ -279,8 +287,9 @@ def _apply_dense(state: StateVector, gate: Gate) -> None:
         _rotate_pairs(a0, a1, gate)
 
 
-def _mask(qubits) -> int:
-    """The basis-index bits of ``qubits``."""
+@lru_cache(maxsize=4096)
+def _mask(qubits: tuple[int, ...]) -> int:
+    """The basis-index bits of ``qubits``, summed once per tuple."""
     return sum(1 << q for q in qubits)
 
 

@@ -123,17 +123,20 @@ def test_the_layer_metrics_of_a_traced_ideal_run_read_every_gate_kind(monkeypatc
     assert [op.get("error") for op in out["ops"]] == [None]
 
 
-def test_a_traced_noisy_pass_makes_one_x_call_per_gate_and_block(monkeypatch):
+def test_a_traced_noisy_pass_makes_one_x_call_per_gate_and_stack(monkeypatch):
     # passes.py puts src/ and perfbench/ on sys.path to import its workloads
     monkeypatch.setattr(sys, "path", list(sys.path))
     passes, tracing = load_perfbench("passes"), load_perfbench("tracing")
     tracer = tracing.Tracer()
-    # one traced noisy_full12 pass as `perfbench/run.py --trace 1` runs it; a
-    # framed X changes no amplitude but is still one apply_gate call per block
+    # one traced noisy_full12 pass as `perfbench/run.py --trace 1` runs it; an
+    # X only flips index bits but is still one apply_gate call per stack of
+    # blocks
     with tracing.installed(tracer):
         out = passes.run_pass("noisy_full12", 9101, 1, 1, False, tracer)
     layers = out["layers"]
-    blocks = -(-out["trajectories"] // noise._block_size(out["circuit"]["n_qubits"], np.float64))
-    assert blocks == 19
-    assert layers["sim.apply_gate_calls.X"] == out["circuit"]["counts"]["X"] * blocks == 684
+    size = noise._block_size(out["circuit"]["n_qubits"], np.float64)
+    blocks = -(-out["trajectories"] // size)
+    stacks = len(noise._stacks(list(range(blocks)), size, out["circuit"]["n_qubits"]))
+    assert (blocks, stacks) == (19, 3)
+    assert layers["sim.apply_gate_calls.X"] == out["circuit"]["counts"]["X"] * stacks == 108
     assert [op.get("error") for op in out["ops"]] == [None]

@@ -671,3 +671,80 @@ def test_a_sparse_block_ends_byte_equal_to_its_dense_twin_property(spec, columns
     for qubits in (measured, list(range(n))):
         assert (marginal_probabilities(sparse, qubits).tobytes()
                 == marginal_probabilities(dense, qubits).tobytes())
+
+
+# -- stacks of trajectory blocks ------------------------------------------------
+
+@pytest.mark.parametrize("spec", ["3:2", "2:3"], ids=["mixture", "kraus"])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_a_stacked_block_ends_as_it_ends_alone_property(spec, data):
+    # 1-5 blocks of 1, 2 or 16 columns on random supports run as one stack,
+    # each drawing from its own generator, and each alone
+    n = data.draw(st.integers(2, 6), label="n")
+    complex_ = data.draw(st.booleans(), label="complex")
+    kinds = BLOCK_KINDS + (("U3",) if complex_ else ())
+    circ = Circuit(n)
+    for gate in data.draw(st.lists(gates_on(n, kinds), min_size=1, max_size=20), label="gates"):
+        circ.append(gate)
+    steps = compile_noisy_program(circ, load_profile(spec))
+    widths = data.draw(st.lists(st.sampled_from([1, 2, 16]), min_size=1, max_size=5),
+                       label="widths")
+    start = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="start"))
+    seeds = [int(s) for s in start.integers(0, 2**32, size=len(widths))]
+    alone = []
+    for width in widths:
+        index = np.sort(start.choice(1 << n, size=int(start.integers(1, (1 << n) + 1)),
+                                     replace=False))
+        amp = start.normal(size=(len(index), width))
+        if complex_:
+            amp = amp + 1j * start.normal(size=amp.shape)
+        alone.append(SparseState(n, index, amp / np.linalg.norm(amp, axis=0)))
+    amplitudes = np.zeros((sum(len(b.index) for b in alone), max(widths)),
+                          alone[0].amplitudes.dtype)
+    rows = np.cumsum([0] + [len(b.index) for b in alone])
+    for g, block in enumerate(alone):
+        amplitudes[rows[g]:rows[g + 1], :widths[g]] = block.amplitudes
+    stack = noise._Stack(n, np.concatenate([b.index | g << n for g, b in enumerate(alone)]),
+                         amplitudes, tuple(widths))
+
+    stack_rngs = [np.random.default_rng(seed) for seed in seeds]
+    _run_steps(stack, steps, stack_rngs)
+    bounds = noise._block_bounds(stack, len(widths))
+    measured = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True), label="measured")
+    for g, (block, seed) in enumerate(zip(alone, seeds)):
+        rng = np.random.default_rng(seed)
+        _run_steps(block, steps, rng)
+        assert rng.bit_generator.state == stack_rngs[g].bit_generator.state
+        lo, hi = bounds[g], bounds[g + 1]
+        stacked = SparseState(n, stack.index[lo:hi] ^ g << n, stack.amplitudes[lo:hi, :widths[g]])
+        assert not stack.amplitudes[lo:hi, widths[g]:].any()  # the columns it does not hold
+        dense = [np.zeros((1 << n, widths[g]), amplitudes.dtype) for _ in range(2)]
+        dense[0][block.index] = block.amplitudes
+        dense[1][stacked.index] = stacked.amplitudes
+        assert np.array_equal(*dense)  # equal values; a zero's sign may differ
+        for qubits in (measured, list(range(n))):
+            assert (marginal_probabilities(stacked, qubits).tobytes()
+                    == marginal_probabilities(block, qubits).tobytes())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_histograms_do_not_depend_on_the_stack_size(g4, workers, fresh_pool, monkeypatch):
+    # 12- and 13-qubit float64 blocks hold 16 trajectories and complex128 ones
+    # 8, so 150 trajectories make 10 or 19 blocks, the last one partial; the
+    # 9-qubit dicke blocks hold 128, one per stack either way
+    circuits = [assemble(g4, 3, "full", "checking"), assemble(g4, 3, "full", "incremental"),
+                decompose_mc(assemble(g4, 3, "full", "checking")),
+                assemble(g4, 3, "dicke", "incremental")]
+    kwargs = dict(shots=300, trajectories=150, seed=41, measure=list(range(4)), workers=workers)
+
+    def histograms():
+        runs = [run_noisy(c, load_profile(spec), **kwargs).to_json()
+                for c in circuits for spec in ("500:500", "2:3")]
+        _shut_pools()  # the next pool forks from this process as it is then
+        return runs
+
+    stacked = histograms()
+    monkeypatch.setattr(noise, "_STACK_COLUMNS", 1)  # a stack of one block
+    assert noise._stacks(list(range(19)), 16, 12) == [[b] for b in range(19)]
+    assert histograms() == stacked
