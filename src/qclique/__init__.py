@@ -1,8 +1,9 @@
 """Grover-search toolkit for the k-clique problem.
 
 Gate-level construction of checking- and incremental-style clique oracles,
-Dicke/W initial states, dense statevector simulation, Monte-Carlo thermal
-relaxation, and circuit resource accounting.
+Dicke/W initial states, simulation on a sparse state of the basis states that
+carry amplitude (ideal runs, full statevectors and Monte-Carlo thermal
+relaxation trajectories alike), and circuit resource accounting.
 """
 
 from .circuit import Circuit, Gate, decompose_mc

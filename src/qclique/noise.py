@@ -446,7 +446,7 @@ def _reset(state: np.ndarray, rng: np.random.Generator) -> None:
     p1 = 0, leaves it as it is.
     """
     one = state[:, 1]
-    p1 = np.vdot(one, one).real
+    p1 = np.add.reduce(one.conj() * one, axis=None).real
     if rng.random() < p1:
         np.multiply(one, p1 ** -0.5, out=state[:, 0])
     else:
@@ -493,18 +493,17 @@ def _reset_norms(state: SparseState, qubit: int, ones: np.ndarray,
     (the rows ``ones`` of a sparse block) in some of its columns, summed as
     :func:`_reset` sums the dense block's half.
 
-    ``np.vdot`` sums a half that is one strided run (qubit 0, and qubit n-1
-    of a block wider than one column) in place and copies any other half to
-    a contiguous array first, so each column is scattered into a scratch
-    column laid out as the dense block's (:func:`_scratch_column`) and summed
-    there."""
+    Each column is scattered into a scratch column laid out as the dense
+    block's (:func:`_scratch_column`), and its half there is squared into a
+    contiguous array and summed by numpy's own pairwise reduction, so the
+    sum does not depend on the BLAS kernel, as ``np.vdot``'s would."""
     rows = _register_bits(state, ones)
     column = _block_scratch(state)
     half = column.reshape(-1, 2, 1 << qubit)[:, 1]
     p1 = np.empty(halves.shape[1])
     for j in range(len(p1)):
         column[rows] = halves[:, j]
-        p1[j] = np.vdot(half, half).real
+        p1[j] = np.add.reduce(half.conj() * half, axis=None).real
     column[rows] = 0.0
     return p1
 

@@ -1,43 +1,32 @@
-"""Statevector execution of circuits, measurement sampling and histograms.
+"""Circuit execution on a sparse state, measurement sampling and histograms.
 
 Basis-state index bit ``i`` is qubit ``i`` (qubit 0 least significant).
 Display strings print qubit ``n-1`` leftmost, so the node set {1,2,3,4} on six
 qubits reads ``011110``.  Multi-controlled gates are applied natively; no
 decomposition is needed for simulation.
 
-Every gate goes through :func:`apply_gate`, on one of two state types.
+Every gate goes through :func:`apply_gate` on a :class:`SparseState`, which
+holds only the basis states that carry amplitude, as an int64 index array and
+an amplitude array: the sparse simulation of Jaques & Haener (ACM TQC 3(3),
+2022, arXiv:2105.01533).  X-type gates flip the target bit of the indices
+whose controls are set, Z-type gates negate the amplitudes whose qubits are
+all set, and a 2x2 gate pairs each index with its target-flipped partner, a
+missing partner becoming a zero row, and applies two products per output
+(:func:`_rotate_pairs`).  :func:`run_ideal`, :func:`statevector` and the noisy
+trajectory blocks of :mod:`qclique.noise` run on it.  The paper's circuits
+touch few basis states: the Dicke preparation keeps the Hamming weight
+(Baertschi & Eidenbenz, arXiv:1904.07358) and the oracle's counters and flags
+are classical functions of the node register, so a k-clique search on n nodes
+never holds more than C(n, k) entries, and a trajectory block only those its
+columns' resets and jumps add.
 
-A dense :class:`StateVector` holds all ``2**n`` amplitudes and goes through
-one strided-view kernel, the amplitude-pair scheme of QuEST (Jones et al.,
-Sci. Rep. 9, 10736, 2019) and of Haener & Steiger (SC17, arXiv:1704.01127);
-:func:`statevector` and direct callers use it.  The amplitudes are viewed,
-without copying, as an array of shape ``(2,)*n`` in which axis ``n-1-q`` is
-qubit ``q``; runs of qubits a gate does not touch are merged into one axis.
-Fixing each control axis to 1 and splitting the target axis into its 0 and 1
-halves gives two views of the amplitude pairs the gate mixes: X-type gates
-swap the halves, Z-type gates negate the 1 half, and every other kind
-applies its 2x2 matrix.  The amplitudes below an X-type
-gate's lowest operand move together; when such a run is longer than one
-scalar and at most one 64-byte cache line, a C-contiguous state is viewed as
-one opaque element per run and the gate swaps those, so numpy's innermost
-loop does not walk 2-16 scalars.  The swap moves the same bytes either way.
-Marginal probabilities use the ``(2,)*n`` view and sum over the unmeasured
-axes; a sparse state's probabilities are scattered into that layout first,
-so they sum as its dense twin's.
-
-A :class:`SparseState` holds only the basis states that carry amplitude, as
-an int64 index array and an amplitude array: the sparse simulation of Jaques
-& Haener (ACM TQC 3(3), 2022, arXiv:2105.01533).  X-type gates flip the
-target bit of the indices whose controls are set, Z-type gates negate the
-amplitudes whose qubits are all set, and a 2x2 gate pairs each index with
-its target-flipped partner, a missing partner becoming a zero row, and
-applies the same two products per pair as the dense kernel.  :func:`run_ideal`
-and the noisy trajectory blocks run on it.  The paper's circuits touch few
-basis states: the Dicke preparation keeps the Hamming weight (Baertschi &
-Eidenbenz, arXiv:1904.07358) and the oracle's counters and flags are
-classical functions of the node register, so a k-clique search on n nodes
-never holds more than C(n, k) entries, and a trajectory block only those
-its columns' resets and jumps add.
+A dense :class:`StateVector` holds all ``2**n`` amplitudes.  It is what
+:func:`statevector` and ``run_ideal(return_state=True)`` hand back, the sparse
+amplitudes scattered to full width, and a layout the marginals are summed in:
+:func:`marginal_probabilities` views the probabilities as an array of shape
+``(2,)*n``, in which axis ``n-1-q`` is qubit ``q``, and sums over the
+unmeasured axes; a sparse state's probabilities are scattered into that
+layout first, so they sum as its dense twin's.
 
 Amplitudes are float64 or complex128.  X/Z-type gates, H, RY, CRY and CCRY
 have real matrices, so a circuit made only of them keeps a real state real:
@@ -50,15 +39,12 @@ zero may carry the other sign.  :func:`run_ideal` and the trajectories of
 handed back stay complex128.  The kernel refuses a complex matrix on a real
 state.
 
-A state's amplitudes may also be a block of B states, one per column: a
-dense ``(2**n, B)`` array, or a sparse ``(K, B)`` array whose row ``j`` holds
-basis index ``index[j]`` in every column (the trajectory blocks of
-:mod:`qclique.noise`, which run on their support).  Every gate acts on every
-column: the dense kernel's views keep the block as their trailing axis, so
-each ends in one contiguous run of ``B * 2**q`` amplitudes (``q`` the lowest
-qubit the gate touches), and a sparse block's X-type gates still only flip
-index bits.  The marginals have one column per state.  A 1-D state is a
-block of one.  :func:`statevector` runs dense, at full width.
+A sparse state's amplitudes may also be a ``(K, B)`` block of B states whose
+row ``j`` holds basis index ``index[j]`` in every column (the trajectory
+blocks of :mod:`qclique.noise`).  Every gate acts on every column, and X-type
+gates still only flip index bits.  The marginals have one column per state,
+of a sparse block or of a dense ``(2**n, B)`` one.  A 1-D state is a block of
+one.
 """
 from __future__ import annotations
 
@@ -120,7 +106,7 @@ class SparseState:
     listed has amplitude 0.  ``amplitudes`` is ``(K,)`` for one state or
     ``(K, B)`` for a block of B states that share the listed indices, one
     state per column.  A listed amplitude may be an exact zero, in some
-    columns or in all (see :func:`_apply_sparse`)."""
+    columns or in all (see :func:`apply_gate`)."""
 
     n_qubits: int
     index: np.ndarray
@@ -154,9 +140,12 @@ _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
 
 
 @lru_cache(maxsize=4096)
-def _gate_matrix_2x2(kind: str, params: tuple[float, ...], real: bool) -> np.ndarray:
-    """The 2x2 matrix of a gate of ``kind`` with angles ``params``, or with
-    ``real`` its real part, built once per key and read-only."""
+def _gate_matrix_2x2(kind: str, angles: tuple[str, ...], real: bool) -> np.ndarray:
+    """The 2x2 matrix of a gate of ``kind`` whose angles have the
+    :meth:`float.hex` forms ``angles``, or with ``real`` its real part, built
+    once per key and read-only.  The hex forms keep 0.0 and -0.0 apart, which
+    a float key would not: a zero angle's sign is the sign of a zero entry."""
+    params = tuple(map(float.fromhex, angles))
     if kind == "H":
         m = _H_MATRIX.copy()
     elif kind in ("RY", "CRY", "CCRY"):
@@ -185,41 +174,11 @@ def _amplitude_dtype(gates) -> type:
     return np.float64 if all(g.kind in _REAL_KINDS for g in gates) else np.complex128
 
 
-@lru_cache(maxsize=1024)
-def _pair_views(n_qubits: int, controls: tuple[int, ...], target: int):
-    """View shape and index tuples of a gate's target-0 and target-1 halves.
-
-    The shape is ``(2,)*n`` (axis ``n-1-q`` is qubit ``q``) with each run of
-    qubits the gate does not touch merged into one axis, so numpy iterates
-    over as few and as long axes as possible.  The index tuples fix every
-    control axis to 1 and the target axis to 0 or 1.  Each ends with
-    ``Ellipsis``, which stands for the trailing block axis: a gate that fixes
-    every qubit axis still yields a view rather than a scalar copy.
-    """
-    fixed = {q: (1, 1) for q in controls}
-    fixed[target] = (0, 1)
-    shape, lo, hi = [], [], []
-    top = n_qubits
-    for q in (*sorted(fixed, reverse=True), -1):
-        if top > q + 1:  # qubits q+1 .. top-1 are untouched: one merged axis
-            shape.append(1 << (top - q - 1))
-            lo.append(slice(None))
-            hi.append(slice(None))
-        if q >= 0:
-            shape.append(2)
-            lo.append(fixed[q][0])
-            hi.append(fixed[q][1])
-        top = q
-    return tuple(shape), (*lo, Ellipsis), (*hi, Ellipsis)
-
-
 def _rotate_pairs(a0: np.ndarray, a1: np.ndarray, gate: Gate) -> None:
     """Apply ``gate``'s 2x2 matrix to every amplitude pair ``(a0, a1)`` in place;
     on a real state, the real part of the matrix."""
     real = not np.iscomplexobj(a0)
-    # the cache keys 0.0 and -0.0 alike, and a zero angle's sign is a zero entry's
-    build = _gate_matrix_2x2.__wrapped__ if 0.0 in gate.params else _gate_matrix_2x2
-    m = build(gate.kind, gate.params, real)
+    m = _gate_matrix_2x2(gate.kind, tuple(float(p).hex() for p in gate.params), real)
     if real:
         if gate.kind == "H":
             # m10 == m00 and m11 == -m01 exactly, and x + (-y) is x - y, so two
@@ -234,20 +193,31 @@ def _rotate_pairs(a0: np.ndarray, a1: np.ndarray, gate: Gate) -> None:
     a1[...] = m[1, 0] * tmp + m[1, 1] * a1
 
 
-#: An X-type gate swaps the runs of amplitudes below its lowest operand as
-#: opaque elements when a run is longer than one scalar and at most this many
-#: bytes, one cache line, so numpy's innermost loop does not walk 2-16 scalars.
-#: Folded runs of one scalar, or of 128 bytes and more, measured slower.
-_FOLD_BYTES = 64
+@lru_cache(maxsize=4096)
+def _mask(qubits: tuple[int, ...]) -> int:
+    """The basis-index bits of ``qubits``, summed once per tuple."""
+    return sum(1 << q for q in qubits)
 
 
-def apply_gate(state: StateVector | SparseState, gate: Gate) -> StateVector | SparseState:
-    """Apply one gate in place (exact unitary action) and return the state.
+def apply_gate(state: SparseState, gate: Gate) -> SparseState:
+    """Apply one gate in place (exact unitary action) to a sparse state or
+    block and return it.
 
-    A :class:`SparseState` goes to :func:`_apply_sparse`, a
-    :class:`StateVector` to the strided-view kernel.  A float64 state takes
-    only the kinds in ``_REAL_KINDS``; any other kind raises
-    :class:`ValueError` rather than drop its imaginary part.
+    A float64 state takes only the kinds in ``_REAL_KINDS``; any other kind
+    raises :class:`ValueError` rather than drop its imaginary part.  X-type
+    gates flip the target bit of the indices whose controls are set, and
+    Z-type gates negate the rows whose qubits are all set.  A 2x2 gate
+    applies its matrix through :func:`_rotate_pairs` to each pair of rows
+    that differ only in the target bit and have every control set.  When
+    every such row has its partner, in the same order, it rotates them in
+    place and keeps any zero it makes.  Rows sorted by index are in that
+    order for every gate whose pairs are all present, and the paper's
+    circuits keep them so: an uncontrolled X flips one bit of every index,
+    which keeps each gate's pairs in order, a Dicke block's CX keeps its
+    rotation's pairs in order, and an oracle's uncompute puts every index
+    back.  Otherwise it finds each row's partner by index (:func:`_find`), a
+    missing partner becoming a zero row, then drops the rows that are zero in
+    every column and sorts the rest by index.
     """
     if max(gate.qubits) >= state.n_qubits:
         raise ValueError(f"gate {gate} exceeds state width {state.n_qubits}")
@@ -255,74 +225,18 @@ def apply_gate(state: StateVector | SparseState, gate: Gate) -> StateVector | Sp
     if kind not in _REAL_KINDS and not np.iscomplexobj(state.amplitudes):
         raise ValueError(f"{kind} has a complex matrix and cannot act on a "
                          f"{state.amplitudes.dtype} state")
-    if isinstance(state, SparseState):
-        _apply_sparse(state, gate)
-    else:
-        _apply_dense(state, gate)
-    return state
-
-
-def _apply_dense(state: StateVector, gate: Gate) -> None:
-    """The strided-view kernel."""
-    amp, kind = state.amplitudes, gate.kind
-    n, controls, target = state.n_qubits, gate.controls, gate.target
-    if kind in _X_KINDS:
-        # the qubits below the lowest operand index one run of
-        # ``itemsize * B * 2**low`` bytes, which the swap moves whole
-        low = min(gate.qubits)
-        run = amp.nbytes >> (n - low)
-        if amp.itemsize < run <= _FOLD_BYTES and amp.flags.c_contiguous:
-            amp = amp.reshape(-1).view(np.dtype((np.void, run)))
-            n, controls, target = n - low, tuple(c - low for c in controls), target - low
-    shape, lo, hi = _pair_views(n, controls, target)
-    view = amp.reshape((*shape, -1))
-    a0, a1 = view[lo], view[hi]
-    if kind in _X_KINDS:
-        tmp = a0.copy()
-        a0[...] = a1
-        a1[...] = tmp
-    elif kind in _Z_KINDS:
-        a1 *= -1.0
-    else:
-        _rotate_pairs(a0, a1, gate)
-
-
-@lru_cache(maxsize=4096)
-def _mask(qubits: tuple[int, ...]) -> int:
-    """The basis-index bits of ``qubits``, summed once per tuple."""
-    return sum(1 << q for q in qubits)
-
-
-def _apply_sparse(state: SparseState, gate: Gate) -> None:
-    """:func:`apply_gate` on a sparse state or block.
-
-    X-type gates flip the target bit of the indices whose controls are set,
-    and Z-type gates negate the rows whose qubits are all set.  A 2x2 gate
-    applies its matrix through :func:`_rotate_pairs` to each pair of rows
-    that differ only in the target bit and have every control set, so each
-    output is the same two products as the dense kernel's.  When every such
-    row has its partner, in the same order, it rotates them in place and
-    keeps any zero it makes.  Rows sorted by index are in that order for
-    every gate whose pairs are all present, and the paper's circuits keep
-    them so: an uncontrolled X flips one bit of every index, which keeps each
-    gate's pairs in order, a Dicke block's CX keeps its rotation's pairs in
-    order, and an oracle's uncompute puts every index back.  Otherwise it
-    finds each row's partner by index (:func:`_find`), a missing partner
-    becoming a zero row, then drops the rows that are zero in every column
-    and sorts the rest by index.
-    """
-    idx, amp, kind = state.index, state.amplitudes, gate.kind
+    idx, amp = state.index, state.amplitudes
     c, t = _mask(gate.controls), 1 << gate.target
     if kind in _Z_KINDS:
         # amp.T puts the rows last, where the (K,) condition broadcasts
         np.multiply(amp.T, -1.0, out=amp.T, where=(idx & (c | t)) == c | t)
-        return
+        return state
     if kind in _X_KINDS:
         if c:
             np.bitwise_xor(idx, t, out=idx, where=(idx & c) == c)
         else:
             idx ^= t
-        return
+        return state
     sel = idx & (c | t)
     p0, p1 = (sel == c).nonzero()[0], (sel == c | t).nonzero()[0]
     i0, i1 = idx[p0], idx[p1]
@@ -330,7 +244,7 @@ def _apply_sparse(state: SparseState, gate: Gate) -> None:
         a0, a1 = amp.take(p0, axis=0), amp.take(p1, axis=0)
         _rotate_pairs(a0, a1, gate)
         amp[p0], amp[p1] = a0, a1
-        return
+        return state
     # pair each p0 row with its partner and each p1 row that has none with a
     # zero: index -1 takes the zero row appended below the others
     n0 = len(p0)
@@ -348,6 +262,7 @@ def _apply_sparse(state: SparseState, gate: Gate) -> None:
     kept = amp.reshape(len(amp), -1).any(axis=1).nonzero()[0]
     order = kept[idx[kept].argsort()]
     state.index, state.amplitudes = idx[order], amp.take(order, axis=0)
+    return state
 
 
 def _find(state: SparseState, keys: np.ndarray) -> np.ndarray:
@@ -360,11 +275,23 @@ def _find(state: SparseState, keys: np.ndarray) -> np.ndarray:
 
 
 def statevector(circuit: Circuit, initial: int = 0) -> StateVector:
-    """Run ``circuit`` on basis state ``initial`` and return the final state."""
-    state = StateVector.basis(circuit.n_qubits, initial)
+    """Run ``circuit`` on basis state ``initial`` and return the final state,
+    full width and complex128, with +0.0 at every index the run leaves empty.
+
+    The result is allocated before any gate runs, so a register too wide for
+    an int64 index, or for memory, fails at once rather than after its
+    support has grown.  The circuit then runs gate by gate on a complex128
+    :class:`SparseState`, whose rows are scattered into the result.
+    """
+    n = circuit.n_qubits
+    _check_index_width(n)
+    result = StateVector.zero(n)
+    state = SparseState.basis(n, initial)
     for gate in circuit.ops:
         apply_gate(state, gate)
-    return state
+    result.amplitudes[0] = 0.0  # the 1 that zero() put there
+    result.amplitudes[state.index] = state.amplitudes
+    return result
 
 
 def marginal_probabilities(state: StateVector | SparseState, qubits: list[int]) -> np.ndarray:
@@ -466,16 +393,17 @@ def run_ideal(circuit: Circuit, shots: int, seed: int,
 
     The circuit runs gate by gate on a :class:`SparseState` of the circuit's
     :func:`_amplitude_dtype`, so its cost follows the number of basis states
-    with a nonzero amplitude rather than ``2**n``.  Its amplitudes equal the
-    full kernel's in value.  For the marginals they are scattered into a
-    dense block of the low qubits ``[0, m)``, ``m - 1`` the highest qubit that
-    is measured or that a gate other than an X/Z-type one touches (every
-    qubit if an index has a bit from ``m`` up set), and summed as
-    :func:`marginal_probabilities` sums any state, so the marginals and the
-    histogram are the same bytes as the full kernel's when every qubit below
-    ``m`` is measured (each marginal then has one nonzero term).  The
-    returned state is full width and complex128, with +0.0 at every index the
-    sparse state does not list, where the full kernel may leave -0.0.
+    with a nonzero amplitude rather than ``2**n``.  Its amplitudes equal a
+    dense run's in value: each is the same two products.  For the marginals
+    they are scattered into a dense block of the low qubits ``[0, m)``,
+    ``m - 1`` the highest qubit that is measured or that a gate other than an
+    X/Z-type one touches (every qubit if an index has a bit from ``m`` up
+    set), and summed as :func:`marginal_probabilities` sums any state, so the
+    marginals and the histogram are the same bytes as a full-width dense
+    state's when every qubit below ``m`` is measured (each marginal then has
+    one nonzero term).  The returned state is full width and complex128, with
+    +0.0 at every index the sparse state does not list, where a dense run may
+    leave -0.0.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")

@@ -1,5 +1,5 @@
-"""Shared test machinery: oracle phase extraction, random graphs, dense references,
-hypothesis strategies."""
+"""Shared test machinery: a dense reference engine, oracle phase extraction,
+random graphs, hypothesis strategies."""
 from __future__ import annotations
 
 import math
@@ -8,9 +8,45 @@ import random
 import numpy as np
 from hypothesis import strategies as st
 
+from qclique import sim
 from qclique.circuit import _ARITY, _N_PARAMS, GATE_KINDS, Circuit, Gate
 from qclique.graph import Graph
-from qclique.sim import StateVector, apply_gate
+from qclique.sim import StateVector
+
+
+def dense_apply(amp: np.ndarray, n: int, gate: Gate) -> np.ndarray:
+    """Apply ``gate`` in place to C-contiguous dense amplitudes, one state
+    ``(2**n,)`` or a block ``(2**n, B)``, and return them: the reference the
+    sparse engine is checked against.
+
+    The amplitudes are viewed as ``(2,)*n`` (axis ``n-1-q`` is qubit ``q``)
+    plus the block axis.  Fixing each control axis to 1 and the target axis
+    to 0 or 1 gives the halves the gate mixes; the trailing ``...`` keeps
+    them views when every axis is fixed.
+    """
+    view = amp.reshape((2,) * n + amp.shape[1:])
+    lo, hi = [slice(None)] * n, [slice(None)] * n
+    for q in gate.controls:
+        lo[n - 1 - q] = hi[n - 1 - q] = 1
+    lo[n - 1 - gate.target], hi[n - 1 - gate.target] = 0, 1
+    a0, a1 = view[(*lo, ...)], view[(*hi, ...)]
+    if gate.kind in sim._X_KINDS:
+        tmp = a0.copy()
+        a0[...] = a1
+        a1[...] = tmp
+    elif gate.kind in sim._Z_KINDS:
+        a1 *= -1.0
+    else:
+        sim._rotate_pairs(a0, a1, gate)
+    return amp
+
+
+def dense_statevector(circuit: Circuit, initial: int = 0) -> StateVector:
+    """:func:`qclique.sim.statevector` on the dense reference engine."""
+    state = StateVector.basis(circuit.n_qubits, initial)
+    for gate in circuit.ops:
+        dense_apply(state.amplitudes, circuit.n_qubits, gate)
+    return state
 
 
 def oracle_action(oracle: Circuit, n_nodes: int):
@@ -22,12 +58,10 @@ def oracle_action(oracle: Circuit, n_nodes: int):
     subspace (ancilla cleanliness).
     """
     dim_nodes = 1 << n_nodes
-    state = StateVector.zero(oracle.n_qubits)
-    state.amplitudes[:] = 0.0
-    state.amplitudes[:dim_nodes] = 1.0 / math.sqrt(dim_nodes)
+    amp = np.zeros(1 << oracle.n_qubits, dtype=np.complex128)
+    amp[:dim_nodes] = 1.0 / math.sqrt(dim_nodes)
     for gate in oracle.ops:
-        apply_gate(state, gate)
-    amp = state.amplitudes
+        dense_apply(amp, oracle.n_qubits, gate)
     ref = 1.0 / math.sqrt(dim_nodes)
     flipped = {i for i in range(dim_nodes) if amp[i].real < -0.5 * ref}
     intact = {i for i in range(dim_nodes) if amp[i].real > 0.5 * ref}
@@ -46,14 +80,8 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 
 def dense_unitary(circuit: Circuit) -> np.ndarray:
     """Brute-force the full matrix by running every basis state (small widths)."""
-    dim = 1 << circuit.n_qubits
-    cols = []
-    for b in range(dim):
-        state = StateVector.basis(circuit.n_qubits, b)
-        for gate in circuit.ops:
-            apply_gate(state, gate)
-        cols.append(state.amplitudes.copy())
-    return np.array(cols).T
+    return np.array([dense_statevector(circuit, b).amplitudes
+                     for b in range(1 << circuit.n_qubits)]).T
 
 
 _ANGLES = st.floats(-2 * math.pi, 2 * math.pi)

@@ -223,9 +223,9 @@ def test_criterion_10_desk_scale_performance_and_determinism():
     prep = dicke_prep(16, 3)
     oracle_circ = build_oracle(g, 3, OracleMode("checking", False))
     from qclique.grover import diffusion
-    from qclique.sim import StateVector
+    from qclique.sim import SparseState
     diff = diffusion(prep, range(16))
-    state = StateVector.zero(20)
+    state = SparseState.basis(20, 0)
     for gate in prep.ops:
         apply_gate(state, gate)
 

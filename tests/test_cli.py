@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -423,6 +424,32 @@ def test_state_k_without_dicke_is_an_error_line(capsys, prep):
     code, out, err = run_cli(capsys, "state", "--prep", prep, "--n", "3", "--k", "9")
     assert code == 1 and out == ""
     assert err == f"error: --k applies only to the dicke preparation, not to {prep}\n"
+
+
+# sha256 prefixes of the CSV that `state` prints, taken from the dense kernel
+# `statevector` used to run: the sparse run prints the same amplitudes, signs of
+# zeros included
+STATE_CSV_PINS = {
+    ("full", 6): "05ac09307001a079", ("w", 6): "f2b2c8f4d59c41b2",
+    ("w-complement", 6): "29223826d7ee07e3", ("dicke", 6): "fc5775ce2d52f1b1",
+    ("full", 10): "8a0a87a231aa6594", ("w", 10): "138d5e2faeed3348",
+    ("w-complement", 10): "5856340285d16c2e", ("dicke", 10): "92a1e8036949afd2",
+}
+
+
+def test_state_csv_is_pinned(capsys):
+    for (prep, n), pinned in STATE_CSV_PINS.items():
+        k = ["--k", "3"] if prep == "dicke" else []
+        code, out, err = run_cli(capsys, "state", "--prep", prep, "--n", str(n), *k)
+        assert code == 0 and err == "" and len(out.splitlines()) == 1 + (1 << n)
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == pinned, (prep, n)
+
+
+def test_state_wider_than_an_int64_index_is_an_error_line(capsys):
+    code, out, err = run_cli(capsys, "state", "--prep", "w", "--n", "64")
+    assert code == 1 and out == ""
+    assert err == ("error: cannot run a 64-qubit circuit: a basis index is an int64, "
+                   "which holds at most 63 qubits\n")
 
 
 def test_state_too_wide_is_an_error_line(monkeypatch, capsys):

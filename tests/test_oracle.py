@@ -14,7 +14,7 @@ from qclique.oracle import (
     increment_circuit,
     make_layout,
 )
-from qclique.sim import StateVector, apply_gate, run_ideal, statevector
+from qclique.sim import SparseState, apply_gate, run_ideal, statevector
 from helpers import oracle_action, random_graph
 
 
@@ -31,11 +31,11 @@ def weight(i):
 def test_increment_width2_examples():
     inc = increment_circuit(2)
     assert int(np.argmax(np.abs(statevector(inc, initial=0b10).amplitudes))) == 0b11
-    state = StateVector.zero(2)
+    state = SparseState.basis(2, 0)
     for _ in range(3):  # three applications encode the three triangle edges
         for gate in inc.ops:
             apply_gate(state, gate)
-    assert int(np.argmax(np.abs(state.amplitudes))) == 0b11
+    assert int(np.argmax(np.abs(state.dense(2).amplitudes))) == 0b11
 
 
 def test_increment_wraparound():
@@ -157,14 +157,13 @@ def test_oracle_g6_has_ten_edge_groups(g6):
 def test_oracle_self_inverse(g4):
     orc = build_oracle(g4, 3, OracleMode("incremental", True))
     rng = np.random.default_rng(3)
-    state = StateVector.zero(orc.n_qubits)
     raw = rng.normal(size=16) + 1j * rng.normal(size=16)
-    state.amplitudes[:16] = raw / np.linalg.norm(raw)
-    before = state.amplitudes.copy()
+    state = SparseState(orc.n_qubits, np.arange(16), raw / np.linalg.norm(raw))
+    before = state.dense(orc.n_qubits).amplitudes
     for _ in range(2):
         for gate in orc.ops:
             apply_gate(state, gate)
-    assert np.allclose(state.amplitudes, before, atol=1e-10)
+    assert np.allclose(state.dense(orc.n_qubits).amplitudes, before, atol=1e-10)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -6,6 +6,7 @@ import platform
 import random
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from qclique.sim import (
     statevector,
 )
 from qclique.stateprep import prepare_state
-from helpers import dense_unitary, gates_on
+from helpers import dense_apply, dense_statevector, dense_unitary, gates_on
 from test_circuit import random_circuit
 
 
@@ -84,31 +85,63 @@ def _apply_reference(gate: Gate, basis: int, n: int) -> np.ndarray:
     return out
 
 
+def _supports(n: int, seed: int) -> list[np.ndarray]:
+    """The row lists a sparse state is tested on: every index below ``2**n``
+    in order, and a random nonempty subset of them in random order."""
+    rng = np.random.default_rng(seed)
+    return [np.arange(1 << n), rng.permutation(1 << n)[:rng.integers(1, (1 << n) + 1)]]
+
+
+def _masked(amp: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """``amp`` with +0.0 in every row outside ``support``."""
+    out = np.zeros_like(amp)
+    out[support] = amp[support]
+    return out
+
+
+def _sparse(n: int, amp: np.ndarray, support: np.ndarray) -> SparseState:
+    """The rows ``support`` of dense amplitudes ``amp`` as a sparse state."""
+    return SparseState(n, support.astype(np.int64), amp[support])
+
+
+def _scattered(state: SparseState) -> np.ndarray:
+    """A sparse state's amplitudes at full width, +0.0 at every index not listed."""
+    amp = state.amplitudes
+    out = np.zeros((1 << state.n_qubits,) + amp.shape[1:], amp.dtype)
+    out[state.index] = amp
+    return out
+
+
 def test_apply_gate_truth_tables():
-    state = StateVector.zero(1)
-    apply_gate(state, Gate("X", (0,)))
-    assert abs(state.amplitudes[1] - 1.0) < 1e-15
-
-    state = StateVector.zero(1)
-    apply_gate(state, Gate("H", (0,)))
-    apply_gate(state, Gate("H", (0,)))
-    assert abs(state.amplitudes[0] - 1.0) < 1e-12
-
-    state = StateVector.basis(3, 0b011)  # qubits 0,1 set
-    apply_gate(state, Gate("CCX", (0, 1, 2)))
-    assert abs(state.amplitudes[0b111] - 1.0) < 1e-15
+    # (width, basis state, gates, the basis state they give, tolerance); each
+    # start is listed among every index and among random others
+    for n, hot, gates, out, tol in [
+        (1, 0, [Gate("X", (0,))], 1, 1e-15),
+        (1, 0, [Gate("H", (0,)), Gate("H", (0,))], 0, 1e-12),
+        (3, 0b011, [Gate("CCX", (0, 1, 2))], 0b111, 1e-15),  # qubits 0,1 set
+    ]:
+        amp = np.zeros(1 << n, dtype=complex)
+        amp[hot] = 1.0
+        for support in _supports(n, hot):
+            state = _sparse(n, amp, support if hot in support else np.append(support, hot))
+            for gate in gates:
+                apply_gate(state, gate)
+            assert abs(_scattered(state)[out] - 1.0) < tol
 
 
 def test_apply_gate_rejects_wide_operands():
     with pytest.raises(ValueError):
-        apply_gate(StateVector.zero(2), Gate("CCX", (0, 1, 2)))
+        apply_gate(SparseState.basis(2, 0), Gate("CCX", (0, 1, 2)))
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_kernel_matches_kron_reference(seed):
     rng = random.Random(seed)
     circ = random_circuit(rng, 3, 15)
-    assert np.allclose(dense_unitary(circ), kron_reference(circ), atol=1e-10)
+    reference = kron_reference(circ)
+    assert np.allclose(dense_unitary(circ), reference, atol=1e-10)
+    sparse = np.array([statevector(circ, b).amplitudes for b in range(8)]).T
+    assert np.allclose(sparse, reference, atol=1e-10)
 
 
 def test_norm_preserved_on_random_circuits():
@@ -208,22 +241,25 @@ def states(draw, n: int) -> np.ndarray:
     return amp / np.linalg.norm(amp)
 
 
-def _check_against_reference(gate: Gate, n: int, amp: np.ndarray) -> None:
-    reference = np.array([_apply_reference(gate, b, n) for b in range(1 << n)]).T @ amp
-    state = StateVector(n, amp.copy())
-    apply_gate(state, gate)
-    if gate.kind in ("X", "CX", "CCX", "MCX", "Z", "CZ", "MCZ"):
-        # permutations and sign flips move amplitudes without arithmetic
-        assert np.array_equal(state.amplitudes, reference)
-    else:
-        assert np.allclose(state.amplitudes, reference, rtol=0.0, atol=1e-12)
+def _check_against_reference(gate: Gate, n: int, amp: np.ndarray, seed: int) -> None:
+    """The dense reference engine, and the sparse one on every index and on a
+    random support, against the per-basis reference."""
+    matrix = np.array([_apply_reference(gate, b, n) for b in range(1 << n)]).T
+    # permutations and sign flips move amplitudes without arithmetic
+    same = np.array_equal if gate.kind in CLASSICAL_KINDS else partial(
+        np.allclose, rtol=0.0, atol=1e-12)
+    assert same(dense_apply(amp.copy(), n, gate), matrix @ amp)
+    for support in _supports(n, seed):
+        state = apply_gate(_sparse(n, amp, support), gate)
+        assert same(_scattered(state), matrix @ _masked(amp, support))
 
 
 @given(st.data())
 def test_apply_gate_matches_reference_property(data):
     n = data.draw(st.integers(1, 7), label="n")
     _check_against_reference(data.draw(gates_on(n), label="gate"), n,
-                             data.draw(states(n), label="state"))
+                             data.draw(states(n), label="state"),
+                             data.draw(st.integers(0, 2**32 - 1), label="seed"))
 
 
 @pytest.mark.parametrize("gate", [
@@ -232,10 +268,15 @@ def test_apply_gate_matches_reference_property(data):
     Gate("MCX", (3, 1, 0, 2)), Gate("MCZ", (0, 1, 2, 3, 4)),
 ], ids=lambda g: f"{g.kind}{g.qubits}")
 def test_apply_gate_fixing_every_axis_writes_in_place(gate):
-    # every axis is a control or the target: the halves are 0-d views
+    # every qubit is a control or the target, so the gate's masks cover every
+    # index bit; on every index, sorted, each kind acts in place
     n = len(gate.qubits)
     amp = np.random.default_rng(n).normal(size=1 << n).astype(complex)
-    _check_against_reference(gate, n, amp)
+    _check_against_reference(gate, n, amp, n)
+    state = _sparse(n, amp, np.arange(1 << n))
+    index, amplitudes = state.index, state.amplitudes
+    apply_gate(state, gate)
+    assert state.index is index and state.amplitudes is amplitudes
 
 
 @given(st.data())
@@ -264,10 +305,11 @@ def test_apply_gate_on_a_block_matches_each_column_property(data):
     n = data.draw(st.integers(1, 7), label="n")
     gate = data.draw(gates_on(n), label="gate")
     amp = data.draw(blocks(n), label="block")
-    block = apply_gate(StateVector(n, amp.copy()), gate)
-    for column in range(amp.shape[1]):
-        one = apply_gate(StateVector(n, amp[:, column].copy()), gate)
-        assert np.array_equal(block.amplitudes[:, column], one.amplitudes)
+    for support in _supports(n, data.draw(st.integers(0, 2**32 - 1), label="seed")):
+        block = _scattered(apply_gate(_sparse(n, amp, support), gate))
+        for column in range(amp.shape[1]):
+            one = apply_gate(_sparse(n, amp[:, column], support), gate)
+            assert np.array_equal(block[:, column], _scattered(one))
 
 
 @given(st.data())
@@ -286,13 +328,16 @@ def test_marginal_probabilities_on_a_block_matches_each_column_property(data):
 
 def _assert_same_as_full_kernel(circ: Circuit, measure: list[int], shots: int = 256,
                                 seed: int = 7) -> tuple[StateVector, StateVector]:
-    """``run_ideal`` against ``statevector``; returns both full-width states."""
+    """``run_ideal``, then ``statevector``, against the dense reference engine
+    (:func:`helpers.dense_statevector`); returns ``run_ideal``'s state and the
+    reference's."""
     hist, state = run_ideal(circ, shots=shots, seed=seed, measure=measure, return_state=True)
-    full = statevector(circ)
+    full = dense_statevector(circ)
     probs = marginal_probabilities(full, measure)
     expected = sample_histogram(probs, shots, np.random.default_rng(seed), len(measure))
     assert hist.counts == expected.counts
     assert np.array_equal(state.amplitudes, full.amplitudes)
+    assert np.array_equal(statevector(circ).amplitudes, full.amplitudes)
     assert np.array_equal(state.probabilities(), full.probabilities())
     assert np.array_equal(marginal_probabilities(state, measure), probs)
     return state, full
@@ -344,15 +389,16 @@ def _rotation_paths(monkeypatch) -> list[tuple[str, bool]]:
     """Kind of every 2x2 gate applied to a sparse state from now on, and whether
     it rotated the entries in place (the same index array, no entry added)."""
     paths = []
-    sparse = sim._apply_sparse
+    kernel = sim.apply_gate
 
     def traced(state, gate):
         index = state.index
-        sparse(state, gate)
+        kernel(state, gate)
         if gate.kind not in CLASSICAL_KINDS:
             paths.append((gate.kind, state.index is index))
+        return state
 
-    monkeypatch.setattr(sim, "_apply_sparse", traced)
+    monkeypatch.setattr(sim, "apply_gate", traced)
     return paths
 
 
@@ -429,17 +475,21 @@ REAL_KINDS = sim._REAL_KINDS
                          ids=lambda g: g.kind)
 def test_apply_gate_rejects_a_complex_matrix_on_a_float64_state(gate):
     # the kind decides, not the angles: U3(theta, 0, 0) has a real matrix too
-    state = StateVector.zero(2, np.float64)
-    with pytest.raises(ValueError, match=f"{gate.kind} has a complex matrix"):
-        apply_gate(state, gate)
-    assert np.array_equal(state.amplitudes, [1.0, 0.0, 0.0, 0.0])
+    for support in _supports(2, 1):
+        state = _sparse(2, np.array([1.0, 0.0, 0.0, 0.0]), support)
+        before = _scattered(state)
+        with pytest.raises(ValueError, match=f"{gate.kind} has a complex matrix"):
+            apply_gate(state, gate)
+        assert _scattered(state).tobytes() == before.tobytes()
 
 
 def test_apply_gate_rejects_a_complex_matrix_on_a_float32_state():
-    state = StateVector.zero(2, np.float32)
-    with pytest.raises(ValueError, match="U3 has a complex matrix and cannot act on a float32"):
-        apply_gate(state, Gate("U3", (1,), (0.3, 0.0, 0.0)))
-    assert np.array_equal(state.amplitudes, [1.0, 0.0, 0.0, 0.0])
+    for support in _supports(2, 1):
+        state = _sparse(2, np.array([1.0, 0.0, 0.0, 0.0], dtype=np.float32), support)
+        before = _scattered(state)
+        with pytest.raises(ValueError, match="U3 has a complex matrix and cannot act on a float32"):
+            apply_gate(state, Gate("U3", (1,), (0.3, 0.0, 0.0)))
+        assert _scattered(state).tobytes() == before.tobytes()
 
 
 @given(st.data())
@@ -447,13 +497,16 @@ def test_float64_kernel_gives_the_real_part_of_the_complex_kernel_property(data)
     n = data.draw(st.integers(1, 7), label="n")
     gate = data.draw(gates_on(n, REAL_KINDS), label="gate")
     columns = data.draw(st.none() | st.integers(1, 5), label="columns")  # None: a 1-D state
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    amp = rng.normal(size=(1 << n) if columns is None else (1 << n, columns))
-    real = apply_gate(StateVector(n, amp.copy()), gate).amplitudes
-    full = apply_gate(StateVector(n, amp.astype(np.complex128)), gate).amplitudes
-    assert real.dtype == np.float64
-    assert np.array_equal(real, full.real)
-    assert not np.any(full.imag)
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    amp = np.random.default_rng(seed).normal(size=(1 << n) if columns is None else (1 << n, columns))
+    for support in _supports(n, seed):
+        real = apply_gate(_sparse(n, amp, support), gate)
+        full = apply_gate(_sparse(n, amp.astype(np.complex128), support), gate)
+        # the same rows, and the real parts of the complex run's amplitudes
+        assert np.array_equal(real.index, full.index)
+        assert real.amplitudes.dtype == np.float64
+        assert np.array_equal(real.amplitudes, full.amplitudes.real)
+        assert not np.any(full.amplitudes.imag)
 
 
 @given(st.data())
@@ -544,16 +597,13 @@ def test_run_ideal_on_a_lowered_circuit_equals_the_full_kernel(graph, k, prep, s
     lowered = decompose_mc(assemble(g, k, prep, style))
     calls = _gate_calls(monkeypatch)
     _assert_same_as_full_kernel(lowered, list(range(g.n)))
-    # run_ideal applies each gate once to a complex128 sparse state;
-    # statevector's calls come last, one per gate on the dense state
-    ideal, reference = calls[:len(lowered.ops)], calls[len(lowered.ops):]
-    assert ideal == [(SparseState, lowered.n_qubits, np.complex128, gate.kind)
-                     for gate in lowered.ops]
-    assert reference == [(StateVector, lowered.n_qubits, np.complex128, gate.kind)
+    # run_ideal and then statevector each apply every gate once to a
+    # complex128 sparse state; the dense reference makes no apply_gate call
+    assert calls == 2 * [(SparseState, lowered.n_qubits, np.complex128, gate.kind)
                          for gate in lowered.ops]
 
 
-# -- X/Z-type gates against an index reference; short runs folded --------------
+# -- X/Z-type gates against an index reference ---------------------------------
 
 CLASSICAL_KINDS = sim._CLASSICAL_KINDS
 
@@ -592,20 +642,17 @@ def _index_reference(gate: Gate, n: int, amp: np.ndarray) -> np.ndarray:
     return amp[perm] * (sign if amp.ndim == 1 else sign[:, None])
 
 
-def _pair_view_widths(monkeypatch) -> list[int]:
-    """The width ``apply_gate`` passes to ``_pair_views`` on every call from now on;
-    a folded gate passes ``n - low``."""
-    widths = []
-    views = sim._pair_views
-    monkeypatch.setattr(sim, "_pair_views", lambda n, *args: widths.append(n) or views(n, *args))
-    return widths
-
-
-def _assert_matches_index_reference(gate: Gate, n: int, amp: np.ndarray) -> None:
-    expected = _index_reference(gate, n, amp)
-    out = apply_gate(StateVector(n, amp), gate).amplitudes
-    assert out is amp and out.dtype == expected.dtype
-    assert np.array_equal(out.view(np.uint8), expected.view(np.uint8))
+def _assert_matches_index_reference(gate: Gate, n: int, amp: np.ndarray, seed: int) -> None:
+    """On every index and on a random support, the gate acts in place and
+    leaves every listed row with its reference amplitude, bit for bit."""
+    for support in _supports(n, seed):
+        expected = _index_reference(gate, n, _masked(amp, support))
+        state = _sparse(n, amp, support)
+        amplitudes = state.amplitudes
+        apply_gate(state, gate)
+        assert state.amplitudes is amplitudes and amplitudes.dtype == expected.dtype
+        assert expected[state.index].tobytes() == amplitudes.tobytes()
+        assert np.array_equal(_scattered(state), expected)
 
 
 @given(st.data())
@@ -614,13 +661,13 @@ def test_classical_gates_match_an_index_reference_property(data):
     gate = data.draw(gates_on(n, CLASSICAL_KINDS), label="gate")
     dtype = data.draw(st.sampled_from([np.float32, np.float64, np.complex128]), label="dtype")
     columns = data.draw(st.sampled_from([None, 1, 2, 3, 8]), label="columns")  # None: 1-D
-    amp = _random_amplitudes(data.draw(st.integers(0, 2**32 - 1), label="seed"), n, columns, dtype)
-    _assert_matches_index_reference(gate, n, amp)
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    _assert_matches_index_reference(gate, n, _random_amplitudes(seed, n, columns, dtype), seed)
 
 
 # (dtype, block columns or None for a 1-D state, gate, bytes in each run below
-# the gate's lowest operand): runs of one scalar, of 64 B (the largest that
-# folds) and of 128 B
+# the gate's lowest operand): runs of one scalar, of 64 B and of 128 B, each
+# dtype, 1-D states and blocks, operands low and high
 RUN_CASES = [
     (np.float64, None, Gate("X", (0,)), 8),
     (np.float32, None, Gate("CX", (3, 0)), 4),
@@ -641,36 +688,11 @@ RUN_CASES = [
 @pytest.mark.parametrize("dtype, columns, gate, run", RUN_CASES,
                          ids=lambda value: getattr(value, "__name__", str(value)))
 def test_classical_gates_on_short_and_long_runs_match_an_index_reference(dtype, columns, gate,
-                                                                         run, monkeypatch):
+                                                                         run):
     n = 7
     amp = _random_amplitudes(run, n, columns, dtype)
     assert amp.itemsize * (columns or 1) << min(gate.qubits) == run
-    widths = _pair_view_widths(monkeypatch)
-    _assert_matches_index_reference(gate, n, amp)
-    # only X-type gates whose run is longer than one scalar and at most 64 B fold
-    folded = gate.kind in sim._X_KINDS and amp.itemsize < run <= 64
-    assert widths == [n - min(gate.qubits) if folded else n]
-
-
-@pytest.mark.parametrize("layout", ["fortran", "column"])
-def test_folded_gates_write_through_non_contiguous_amplitudes(layout, monkeypatch):
-    # an F-ordered (2**n, B) block, or one strided column of a C-ordered block:
-    # a contiguous copy of either folds these gates, and they must not fold
-    n = 6
-    block = np.random.default_rng(6).normal(size=(1 << n, 2))
-    amp = np.asfortranarray(block) if layout == "fortran" else block[:, 1]
-    contiguous = np.ascontiguousarray(amp)
-    assert not amp.flags.c_contiguous and contiguous is not amp
-    gates = [Gate("X", (1,)), Gate("CX", (2, 5)), Gate("CCX", (2, 4, 1)),
-             Gate("MCX", (2, 3, 4, 5))]
-    widths = _pair_view_widths(monkeypatch)
-    state = StateVector(n, amp)
-    for gate in gates:
-        apply_gate(state, gate)
-        apply_gate(StateVector(n, contiguous), gate)
-    assert widths == [w for gate in gates for w in (n, n - min(gate.qubits))]
-    assert state.amplitudes is amp
-    assert np.array_equal(amp, contiguous)
+    _assert_matches_index_reference(gate, n, amp, run)
 
 
 # -- X/Z-type runs on the sparse state against an integer walk ------------------
@@ -811,7 +833,7 @@ def test_only_sandwiches_skip_the_gate_kernel(name, monkeypatch):
     assert calls == [(SparseState, 4, np.float64, gate.kind) for gate in circ.ops]
     rotations = [gate.kind for gate in planted if gate.kind not in CLASSICAL_KINDS]
     assert paths == [("H", False)] * 4 + list(zip(rotations, in_place))
-    full = statevector(circ)
+    full = dense_statevector(circ)
     assert (state.amplitudes + 0.0).tobytes() == (full.amplitudes + 0.0).tobytes()
 
 
@@ -1101,18 +1123,28 @@ def _signed_zeros(rng: np.random.Generator, shape) -> np.ndarray:
     return values
 
 
+def _assert_four_product_form(amp: np.ndarray, n: int, qubit: int, m: np.ndarray,
+                              seed: int) -> None:
+    """H on ``qubit`` of ``amp``, on every index and on a random support,
+    leaves every listed row with the four-product form's amplitude, bit for
+    bit, and +0.0 or -0.0 at every other index."""
+    for support in _supports(n, seed):
+        masked = _masked(amp, support)
+        view = masked.reshape(1 << (n - 1 - qubit), 2, -1)
+        a0, a1 = view[:, 0], view[:, 1]
+        expected = np.stack((m[0, 0] * a0 + m[0, 1] * a1, m[1, 0] * a0 + m[1, 1] * a1),
+                            axis=1).reshape(amp.shape)
+        state = apply_gate(_sparse(n, amp, support), Gate("H", (qubit,)))
+        assert expected[state.index].tobytes() == state.amplitudes.tobytes()
+        assert np.array_equal(_scattered(state), expected)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_a_real_hadamard_is_the_four_product_form_byte_for_byte(seed):
     rng = np.random.default_rng(seed)
-    m = sim._H_MATRIX.real
     for qubit in range(4):
         amp = _signed_zeros(rng, (1 << 12, 16))  # 12 qubits, a block of 16 states
-        view = amp.reshape(1 << (11 - qubit), 2, -1)
-        a0, a1 = view[:, 0], view[:, 1]
-        expected = (m[0, 0] * a0 + m[0, 1] * a1, m[1, 0] * a0 + m[1, 1] * a1)
-        apply_gate(StateVector(12, amp), Gate("H", (qubit,)))
-        assert a0.tobytes() == expected[0].tobytes()
-        assert a1.tobytes() == expected[1].tobytes()
+        _assert_four_product_form(amp, 12, qubit, sim._H_MATRIX.real, seed)
 
 
 def test_a_complex_hadamard_keeps_the_four_product_form():
@@ -1120,11 +1152,39 @@ def test_a_complex_hadamard_keeps_the_four_product_form():
     # the four products
     rng = np.random.default_rng(5)
     amp = _signed_zeros(rng, 1 << 6) + 1j * _signed_zeros(rng, 1 << 6)
-    view = amp.reshape(-1, 2, 1 << 2)
-    a0, a1 = view[:, 0], view[:, 1]
-    m = sim._H_MATRIX
-    expected = (m[0, 0] * a0 + m[0, 1] * a1, m[1, 0] * a0 + m[1, 1] * a1)
-    apply_gate(StateVector(6, amp), Gate("H", (2,)))
-    assert a0.tobytes() == expected[0].tobytes()
-    assert a1.tobytes() == expected[1].tobytes()
+    _assert_four_product_form(amp, 6, 2, sim._H_MATRIX, 5)
 
+
+
+# -- the 2x2 matrix cache --------------------------------------------------------
+
+def test_rotation_matrices_are_cached_apart_from_the_sign_of_a_zero_angle():
+    # every decompose_mc U3 is U3(theta, 0, 0): its matrix is built once; a
+    # -0.0 angle's matrix has zero entries of the other sign, so it is its own key
+    rng = np.random.default_rng(8)
+    amp = _signed_zeros(rng, (2, 64)) + 1j * _signed_zeros(rng, (2, 64))
+    sim._gate_matrix_2x2.cache_clear()
+    for _ in range(3):
+        sim._rotate_pairs(amp[0].copy(), amp[1].copy(), Gate("U3", (0,), (0.7, 0.0, 0.0)))
+    info = sim._gate_matrix_2x2.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    out = {}
+    for theta in (0.0, -0.0, -0.0):
+        a0, a1 = amp[0].copy(), amp[1].copy()
+        sim._rotate_pairs(a0, a1, Gate("U3", (0,), (theta, 0.0, 0.0)))
+        m = sim._u3_matrix(theta, 0.0, 0.0)  # built without the cache
+        assert a0.tobytes() == (m[0, 0] * amp[0] + m[0, 1] * amp[1]).tobytes()
+        assert a1.tobytes() == (m[1, 0] * amp[0] + m[1, 1] * amp[1]).tobytes()
+        out[math.copysign(1.0, theta)] = a0.tobytes() + a1.tobytes()
+    assert out[1.0] != out[-1.0]
+    assert sim._gate_matrix_2x2.cache_info().hits == 3
+
+
+def test_statevector_rejects_a_circuit_wider_than_an_int64_index(monkeypatch):
+    # before any gate runs, and before numpy is asked for 2**64 amplitudes
+    monkeypatch.setattr(sim, "apply_gate", lambda *_: pytest.fail("simulated"))
+    monkeypatch.setattr(StateVector, "zero", lambda *_: pytest.fail("allocated"))
+    circ = Circuit(64, ops=[Gate("H", (0,)), Gate("CX", (0, 63))])
+    with pytest.raises(ValueError, match="cannot run a 64-qubit circuit: a basis index is an "
+                                         "int64, which holds at most 63 qubits"):
+        statevector(circ)
