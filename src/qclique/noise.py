@@ -15,7 +15,7 @@ Two trajectory implementations realize it:
 
 Trajectories run in blocks of B columns, column ``b`` holding trajectory
 ``b``: every scheduled gate is applied once to the whole block, and every
-relaxation step draws its branch for all columns at once.  B is what a dense
+relaxation step works on the columns that drew a branch.  B is what a dense
 ``(2**n, B)`` block of 512 KiB would hold, but a block runs on its support: a
 :class:`qclique.sim.SparseState` that lists the K basis states some column
 holds, with a ``(K, B)`` array of their amplitudes.  X-type gates then only flip
@@ -23,11 +23,20 @@ index bits, a phase flip negates the rows with the qubit set, and only 2x2
 gates, resets and Kraus jumps add rows.  A block has the circuit's amplitude
 dtype (:func:`qclique.sim._amplitude_dtype`): float64 for every circuit whose
 gates all have real matrices, which both channels keep real, since their
-flips, resets, no-jump factors and jump copies are all real.  A sparse block
-draws the same numbers in the same order as a dense one and ends in the same
-amplitudes: every product is of the same two numbers, and every sum (a
-reset's norm, a Kraus step's column norms, the marginals) sees the dense
-block's terms in the dense block's layout, so it rounds as there.
+flips, resets, no-jump factors and jump copies are all real.
+
+A block draws every channel branch of its program from its generator before
+the first step runs (:func:`_draw`): a Kraus block the ``(2, B)`` uniforms of
+each step, a mixture block one uniform per column and step, of which it keeps
+only the events, then one uniform per reset.  A mixture step that no block
+drew an event for is skipped.  Every sum a block takes is summed on its listed
+rows, in an order that does not depend on how the rows are laid out: a
+reset's norm is the correctly rounded sum of its squares (:func:`math.fsum`),
+a Kraus step's column norms add the |1> rows one after another in ascending
+index order (:func:`_half_norms`), and the marginals add each row to its
+outcome in ascending index order (:func:`qclique.sim.marginal_probabilities`).
+None of them goes through BLAS, so seeded results do not depend on its
+kernel.
 
 Narrow blocks run in stacks: up to ``_STACK_COLUMNS // B`` of a job's blocks
 (8 at 12 qubits, 1 at 8) are one sparse state whose index holds the block
@@ -35,11 +44,11 @@ number in the bits above the register, so each gate is one call per stack.
 No gate mixes blocks: X-type gates flip only register bits and a 2x2 gate
 pairs rows that differ in one.  A narrower last block fills only its first
 columns; the rest stay zero.  What stays per block: its generator and every
-draw from it, in the order it makes them alone; its rows, which a
-relaxation step works on as a view of its own and to which it adds rows;
-each reset's and Kraus step's norms, summed in the block's own dense
-layout; and its marginals and multinomial.  So a block ends in the same
-amplitudes and counts in any stack.
+draw from it; its rows, which a relaxation step works on as a view of its
+own and to which it adds rows; and its marginals and multinomial.  A stack
+may lay a block's rows out in another order than the block alone, or drop
+rows of zeros that the block alone keeps, and the sums above do not see
+either.  So a block ends in the same amplitudes and counts in any stack.
 
 Runs are deterministic given the seed: block ``b`` draws from
 ``numpy.random.default_rng(SeedSequence(entropy=seed, spawn_key=(b,)))``, the
@@ -245,13 +254,16 @@ class RelaxationChannel:
         """One stochastic application, in place and renormalized.
 
         ``state`` is a dense array, one pure state ``(2**n,)`` or a block
-        ``(2**n, B)`` of them, one per column, or a
+        ``(2**n, B)`` of them, one per column, and ``rng`` a
+        :class:`numpy.random.Generator`.  Or ``state`` is a
         :class:`~qclique.sim.SparseState` block, or a stack of blocks
-        (:class:`_Stack`, :meth:`_apply_sparse`).  ``rng`` is a
-        :class:`numpy.random.Generator`, or a sequence of them, one per block
-        of a stack.  Each column draws its own branch from its block's
-        generator.  The amplitudes may be complex128 or float64: every factor
-        the channel applies is real, so a real state stays real.
+        (:class:`_Stack`, :meth:`_apply_sparse`), and ``rng`` gives each
+        block's branches: a generator, from which a block draws this step as
+        a one-step program would, or the step's branches drawn up front
+        (:func:`_draw`), one per block of a stack (a single generator is one
+        block).  Each column takes its own branch.
+        The amplitudes may be complex128 or float64: every factor the channel
+        applies is real, so a real state stays real.
         """
         if self.t_ns == 0.0:
             return
@@ -297,46 +309,35 @@ class RelaxationChannel:
             factors[1, 0, flip] *= -1.0
         return factors, jump
 
-    def _apply_sparse(self, state: SparseState, qubit: int, rngs) -> None:
-        """:meth:`apply` on a stack of ``len(rngs)`` sparse blocks, block ``g``
-        drawing from ``rngs[g]``: each block draws what it draws alone, in the
-        same order, and ends in the amplitudes it ends in alone.
+    def _apply_sparse(self, state: SparseState, qubit: int, draws) -> None:
+        """:meth:`apply` on a stack of ``len(draws)`` sparse blocks, block
+        ``g`` taking its branches from ``draws[g]``: generators, from which
+        the blocks draw them now, or the step's branches drawn up front
+        (:func:`_draw`).
 
         Block ``g`` is the rows whose index holds ``g`` in the bits from
         ``n_qubits`` up (:func:`_block_bounds`), in its first
         ``state.columns[g]`` columns (:class:`_Stack`; every column of a
-        plain :class:`~qclique.sim.SparseState`).  A mixture step draws every
-        block's branches, then works on the blocks that drew an event; a
-        Kraus step works on every block.  Each works on a
-        :class:`~qclique.sim.SparseState` view of its own rows and columns
+        plain :class:`~qclique.sim.SparseState`).  A mixture step works on
+        the blocks that drew an event, a Kraus step on every block, each on
+        a :class:`~qclique.sim.SparseState` view of its own rows and columns
         (:meth:`_mixture_block`, :meth:`_kraus_block`), and the rows it adds
         are inserted after them (:func:`_insert_rows`).
         """
         n, width = state.n_qubits, state.amplitudes.shape[1]
-        columns = state.columns if isinstance(state, _Stack) else (width,) * len(rngs)
-        if self.implementation == "mixture":
-            u = np.ones((len(rngs), width))  # a column a block does not hold draws no event
-            for g, rng in enumerate(rngs):
-                rng.random(out=u[g, :columns[g]])
-            event = u < self.p_reset + self.p_z
-            if not np.count_nonzero(event):
-                return
-            events: dict[int, list[int]] = {}  # block -> its event columns, in order
-            for g, column in zip(*(axis.tolist() for axis in event.nonzero())):
-                events.setdefault(g, []).append(column)
-            blocks = events
-        else:
-            blocks = range(len(rngs))
+        columns = state.columns if isinstance(state, _Stack) else (width,) * len(draws)
+        if isinstance(draws[0], np.random.Generator):
+            draws = [_draw([self], rng, c)[0] for rng, c in zip(draws, columns)]
+        mixture = self.implementation == "mixture"
         idx, amp = state.index, state.amplitudes
-        bounds = _block_bounds(state, len(rngs))
+        bounds = _block_bounds(state, len(draws))
         inserts = []
-        for g in blocks:
+        for g, drawn in enumerate(draws):
+            if mixture and not drawn:
+                continue
             lo, hi = bounds[g], bounds[g + 1]
             block = SparseState(n, idx[lo:hi], amp[lo:hi, :columns[g]])
-            if self.implementation == "mixture":
-                added = self._mixture_block(block, qubit, rngs[g], u[g], events[g])
-            else:
-                added = self._kraus_block(block, qubit, rngs[g])
+            added = (self._mixture_block if mixture else self._kraus_block)(block, qubit, drawn)
             if added is not None:
                 index, rows = added
                 if columns[g] < width:  # a narrower block's rows are zero in the other columns
@@ -346,95 +347,95 @@ class RelaxationChannel:
         if inserts:
             _insert_rows(state, inserts)
 
-    def _mixture_block(self, state: SparseState, qubit: int, rng: np.random.Generator,
-                       u: np.ndarray, columns: list[int]):
-        """A mixture step on one sparse block whose ``columns`` drew an event
-        (``u`` holds the block's draws).  It returns the rows to add,
-        as :func:`_move_down` does.
+    def _mixture_block(self, state: SparseState, qubit: int, events: list):
+        """A mixture step on one sparse block, whose ``events`` are
+        ``(column, outcome)`` pairs: ``outcome`` is ``None`` for a phase
+        flip, or the uniform that decides what a reset measures.  It returns
+        the rows to add, as :func:`_move_down` does.
 
-        A phase flip negates the rows with the qubit set.  A reset that
-        measures 1 takes each such row to its partner with the qubit clear
-        (:func:`_move_down`).  A step in which one column draws an event
-        works on that column's view (:meth:`_one_event`); one with more
-        handles all its events together.  A reset's norm sees the dense
-        block's terms in the dense block's layout (:func:`_reset_norms`), so
-        it rounds as there; every other result is a product of the same two
-        numbers.
+        Each event works on its column's 1-D view.  A phase flip negates the
+        column's rows with the qubit set.  A reset measures 1 when its
+        uniform lies below the squared norm p1 of that |1> half; it then
+        takes each such row to its partner with the qubit clear, and
+        otherwise zeroes the half and rescales the column.  The columns that
+        measure 1 move together (:func:`_move_down`), so a partner that
+        several of them lack is added once.  p1 is the correctly rounded sum
+        of the half's squares (:func:`math.fsum`), so it depends neither on
+        the row order nor on the rows of zeros a gate leaves, which both
+        differ with the stack a block runs in, nor on the BLAS kernel.
         """
-        bits = state.index >> qubit & 1
-        ones = bits.nonzero()[0]
-        if len(columns) == 1:
-            return self._one_event(state, qubit, rng, columns[0], u, bits, ones)
-        columns = np.array(columns)
-        resets = (u[columns] < self.p_reset).nonzero()[0]  # positions in columns
-        # the dense block's resets draw one number each, in column order
-        draws = rng.random(len(resets)) if len(resets) else None
-        halves = state.amplitudes.take(ones, axis=0).take(columns, axis=1)  # the |1> halves
-        live = halves.any(axis=0)
-        if not np.count_nonzero(live):
-            return None  # a flip or a reset of a zero |1> half changes nothing
-        factors = _PHASE_FLIP.repeat(len(columns), axis=1)
-        added = None
-        if draws is not None:
-            p1, alive = np.zeros(len(resets)), live[resets]
-            p1[alive] = _reset_norms(state, qubit, ones, halves[:, resets[alive]])
-            moved = draws < p1
-            factors[0, resets] = [p ** -0.5 if m else (1.0 - p) ** -0.5
-                                  for p, m in zip(p1, moved)]
-            factors[1, resets] = 0.0
-            if np.count_nonzero(moved):
-                moved = resets[moved]
-                added = _move_down(state, qubit, ones, columns[moved], halves[:, moved],
-                                   factors[0, moved])
-                factors[:, moved] = 1.0  # those columns are done
-        state.amplitudes[:, columns] *= factors[bits]
-        return added
-
-    def _one_event(self, state: SparseState, qubit: int, rng: np.random.Generator,
-                   column: int, u: np.ndarray, bits: np.ndarray, ones: np.ndarray):
-        """A mixture step in which ``column`` alone draws an event, on that
-        column's 1-D view: the common case in narrow blocks, where the
-        batched path's numpy calls cost more than the event itself.
-        ``bits`` holds the qubit's value per row and ``ones`` its 1 rows."""
-        col = state.amplitudes[:, column]
-        half = col.take(ones)
-        if u[column] >= self.p_reset:  # a phase flip
-            col[ones] = -half
+        ones = (state.index & (1 << qubit)).nonzero()[0]
+        if not len(ones):
+            return None  # no |1> half: flips and resets change nothing
+        moves = []
+        for column, outcome in events:
+            col = state.amplitudes[:, column]
+            half = col.take(ones)
+            if outcome is None:
+                col[ones] = -half
+                continue
+            re_im = half.view(np.float64)
+            p1 = math.fsum((re_im * re_im).tolist())
+            if outcome < p1:
+                moves.append((column, half, p1 ** -0.5))
+                continue
+            if p1:
+                col *= (1.0 - p1) ** -0.5
+            col[ones] = 0.0
+        if not moves:
             return None
-        draw = rng.random()
-        if not half.any():
-            return None  # p1 = 0: the reset changes nothing
-        p1 = _reset_norms(state, qubit, ones, half[:, None])[0]
-        if draw < p1:
-            return _move_down(state, qubit, ones, np.array([column]), half[:, None], p1 ** -0.5)
-        col *= np.array([(1.0 - p1) ** -0.5, 0.0])[bits]  # a zero may carry the other sign
-        return None
+        columns, halves, scales = zip(*moves)
+        return _move_down(state, qubit, ones, np.array(columns), np.array(halves).T,
+                          np.array(scales))
 
-    def _kraus_block(self, state: SparseState, qubit: int, rng: np.random.Generator):
-        """A Kraus step on one sparse block; it returns the rows to add, as
-        :func:`_move_down` does.  A jump takes each row with the qubit set
-        to its partner with the qubit clear.  The column norms see the dense
-        block's terms in the dense block's layout
-        (:func:`_sparse_column_norms`)."""
-        draws = rng.random((2, state.amplitudes.shape[1]))
-        bits = state.index >> qubit & 1
-        ones = bits.nonzero()[0]
+    def _kraus_block(self, state: SparseState, qubit: int, draws: np.ndarray):
+        """A Kraus step on one sparse block with the step's ``(2, B)``
+        uniforms ``draws``; it returns the rows to add, as :func:`_move_down`
+        does.  A jump takes each row with the qubit set to its partner with
+        the qubit clear.  The column norms are :func:`_half_norms`."""
+        ones = _ones(state, qubit)
         if not len(ones):
             return None  # p1 = 0 in every column: the factors leave the |0> half as it is
-        factors, jump = self._kraus_factors(draws, _sparse_column_norms(state, qubit, ones))
+        halves = state.amplitudes.take(ones, axis=0)
+        factors, jump = self._kraus_factors(draws, _half_norms(halves))
         added = None
         if np.count_nonzero(jump):
             columns = jump.nonzero()[0]
-            added = _move_down(state, qubit, ones, columns,
-                               state.amplitudes.take(ones, axis=0).take(columns, axis=1),
+            added = _move_down(state, qubit, ones, columns, halves.take(columns, axis=1),
                                factors[0, 0, columns])
             factors[:, 0, columns] = 1.0  # those columns are done
-        state.amplitudes *= factors[:, 0][bits]
+        state.amplitudes *= factors[:, 0][state.index >> qubit & 1]
         return added
 
 
-#: A phase flip's factors on the |0> and |1> halves.
-_PHASE_FLIP = np.array([[1.0], [-1.0]])
+def _draw(channels: list, rng: np.random.Generator, columns: int):
+    """One trajectory block's channel branches for every relaxation step of
+    a program, drawn from its generator at once, before the first step runs,
+    one item per step.
+
+    ``channels`` are the program's relaxation channels in step order, all of
+    one implementation (:func:`compile_noisy_program` picks one per
+    profile), and ``columns`` the block's width B.  A Kraus block draws
+    ``(R, 2, B)`` uniforms for its R steps, the numbers it would draw step
+    by step, and a step's branches are its ``(2, B)`` row.  A mixture block
+    draws ``(R, B)`` uniforms and keeps only the (step, column) pairs that
+    drew an event, then draws one uniform per reset, in step and column
+    order, that decides what the reset measures.  A step's branches are its
+    events as ``(column, outcome)`` pairs, ``outcome`` ``None`` for a phase
+    flip (:meth:`RelaxationChannel._mixture_block`).
+    """
+    steps = len(channels)
+    if channels and channels[0].implementation == "kraus":
+        return rng.random((steps, 2, columns))
+    u = rng.random((steps, columns))
+    p_reset = np.array([ch.p_reset for ch in channels])
+    p_event = p_reset + np.array([ch.p_z for ch in channels])
+    step, column = (u < p_event[:, None]).nonzero()  # in step, then column order
+    reset = (u[step, column] < p_reset[step]).tolist()
+    outcomes = iter(rng.random(sum(reset)).tolist())
+    events = tuple((c, next(outcomes) if r else None) for c, r in zip(column.tolist(), reset))
+    starts = step.searchsorted(np.arange(steps + 1)).tolist()
+    return [events[a:b] for a, b in zip(starts, starts[1:])]  # () for a step without one
 
 
 def _reset(state: np.ndarray, rng: np.random.Generator) -> None:
@@ -464,65 +465,28 @@ def _column_norms(half: np.ndarray) -> np.ndarray:
     return squares.reshape(half.shape[-1], -1).sum(axis=1)
 
 
-@lru_cache(maxsize=4)
-def _scratch_column(n_qubits: int, columns: int, dtype: np.dtype) -> np.ndarray:
-    """A column of ``2**n`` zeros laid out as a column of a dense block of
-    ``columns`` (1 or 2) states: contiguous for one column, strided
-    otherwise, since numpy and BLAS sum a strided run in another order than
-    a contiguous one.  One is made per run (:func:`_run_trajectory_blocks`
-    clears the cache) and kept zero: whoever writes rows into it sets them
-    back to 0."""
-    return np.zeros((1 << n_qubits, columns), dtype)[:, 0]
+def _ones(state: SparseState, qubit: int) -> np.ndarray:
+    """The rows of a sparse block with ``qubit`` set, in ascending index
+    order."""
+    ones = (state.index & (1 << qubit)).nonzero()[0]
+    return ones[state.index[ones].argsort()]
 
 
-def _register_bits(state: SparseState, rows: np.ndarray) -> np.ndarray:
-    """The basis indices of ``rows`` without the block number a stacked
-    block's index carries above the register."""
-    return state.index[rows] & ((1 << state.n_qubits) - 1)
+def _half_norms(half: np.ndarray) -> np.ndarray:
+    """Squared norm of each column of ``half``, the ``(rows, B)`` float64 or
+    complex128 amplitudes of a sparse block's |1> rows in ascending index
+    order, a complex column adding its real and imaginary sums.
 
-
-def _block_scratch(state: SparseState) -> np.ndarray:
-    """The scratch column laid out as a column of ``state``'s dense twin."""
-    amp = state.amplitudes
-    return _scratch_column(state.n_qubits, min(amp.shape[1], 2), amp.dtype)
-
-
-def _reset_norms(state: SparseState, qubit: int, ones: np.ndarray,
-                 halves: np.ndarray) -> np.ndarray:
-    """Squared norm of each column of ``halves``, the |1> half of ``qubit``
-    (the rows ``ones`` of a sparse block) in some of its columns, summed as
-    :func:`_reset` sums the dense block's half.
-
-    Each column is scattered into a scratch column laid out as the dense
-    block's (:func:`_scratch_column`), and its half there is squared into a
-    contiguous array and summed by numpy's own pairwise reduction, so the
-    sum does not depend on the BLAS kernel, as ``np.vdot``'s would."""
-    rows = _register_bits(state, ones)
-    column = _block_scratch(state)
-    half = column.reshape(-1, 2, 1 << qubit)[:, 1]
-    p1 = np.empty(halves.shape[1])
-    for j in range(len(p1)):
-        column[rows] = halves[:, j]
-        p1[j] = np.add.reduce(half.conj() * half, axis=None).real
-    column[rows] = 0.0
-    return p1
-
-
-def _sparse_column_norms(state: SparseState, qubit: int, ones: np.ndarray) -> np.ndarray:
-    """:func:`_column_norms` of the |1> half of ``qubit`` (rows ``ones``) in
-    a sparse block, bit for bit.  einsum sums the rows in ascending index
-    order as it sums the dense half, except for one float64 column, whose
-    dense half it sums in runs; that column is summed in a scratch column
-    laid out as the dense block's (:func:`_scratch_column`)."""
-    idx, amp = state.index, state.amplitudes
-    if amp.shape[1] > 1 or np.iscomplexobj(amp):
-        return _column_norms(amp.take(ones[idx[ones].argsort()], axis=0)[:, None])
-    rows = _register_bits(state, ones)
-    column = _block_scratch(state)
-    column[rows] = amp[:, 0].take(ones)
-    p1 = _column_norms(column.reshape(-1, 2, 1 << qubit, 1)[:, 1])
-    column[rows] = 0.0
-    return p1
+    Each column's squares are added one row after another: by einsum, whose
+    loop over the columns is innermost, or for one float64 column, which
+    einsum would add in SIMD lanes, by cumsum, which gives the same bits as
+    such a column of a wider block.  So a norm depends neither on the rows
+    of zeros a gate leaves nor on the row order, which both differ with the
+    stack a block runs in, nor on the BLAS kernel."""
+    re_im = half.view(np.float64)  # the rows are contiguous, so this is a view
+    if re_im.shape[1] == 1:
+        return np.cumsum(re_im * re_im)[-1:]
+    return np.einsum("ij,ij->j", re_im, re_im).reshape(half.shape[1], -1).sum(axis=1)
 
 
 def _move_down(state: SparseState, qubit: int, ones: np.ndarray, columns: np.ndarray,
@@ -537,18 +501,20 @@ def _move_down(state: SparseState, qubit: int, ones: np.ndarray, columns: np.nda
     their partners.  A partner that is not listed is not added here: it is
     returned, as ``(index, amplitudes)`` rows that are zero outside
     ``columns``, for the caller to insert; without one, ``None``."""
-    bit = 1 << qubit
-    nonzero = halves.any(axis=1).nonzero()[0]
-    moved = halves[nonzero] * scales
-    partners = _find(state, state.index[ones[nonzero]] ^ bit)
-    found, lone = (partners >= 0).nonzero()[0], (partners < 0).nonzero()[0]
+    live = halves.any(axis=1)
+    keys = state.index[ones[live]] ^ (1 << qubit)
+    moved = halves[live] * scales
+    partners = _find(state, keys)
+    found = partners >= 0
     state.amplitudes[:, columns] = 0.0
-    state.amplitudes[partners[found, None], columns] = moved[found]
-    if not len(lone):
+    state.amplitudes[partners[found][:, None], columns] = moved[found]
+    if found.all():
         return None
-    added = np.zeros_like(state.amplitudes, shape=(len(lone), state.amplitudes.shape[1]))
-    added[:, columns] = moved[lone]
-    return state.index[ones[nonzero[lone]]] ^ bit, added
+    lone = ~found
+    moved = moved[lone]
+    added = np.zeros_like(state.amplitudes, shape=(len(moved), state.amplitudes.shape[1]))
+    added[:, columns] = moved
+    return keys[lone], added
 
 
 def _block_bounds(state: SparseState, blocks: int):
@@ -661,38 +627,53 @@ def _stacks(blocks: list, size: int, n_qubits: int) -> list:
     return [blocks[i * len(blocks) // count:(i + 1) * len(blocks) // count] for i in range(count)]
 
 
+def _run_program(state: SparseState, steps: list, rngs: list) -> None:
+    """Run a compiled program on a sparse block, or on a stack of them,
+    block ``g`` drawing from ``rngs[g]``.
+
+    Each block draws its branches for every relaxation step before the first
+    step runs (:func:`_draw`), so it draws the same numbers in any stack.
+    A mixture step runs only where some block drew an event, and a Kraus
+    step, which rescales every column, always runs.
+    """
+    channels = [step[2] for step in steps if step[0] == "relax"]
+    columns = (state.columns if isinstance(state, _Stack)
+               else (state.amplitudes.shape[1],) * len(rngs))
+    draws = zip(*[_draw(channels, rng, width) for rng, width in zip(rngs, columns)])
+    for step in steps:
+        if step[0] == "gate":
+            apply_gate(state, step[1])
+            continue
+        drawn = next(draws)  # every block's branches for this step
+        if step[2].implementation == "kraus" or any(drawn):
+            step[2].apply(state, step[1], drawn)
+
+
 def _run_trajectory_blocks(args) -> np.ndarray:
     steps, n_qubits, dtype, measured, shots, trajectories, blocks = args
     size = _block_size(n_qubits, dtype)
     base, extra = divmod(shots, trajectories)
     counts = np.zeros(1 << len(measured), dtype=np.int64)
-    try:
-        for stack in _stacks(blocks, size, n_qubits):
-            rngs = [np.random.default_rng(seed_sequence) for _, seed_sequence in stack]
-            columns = tuple(min(size, trajectories - block * size) for block, _ in stack)
-            # block g starts as basis state 0 of its register, index g << n
-            amplitudes = np.zeros((len(stack), max(columns)), dtype)
-            for g, width in enumerate(columns):
-                amplitudes[g, :width] = 1.0
-            state = _Stack(n_qubits, np.arange(len(stack), dtype=np.int64) << n_qubits,
-                           amplitudes, columns)
-            for step in steps:
-                if step[0] == "gate":
-                    apply_gate(state, step[1])
-                else:
-                    step[2].apply(state, step[1], rngs)
-            bounds = _block_bounds(state, len(stack))
-            for g, (block, _) in enumerate(stack):
-                rows = slice(bounds[g], bounds[g + 1])
-                alone = SparseState(n_qubits, state.index[rows] ^ (g << n_qubits),
-                                    state.amplitudes[rows, :columns[g]])
-                probs = np.clip(marginal_probabilities(alone, measured), 0.0, None).T  # a row per trajectory
-                first = block * size
-                row_shots = base + (np.arange(first, first + columns[g]) < extra)  # round-robin shot allocation
-                counts += rngs[g].multinomial(row_shots,
-                                              probs / probs.sum(axis=1, keepdims=True)).sum(axis=0)
-    finally:
-        _scratch_column.cache_clear()  # one scratch column per run
+    for stack in _stacks(blocks, size, n_qubits):
+        rngs = [np.random.default_rng(seed_sequence) for _, seed_sequence in stack]
+        columns = tuple(min(size, trajectories - block * size) for block, _ in stack)
+        # block g starts as basis state 0 of its register, index g << n
+        amplitudes = np.zeros((len(stack), max(columns)), dtype)
+        for g, width in enumerate(columns):
+            amplitudes[g, :width] = 1.0
+        state = _Stack(n_qubits, np.arange(len(stack), dtype=np.int64) << n_qubits,
+                       amplitudes, columns)
+        _run_program(state, steps, rngs)
+        bounds = _block_bounds(state, len(stack))
+        for g, (block, _) in enumerate(stack):
+            rows = slice(bounds[g], bounds[g + 1])
+            alone = SparseState(n_qubits, state.index[rows] ^ (g << n_qubits),
+                                state.amplitudes[rows, :columns[g]])
+            probs = np.clip(marginal_probabilities(alone, measured), 0.0, None).T  # a row per trajectory
+            first = block * size
+            row_shots = base + (np.arange(first, first + columns[g]) < extra)  # round-robin shot allocation
+            counts += rngs[g].multinomial(row_shots,
+                                          probs / probs.sum(axis=1, keepdims=True)).sum(axis=0)
     return counts
 
 
@@ -770,12 +751,14 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, trajectories:
     whose gates all have real matrices) and ``max(1, 2**15 >> n)`` for
     complex128, what a dense block of 512 KiB would hold.  Up to
     ``_STACK_COLUMNS // B`` of a job's blocks run as one stack, so each gate
-    is one call per stack; each block keeps its own generator and draws, its
-    own rows and norm sums, and its own marginals and multinomial, so it
-    ends as it ends alone.  Block ``b`` draws every channel branch and its
-    shots from ``SeedSequence(entropy=seed, spawn_key=(b,))``.  Those seed
-    sequences are built here, in the calling process, so ``numpy.random`` is
-    imported once rather than in every worker.  ``measure`` is checked before anything runs: an empty list, a
+    is one call per stack.  Block ``b`` draws every channel branch of the
+    program up front, then its shots, from
+    ``SeedSequence(entropy=seed, spawn_key=(b,))``; it keeps its own rows and
+    its own marginals and multinomial, and its norms and marginals are sums
+    on its listed rows that do not depend on their layout, so it ends as it
+    ends alone.  Those seed sequences are built here, in the calling
+    process, so ``numpy.random`` is imported once rather than in every
+    worker.  ``measure`` is checked before anything runs: an empty list, a
     qubit outside the circuit or one listed twice raises :class:`ValueError`.
     Identical (circuit, profile, shots, trajectories, seed) produce identical
     histograms for any ``workers`` count and any stack size, because workers

@@ -22,11 +22,13 @@ columns' resets and jumps add.
 
 A dense :class:`StateVector` holds all ``2**n`` amplitudes.  It is what
 :func:`statevector` and ``run_ideal(return_state=True)`` hand back, the sparse
-amplitudes scattered to full width, and a layout the marginals are summed in:
-:func:`marginal_probabilities` views the probabilities as an array of shape
-``(2,)*n``, in which axis ``n-1-q`` is qubit ``q``, and sums over the
-unmeasured axes; a sparse state's probabilities are scattered into that
-layout first, so they sum as its dense twin's.
+amplitudes scattered to full width.  :func:`marginal_probabilities` views a
+dense state's probabilities as an array of shape ``(2,)*n``, in which axis
+``n-1-q`` is qubit ``q``, and sums over the unmeasured axes.  A sparse
+state's probabilities are summed on its listed rows instead: each row is keyed
+by its measured bits and added to its outcome one row after another, in
+ascending index order, so the sum depends neither on the row order nor on
+rows of zeros, and costs rows times columns rather than ``2**n``.
 
 Amplitudes are float64 or complex128.  X/Z-type gates, H, RY, CRY and CCRY
 have real matrices, so a circuit made only of them keeps a real state real:
@@ -215,9 +217,10 @@ def apply_gate(state: SparseState, gate: Gate) -> SparseState:
     circuits keep them so: an uncontrolled X flips one bit of every index,
     which keeps each gate's pairs in order, a Dicke block's CX keeps its
     rotation's pairs in order, and an oracle's uncompute puts every index
-    back.  Otherwise it finds each row's partner by index (:func:`_find`), a
-    missing partner becoming a zero row, then drops the rows that are zero in
-    every column and sorts the rest by index.
+    back.  Otherwise it finds each row's partner by index (:func:`_find`),
+    with no search when no such row has the target bit set, a missing
+    partner becoming a zero row, then drops the rows that are zero in every
+    column and sorts the rest by index.
     """
     if max(gate.qubits) >= state.n_qubits:
         raise ValueError(f"gate {gate} exceeds state width {state.n_qubits}")
@@ -248,7 +251,10 @@ def apply_gate(state: SparseState, gate: Gate) -> SparseState:
     # pair each p0 row with its partner and each p1 row that has none with a
     # zero: index -1 takes the zero row appended below the others
     n0 = len(p0)
-    found = _find(state, np.concatenate((i0 | t, i1 ^ t)))
+    if len(p1):
+        found = _find(state, np.concatenate((i0 | t, i1 ^ t)))
+    else:  # no row has the target bit set, so no p0 row has a partner
+        found = np.full(n0, -1)
     lone = (found[n0:] < 0).nonzero()[0]  # the p1 rows without a partner
     padded = np.concatenate((amp, np.zeros_like(amp[:1])))
     a0 = padded.take(np.concatenate((p0, np.full(len(lone), -1))), axis=0)
@@ -270,8 +276,9 @@ def _find(state: SparseState, keys: np.ndarray) -> np.ndarray:
     listed."""
     index = state.index
     order = index.argsort()
-    rows = order[np.minimum(index.searchsorted(keys, sorter=order), len(index) - 1)]
-    return np.where(index[rows] == keys, rows, -1)
+    ordered = index[order]  # a plain search of the sorted copy outruns one through a sorter
+    at = np.minimum(ordered.searchsorted(keys), len(index) - 1)
+    return np.where(ordered[at] == keys, order[at], -1)
 
 
 def statevector(circuit: Circuit, initial: int = 0) -> StateVector:
@@ -297,17 +304,26 @@ def statevector(circuit: Circuit, initial: int = 0) -> StateVector:
 def marginal_probabilities(state: StateVector | SparseState, qubits: list[int]) -> np.ndarray:
     """Born probabilities over ``qubits`` (ascending order defines outcome bits).
 
-    A block of states gives one column of marginals per state.  Each state's
-    probabilities are laid out contiguously before the sum, so a state sums
-    in the same order, to the same bits, in a block as alone.  A sparse
-    state's probabilities are scattered into that layout, 0 at every index
-    it does not list, so they sum as its dense twin's.
+    A block of states gives one column of marginals per state.  A dense
+    state's probabilities are laid out contiguously, one row per state,
+    before the sum, so a state sums in the same order, to the same bits, in
+    a block as alone.  A sparse state adds each listed row's probability to
+    its outcome one row after another, in ascending index order, so neither
+    its row order nor its rows of zeros change a bit.
     """
-    probs = np.abs(state.amplitudes.T, order="C") ** 2  # one row per state
     if isinstance(state, SparseState):
-        dense = np.zeros(probs.shape[:-1] + (1 << state.n_qubits,))
-        dense[..., state.index] = probs
-        probs = dense
+        kept = sorted(set(qubits))
+        order = state.index.argsort()
+        index, probs = state.index[order], np.abs(state.amplitudes[order]) ** 2
+        outcome = np.zeros_like(index)
+        for bit, q in enumerate(kept):
+            outcome |= (index >> q & 1) << bit
+        columns = probs.shape[1] if probs.ndim == 2 else 1
+        # bincount adds its weights in the order given: row by row
+        cells = (outcome[:, None] * columns + np.arange(columns)).ravel()
+        sums = np.bincount(cells, weights=probs.ravel(), minlength=columns << len(kept))
+        return sums.reshape((-1,) + probs.shape[1:])
+    probs = np.abs(state.amplitudes.T, order="C") ** 2  # one row per state
     n, kept = state.n_qubits, set(qubits)
     dropped = tuple(n - q for q in range(n) if q not in kept)  # axis 0 is the block
     return probs.reshape((-1,) + (2,) * n).sum(axis=dropped).reshape(probs.shape[:-1] + (-1,)).T

@@ -49,6 +49,39 @@ def dense_statevector(circuit: Circuit, initial: int = 0) -> StateVector:
     return state
 
 
+def dense_program(amp: np.ndarray, n: int, steps: list, rng: np.random.Generator) -> None:
+    """Run a compiled noisy program in place on dense amplitudes ``(2**n, B)``:
+    each gate through :func:`dense_apply` and each relaxation step through
+    the dense branch of ``RelaxationChannel.apply``, which is handed the
+    numbers a sparse trajectory block draws from ``rng`` before its first
+    step.  A Kraus program draws ``(R, 2, B)`` uniforms for its R steps, one
+    ``(2, B)`` row a step.  A mixture program draws ``(R, B)`` uniforms, one
+    row a step, then one uniform per reset (a uniform below the step's
+    ``p_reset``), in step and column order, for each reset's measurement.
+    Every number drawn must be used."""
+    channels = [step[2] for step in steps if step[0] == "relax"]
+    columns = amp.shape[1]
+    if channels[0].implementation == "kraus":
+        rows, outcomes = iter(rng.random((len(channels), 2, columns))), iter(())
+    else:
+        u = rng.random((len(channels), columns))
+        resets = np.count_nonzero(u < np.array([[ch.p_reset] for ch in channels]))
+        rows, outcomes = iter(u), iter(rng.random(resets))
+
+    class Replay:
+        """Hands the dense branch the pre-drawn numbers in the order it asks."""
+
+        def random(self, size=None):
+            return next(outcomes) if size is None else next(rows)
+
+    for step in steps:
+        if step[0] == "gate":
+            dense_apply(amp, n, step[1])
+        else:
+            step[2].apply(amp, step[1], Replay())
+    assert next(rows, None) is None and next(outcomes, None) is None
+
+
 def oracle_action(oracle: Circuit, n_nodes: int):
     """Apply an oracle to the uniform node-basis superposition with clean work qubits.
 

@@ -324,6 +324,23 @@ def test_marginal_probabilities_on_a_block_matches_each_column_property(data):
         assert np.array_equal(marginals[:, column], one)
 
 
+@given(st.data())
+def test_sparse_marginals_are_summed_on_the_listed_rows_property(data):
+    # a sparse state's marginals match its dense twin's to rounding, and keep
+    # their bytes when the rows are listed in another order, with rows of zeros
+    n = data.draw(st.integers(1, 7), label="n")
+    subset = data.draw(st.lists(st.integers(0, n - 1), unique=True), label="qubits")
+    amp = data.draw(st.one_of(states(n), blocks(n)), label="amplitudes")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    support = rng.permutation(1 << n)[:rng.integers(1, (1 << n) + 1)]
+    marginals = marginal_probabilities(_sparse(n, amp, support), subset)
+    dense = marginal_probabilities(StateVector(n, _masked(amp, support)), subset)
+    assert marginals.shape == dense.shape
+    assert np.allclose(marginals, dense, rtol=1e-12, atol=0.0)
+    every_index = _sparse(n, _masked(amp, support), rng.permutation(1 << n))
+    assert marginal_probabilities(every_index, subset).tobytes() == marginals.tobytes()
+
+
 # -- ideal runs on the sparse state against the full kernel --------------------
 
 def _assert_same_as_full_kernel(circ: Circuit, measure: list[int], shots: int = 256,
@@ -1076,6 +1093,23 @@ def test_a_rotation_drops_the_exact_zeros_it_makes():
     apply_gate(state, Gate("H", (0,)))
     assert state.index.tolist() == [0b00, 0b11]
     assert np.allclose(state.amplitudes, [0.5 ** 0.5, 0.5 ** 0.5], atol=1e-15)
+
+
+def test_a_rotation_without_partner_rows_skips_the_search(monkeypatch):
+    # no row with the control (qubit 1) set has the target (qubit 0) set, so
+    # no row has a partner to look up; the rows still come out sorted, with the
+    # row that stays zero in both columns dropped
+    index = np.array([0b1010, 0b0101, 0b0010, 0b0001, 0b0110], dtype=np.int64)
+    amp = np.array([[0.5, 0.0], [0.5, 0.0], [0.0, 0.0], [0.5, 1.0], [0.5, 0.0]])
+    gate = Gate("CRY", (1, 0), (0.7,))
+    state = SparseState(4, index.copy(), amp.copy())
+    monkeypatch.setattr(sim, "_find", lambda *_: pytest.fail("searched"))
+    apply_gate(state, gate)
+    dense = np.zeros((16, 2))
+    dense[index] = amp
+    dense_apply(dense, 4, gate)
+    assert state.index.tolist() == np.flatnonzero(dense.any(axis=1)).tolist()
+    assert np.array_equal(state.amplitudes, dense[state.index])
 
 
 @given(st.data())
