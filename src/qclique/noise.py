@@ -31,7 +31,8 @@ each step, a mixture block one uniform per column and step, of which it keeps
 only the events, then one uniform per reset.  A mixture step that no block
 drew an event for is skipped.  Every sum a block takes is summed on its listed
 rows, in an order that does not depend on how the rows are laid out: a
-reset's norm is the correctly rounded sum of its squares (:func:`math.fsum`),
+reset's norm is the correctly rounded sum of its squares, or on a wide
+support the sum of its nonzero squares sorted by value (:func:`_reset_norm`),
 a Kraus step's column norms add the |1> rows one after another in ascending
 index order (:func:`_half_norms`), and the marginals add each row to its
 outcome in ascending index order (:func:`qclique.sim.marginal_probabilities`).
@@ -257,18 +258,16 @@ class RelaxationChannel:
         ``(2**n, B)`` of them, one per column, and ``rng`` a
         :class:`numpy.random.Generator`.  Or ``state`` is a
         :class:`~qclique.sim.SparseState` block, or a stack of blocks
-        (:class:`_Stack`, :meth:`_apply_sparse`), and ``rng`` gives each
-        block's branches: a generator, from which a block draws this step as
-        a one-step program would, or the step's branches drawn up front
-        (:func:`_draw`), one per block of a stack (a single generator is one
-        block).  Each column takes its own branch.
+        (:class:`_Stack`, :meth:`_apply_sparse`), and ``rng`` the step's
+        branches that each block drew up front (:func:`_draw`), one item per
+        block.  Each column takes its own branch.
         The amplitudes may be complex128 or float64: every factor the channel
         applies is real, so a real state stays real.
         """
         if self.t_ns == 0.0:
             return
         if isinstance(state, SparseState):
-            self._apply_sparse(state, qubit, [rng] if isinstance(rng, np.random.Generator) else rng)
+            self._apply_sparse(state, qubit, rng)
             return
         # (qubits above, qubit value, qubits below, column)
         view = state.reshape(state.shape[0] >> (qubit + 1), 2, 1 << qubit, -1)
@@ -311,8 +310,7 @@ class RelaxationChannel:
 
     def _apply_sparse(self, state: SparseState, qubit: int, draws) -> None:
         """:meth:`apply` on a stack of ``len(draws)`` sparse blocks, block
-        ``g`` taking its branches from ``draws[g]``: generators, from which
-        the blocks draw them now, or the step's branches drawn up front
+        ``g`` taking the branches ``draws[g]`` that it drew for this step
         (:func:`_draw`).
 
         Block ``g`` is the rows whose index holds ``g`` in the bits from
@@ -326,8 +324,6 @@ class RelaxationChannel:
         """
         n, width = state.n_qubits, state.amplitudes.shape[1]
         columns = state.columns if isinstance(state, _Stack) else (width,) * len(draws)
-        if isinstance(draws[0], np.random.Generator):
-            draws = [_draw([self], rng, c)[0] for rng, c in zip(draws, columns)]
         mixture = self.implementation == "mixture"
         idx, amp = state.index, state.amplitudes
         bounds = _block_bounds(state, len(draws))
@@ -359,10 +355,7 @@ class RelaxationChannel:
         takes each such row to its partner with the qubit clear, and
         otherwise zeroes the half and rescales the column.  The columns that
         measure 1 move together (:func:`_move_down`), so a partner that
-        several of them lack is added once.  p1 is the correctly rounded sum
-        of the half's squares (:func:`math.fsum`), so it depends neither on
-        the row order nor on the rows of zeros a gate leaves, which both
-        differ with the stack a block runs in, nor on the BLAS kernel.
+        several of them lack is added once.  p1 is :func:`_reset_norm`.
         """
         ones = (state.index & (1 << qubit)).nonzero()[0]
         if not len(ones):
@@ -374,8 +367,7 @@ class RelaxationChannel:
             if outcome is None:
                 col[ones] = -half
                 continue
-            re_im = half.view(np.float64)
-            p1 = math.fsum((re_im * re_im).tolist())
+            p1 = _reset_norm(half)
             if outcome < p1:
                 moves.append((column, half, p1 ** -0.5))
                 continue
@@ -463,6 +455,30 @@ def _column_norms(half: np.ndarray) -> np.ndarray:
     re_im = half.view(np.float64)  # the last axis is contiguous, so this is a view
     squares = np.einsum("ijk,ijk->k", re_im, re_im)  # innermost loop: all B or 2B floats
     return squares.reshape(half.shape[-1], -1).sum(axis=1)
+
+
+#: Nonzero terms up to which a reset's norm is summed exactly (:func:`_reset_norm`).
+_FSUM_TERMS = 128
+
+
+def _reset_norm(half: np.ndarray) -> float:
+    """Squared norm p1 of ``half``, the float64 or complex128 amplitudes of a
+    sparse block's |1> rows in one column.
+
+    Up to ``_FSUM_TERMS`` nonzero squares are summed exactly
+    (:func:`math.fsum`), the cheaper sum on the narrow blocks of a noisy run;
+    more are sorted by value and added by numpy's pairwise sum, which on a
+    wide support takes a fraction of fsum's time.  Either sum, and which of
+    them is taken, depends neither on the row order nor on the rows of zeros
+    a gate leaves, which both differ with the stack a block runs in, nor on
+    the BLAS kernel."""
+    re_im = half.view(np.float64)
+    squares = re_im * re_im
+    terms = np.count_nonzero(squares)
+    if terms <= _FSUM_TERMS:
+        return math.fsum(squares.tolist())
+    squares.sort()  # the zeros come first
+    return float(np.add.reduce(squares[len(squares) - terms:]))
 
 
 def _ones(state: SparseState, qubit: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -29,7 +30,7 @@ from qclique.noise import (
     gate_duration_ns,
     run_noisy,
 )
-from qclique.sim import SparseState, StateVector, apply_gate, marginal_probabilities, run_ideal
+from qclique.sim import SparseState, StateVector, marginal_probabilities, run_ideal
 from helpers import dense_program, gates_on
 from test_sim import BAD_MEASURE_LISTS
 
@@ -606,17 +607,6 @@ def test_run_noisy_matches_exact_density_matrix_at_12_qubits(g4):
 BLOCK_KINDS = ("X", "CX", "CCX", "MCX", "Z", "MCZ", "H", "RY", "CRY", "CCRY")
 
 
-def _run_steps(state, steps, rng) -> None:
-    """A compiled program on a sparse block, step by step: each gate through
-    ``apply_gate`` and each relaxation step through ``RelaxationChannel.apply``
-    with the generators ``rng``, from which each block draws that step."""
-    for step in steps:
-        if step[0] == "gate":
-            apply_gate(state, step[1])
-        else:
-            step[2].apply(state, step[1], rng)
-
-
 @pytest.mark.parametrize("columns", [1, 2, 16])
 @pytest.mark.parametrize("spec", ["3:2", "2:3"], ids=["mixture", "kraus"])
 @settings(max_examples=30)
@@ -641,21 +631,23 @@ def test_a_sparse_block_ends_byte_equal_to_its_dense_twin_property(spec, columns
         amp = amp + 1j * start.normal(size=amp.shape)
     amp /= np.linalg.norm(amp, axis=0)
 
-    # the first seed whose run moves rows: a reset that measures 1, or a jump
-    moves = []
+    # the first seed whose run moves rows on qubits 0 and n-1, the edge bits
+    # of the index: a reset that measures 1, or a jump
+    moved = set()
     move_down = noise._move_down
 
-    def seen_move_down(*args):
-        moves.append(args[1])
-        return move_down(*args)
+    def seen_move_down(state, qubit, *args):
+        moved.add(qubit)
+        return move_down(state, qubit, *args)
 
     with mock.patch.object(noise, "_move_down", seen_move_down):
         for seed in range(64):
+            moved.clear()
             noise._run_program(SparseState(n, index.copy(), amp.copy()), steps,
                                [np.random.default_rng(seed)])
-            if moves:
+            if {0, n - 1} <= moved:
                 break
-    assume(moves)
+    assume({0, n - 1} <= moved)
 
     sparse = SparseState(n, index.copy(), amp.copy())
     dense = np.zeros((1 << n, columns), amp.dtype)
@@ -679,10 +671,12 @@ def test_a_sparse_block_ends_byte_equal_to_its_dense_twin_property(spec, columns
 def test_a_block_sums_the_same_whatever_its_row_order_and_zero_rows(spec, columns):
     # a stack may sort a block's rows and drop rows of zeros that the block
     # alone keeps: a step on the same block listed either way takes the same
-    # branch and ends in the same values, and the marginals in the same bytes
+    # branch and ends in the same values, and the marginals in the same bytes.
+    # A column's |1> half has about 20 nonzero rows: with _FSUM_TERMS = 20 a
+    # reset norm takes either sum, and with 0 always the sorted one
     n = 6
     channel = RelaxationChannel(1000.0, load_profile(spec))  # gamma 0.28 (3:2), 0.39 (2:3)
-    for seed in range(200):
+    for seed, terms in itertools.product(range(200), (noise._FSUM_TERMS, 20, 0)):
         start = np.random.default_rng(seed)
         index = start.permutation(1 << n)[:40]
         amp = start.normal(size=(40, columns))
@@ -694,11 +688,13 @@ def test_a_block_sums_the_same_whatever_its_row_order_and_zero_rows(spec, column
                               np.concatenate((amp, np.zeros((12, columns))))[shuffled])]
         dense = [np.zeros((1 << n, columns)) for _ in blocks]
         for out, block in zip(dense, blocks):
-            channel.apply(block, seed % n, np.random.default_rng(seed))
+            with mock.patch.object(noise, "_FSUM_TERMS", terms):
+                noise._run_program(block, [("relax", seed % n, channel)],
+                                   [np.random.default_rng(seed)])
             out[block.index] = block.amplitudes
-        assert np.array_equal(*dense), seed
+        assert np.array_equal(*dense), (seed, terms)
         assert (marginal_probabilities(blocks[0], [0, 2, 3]).tobytes()
-                == marginal_probabilities(blocks[1], [0, 2, 3]).tobytes()), seed
+                == marginal_probabilities(blocks[1], [0, 2, 3]).tobytes()), (seed, terms)
 
 
 # -- stacks of trajectory blocks ------------------------------------------------
@@ -708,7 +704,8 @@ def test_a_block_sums_the_same_whatever_its_row_order_and_zero_rows(spec, column
 @given(data=st.data())
 def test_a_stacked_block_ends_as_it_ends_alone_property(spec, data):
     # 1-5 blocks of 1, 2 or 16 columns on random supports run as one stack,
-    # each drawing from its own generator, and each alone
+    # each drawing from its own generator, and each alone; with _FSUM_TERMS
+    # = 0 every reset norm takes the sorted sum
     n = data.draw(st.integers(2, 6), label="n")
     complex_ = data.draw(st.booleans(), label="complex")
     kinds = BLOCK_KINDS + (("U3",) if complex_ else ())
@@ -736,13 +733,16 @@ def test_a_stacked_block_ends_as_it_ends_alone_property(spec, data):
     stack = noise._Stack(n, np.concatenate([b.index | g << n for g, b in enumerate(alone)]),
                          amplitudes, tuple(widths))
 
+    terms = data.draw(st.sampled_from([noise._FSUM_TERMS, 0]), label="fsum terms")
     stack_rngs = [np.random.default_rng(seed) for seed in seeds]
-    _run_steps(stack, steps, stack_rngs)
+    with mock.patch.object(noise, "_FSUM_TERMS", terms):
+        noise._run_program(stack, steps, stack_rngs)
     bounds = noise._block_bounds(stack, len(widths))
     measured = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True), label="measured")
     for g, (block, seed) in enumerate(zip(alone, seeds)):
         rng = np.random.default_rng(seed)
-        _run_steps(block, steps, rng)
+        with mock.patch.object(noise, "_FSUM_TERMS", terms):
+            noise._run_program(block, steps, [rng])
         assert rng.bit_generator.state == stack_rngs[g].bit_generator.state
         lo, hi = bounds[g], bounds[g + 1]
         stacked = SparseState(n, stack.index[lo:hi] ^ g << n, stack.amplitudes[lo:hi, :widths[g]])
