@@ -60,21 +60,21 @@ results do not depend on the worker count.
 A run with more than one job hands them to a worker pool that is started
 once per process and reused by later runs, so a sweep over many profiles
 forks once; the pool is replaced only when a run needs more processes than
-it has, and stopped when the process exits.  Its workers also exit on their
-own when that process is killed.
+it has, and stopped when the process exits.  Its workers are ``os.fork``
+children that read pickled jobs from a pipe each (:class:`_Pool`), so no
+``multiprocessing`` module is imported.  A worker exits when its job pipe
+ends, which is also the moment the process that forked it dies, however it
+dies.
 """
 from __future__ import annotations
 
+import atexit
 import json
 import math
-import signal
-import threading
-import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+import os
+import pickle
 from dataclasses import dataclass
 from functools import lru_cache
-from os import _exit, getpid, getppid
 
 import numpy as np
 
@@ -693,64 +693,169 @@ def _run_trajectory_blocks(args) -> np.ndarray:
     return counts
 
 
-# This process's trajectory worker pool, as {pid: (processes, executor)}.  The
-# pid key makes a forked child start a pool of its own: it drops the entry it
-# inherited without shutting the parent's pool down.
-_POOLS: dict[int, tuple[int, ProcessPoolExecutor]] = {}
+class _Pool:
+    """``size`` forked trajectory workers, each serving jobs on a pipe of its own.
+
+    Every message is a pickle behind its 8-byte length: a ``(function, job)``
+    pair to a worker, and ``(True, result, None)`` or ``(False, exception,
+    formatted traceback)`` back.  The pool's process holds the only write end
+    of each worker's job pipe, so a worker reads EOF, and exits, once the pool
+    is closed or that process dies.
+    """
+
+    def __init__(self, size: int):
+        self.workers: list[tuple[int, int, int]] = []  # (pid, job fd, reply fd)
+        try:
+            for _ in range(size):
+                self.workers.append(self._fork())
+        except BaseException:
+            self.close()
+            raise
+
+    def _fork(self) -> tuple[int, int, int]:
+        job_in, job_out = os.pipe()
+        reply_in, reply_out = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                for _, *fds in self.workers:  # the pool's ends of its elder siblings' pipes
+                    _close(fds)
+                _close((job_out, reply_in))
+                _serve(job_in, reply_out)
+                code = 0
+            finally:
+                os._exit(code)
+        _close((job_in, reply_out))
+        return pid, job_out, reply_in
+
+    def map(self, function, jobs: list) -> list:
+        """``function(job)`` for each job, the i-th on worker i, in job order.
+
+        A job that raised re-raises here once every reply is in.  A worker
+        that died, or an interrupt, closes the pool first.
+        """
+        workers = self.workers[:len(jobs)]
+        try:
+            for (pid, job_fd, _), job in zip(workers, jobs):
+                _send(job_fd, pickle.dumps((function, job), pickle.HIGHEST_PROTOCOL))
+            replies = []
+            for pid, _, reply_fd in workers:
+                replies.append(pickle.loads(_receive(reply_fd)))
+        except BaseException as err:  # the pool is out of step with its jobs
+            if _POOLS.get(os.getpid()) is self:
+                del _POOLS[os.getpid()]
+            codes = self.close()
+            if isinstance(err, (BrokenPipeError, EOFError)):
+                raise ChildProcessError(f"a trajectory worker died: pid {pid} (exit code "
+                                        f"{codes[pid]}); the next run starts a new pool") from None
+            raise
+        for ok, value, trace in replies:
+            if not ok:
+                raise value from RuntimeError(f"in a trajectory worker:\n{trace}")
+        return [value for _, value, _ in replies]
+
+    def close(self) -> dict[int, int]:
+        """Close every pipe, wait for the workers to exit, and return their
+        exit codes by pid."""
+        for _, *fds in self.workers:
+            _close(fds)
+        codes = {pid: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                 for pid, _, _ in self.workers}
+        self.workers = []
+        return codes
 
 
-def _pool(size: int) -> ProcessPoolExecutor:
+def _serve(job_fd: int, reply_fd: int) -> None:
+    """A worker's loop: run each job read from ``job_fd`` until EOF."""
+    while True:
+        try:
+            function, job = pickle.loads(_receive(job_fd))
+        except EOFError:
+            return
+        try:
+            reply = pickle.dumps((True, function(job), None), pickle.HIGHEST_PROTOCOL)
+        except Exception as err:
+            import traceback  # only a failed job needs it
+
+            trace = "".join(traceback.format_exception(err))
+            try:
+                reply = pickle.dumps((False, err, trace), pickle.HIGHEST_PROTOCOL)
+            except Exception:  # an exception that does not pickle
+                reply = pickle.dumps((False, RuntimeError(f"{type(err).__name__}: {err}"), trace))
+        _send(reply_fd, reply)
+
+
+def _send(fd: int, message: bytes) -> None:
+    data = memoryview(len(message).to_bytes(8, "little") + message)
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def _receive(fd: int) -> bytes:
+    """The next message on ``fd``; :class:`EOFError` if the pipe ends first."""
+    return _read(fd, int.from_bytes(_read(fd, 8), "little"))
+
+
+def _read(fd: int, size: int) -> bytes:
+    chunks = []
+    while size:
+        chunk = os.read(fd, min(size, 1 << 20))
+        if not chunk:
+            raise EOFError
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
+
+
+def _close(fds) -> None:
+    for fd in fds:
+        os.close(fd)
+
+
+# This process's trajectory worker pool, as {pid: pool}.  The pid key makes a
+# forked child start a pool of its own: it drops the entry it inherited
+# without closing the parent's pool.
+_POOLS: dict[int, _Pool] = {}
+
+
+def _pool(size: int) -> _Pool:
     """A worker pool of at least ``size`` processes, started once and reused.
 
     A cached pool with enough processes serves any smaller request too.  A
-    smaller one is shut down, and waited for, before the new pool forks, so no
-    fork happens while an executor thread runs.  ``concurrent.futures`` joins
-    the pool when the process exits.  The cache is not guarded against calls
-    from several threads at once.
+    smaller one is closed, and its workers waited for, before the new pool
+    forks.  The cache is not guarded against calls from several threads at
+    once.
     """
-    pid = getpid()
+    pid = os.getpid()
     cached = _POOLS.get(pid)
-    if cached is not None and cached[0] >= size:
-        return cached[1]
+    if cached is not None and len(cached.workers) >= size:
+        return cached
     _POOLS.clear()
     if cached is not None:
-        cached[1].shutdown(wait=True)
-    pool = ProcessPoolExecutor(max_workers=size, initializer=_exit_with_parent)
-    _POOLS[pid] = size, pool
+        cached.close()
+    _POOLS[pid] = pool = _Pool(size)
     return pool
 
 
-def _exit_with_parent() -> None:
-    """Pool worker initializer: end this worker once the process that forked it
-    is gone.
-
-    An idle worker waits on a queue whose write end its sibling workers hold
-    too, so it would never see a parent that was killed outright (say by the
-    out-of-memory killer) and would wait for ever.
-    """
-    parent = getppid()
-
-    def watch() -> None:
-        while getppid() == parent:
-            time.sleep(1.0)
-        _exit(1)
-
-    threading.Thread(target=watch, daemon=True).start()
+def _close_pools() -> None:
+    pool = _POOLS.pop(os.getpid(), None)
+    if pool is not None:
+        pool.close()
 
 
-def _lost_worker(pool: ProcessPoolExecutor) -> ChildProcessError:
-    """Drop a broken pool from the cache and name the worker that died.
+def _forget_pools() -> None:
+    """In a forked child: close the pipe ends of every pool it inherited, so
+    that pool's workers still see EOF when their own process ends."""
+    for pool in _POOLS.values():
+        for _, *fds in pool.workers:
+            _close(fds)
+    _POOLS.clear()
 
-    The pool terminates its other workers once one dies, so the lost one is
-    the worker that did not end by SIGTERM.
-    """
-    workers = dict(pool._processes or {})  # {pid: Process}; no public API lists them
-    _POOLS.pop(getpid(), None)
-    pool.shutdown(wait=True)
-    ended = {pid: process.exitcode for pid, process in sorted(workers.items())}
-    lost = [pid for pid, code in ended.items() if code != -signal.SIGTERM] or list(ended)
-    named = ", ".join(f"pid {pid} (exit code {ended[pid]})" for pid in lost)
-    return ChildProcessError(f"a trajectory worker died: {named}; the next run starts a new pool")
+
+atexit.register(_close_pools)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pools)
 
 
 def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, trajectories: int,
@@ -785,8 +890,11 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, trajectories:
     with two or more, every job goes to the process's worker pool and this
     process only waits for them.  The first such call starts the pool and
     later calls reuse it; a call that needs more processes than the pool has
-    replaces it.  The pool stops when the process exits, and its workers exit
-    on their own if the process is killed.  A worker that dies mid-run raises
+    replaces it.  The pool's workers are forked (:class:`_Pool`), so
+    ``workers > 1`` where ``os.fork`` is missing raises :class:`ValueError`
+    before anything runs.  The pool stops when the process exits, and its
+    workers exit as soon as the process dies.  A job that raises re-raises
+    its exception here; a worker that dies mid-run raises
     :class:`ChildProcessError`, and the next call starts a new pool.  A
     circuit wider than the 63 qubits an int64 basis index holds raises
     :class:`ValueError` before anything runs.
@@ -795,6 +903,8 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, trajectories:
         raise ValueError("shots and trajectories must be >= 1")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers > 1 and not hasattr(os, "fork"):
+        raise ValueError(f"workers must be 1 where os.fork is missing, got {workers}")
     measured = _measured_qubits(measure, circuit.n_qubits)
     _check_index_width(circuit.n_qubits)
     steps = compile_noisy_program(circuit, profile)
@@ -808,9 +918,5 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, trajectories:
     if workers == 1:
         totals = _run_trajectory_blocks(jobs[0])
     else:
-        pool = _pool(workers)
-        try:
-            totals = np.sum(list(pool.map(_run_trajectory_blocks, jobs)), axis=0)
-        except BrokenProcessPool as err:
-            raise _lost_worker(pool) from err
+        totals = np.sum(_pool(workers).map(_run_trajectory_blocks, jobs), axis=0)
     return _histogram(shots, len(measured), totals)

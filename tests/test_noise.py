@@ -9,7 +9,6 @@ import signal
 import subprocess
 import sys
 import time
-from multiprocessing.connection import wait
 from pathlib import Path
 from unittest import mock
 
@@ -363,8 +362,8 @@ def test_counts_are_keyed_in_ascending_outcome_order(g4):
 
 
 def _shut_pools() -> None:
-    for _, pool in noise._POOLS.values():
-        pool.shutdown(wait=True)
+    for pool in noise._POOLS.values():
+        pool.close()
     noise._POOLS.clear()
 
 
@@ -377,11 +376,19 @@ def fresh_pool():
 
 
 def _cached_pool():
-    entry = noise._POOLS.get(os.getpid())
-    return entry and entry[1]
+    return noise._POOLS.get(os.getpid())
 
 
-def test_run_noisy_reuses_one_worker_pool(g4, fresh_pool):
+def _pids(pool) -> set[int]:
+    return {pid for pid, _, _ in pool.workers}
+
+
+def _alive(pid: int) -> bool:
+    """Whether this process's child ``pid`` has not exited; it is not reaped."""
+    return os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None
+
+
+def test_run_noisy_reuses_one_worker_pool(g4, fresh_pool, monkeypatch):
     circ = assemble(g4, 3, "w", "checking")
     prof = NoiseProfile("t", 200.0, 200.0)
     # four blocks at 8 qubits, the last one partial: up to 4 jobs
@@ -398,36 +405,61 @@ def test_run_noisy_reuses_one_worker_pool(g4, fresh_pool):
     run_noisy(circ, prof, workers=3, **{**kwargs, "shots": block, "trajectories": block})
     assert run(1) is None and noise._POOLS == {}
     two = run(2)
-    pids = set(two._processes)
+    pids = _pids(two)
     assert len(pids) == 2
-    assert run(2) is two and set(two._processes) == pids
-    old_workers = list(two._processes.values())
+    assert run(2) is two and _pids(two) == pids
+    closed = []  # the exit codes of every pool closed from here on
+    close = noise._Pool.close
+    monkeypatch.setattr(noise._Pool, "close", lambda pool: closed.append(close(pool)) or closed[-1])
     three = run(3)  # a larger request replaces the pool
-    assert three is not two and len(three._processes) == 3
-    assert all(w.exitcode == 0 for w in old_workers)
+    assert three is not two and len(_pids(three)) == 3
+    assert closed == [dict.fromkeys(sorted(pids), 0)]
     assert run(2) is three  # a smaller one reuses it
     assert runs == [runs[0]] * 5
 
 
-def test_a_forked_child_starts_its_own_pool(g4, fresh_pool, monkeypatch):
+def test_a_forked_child_starts_its_own_pool(g4, fresh_pool):
     circ = assemble(g4, 3, "w", "checking")
     kwargs = dict(shots=400, trajectories=400, seed=11, measure=list(range(4)), workers=2)
     run_noisy(circ, NoiseProfile("t", 200.0, 200.0), **kwargs)
     inherited = _cached_pool()
-    # what a forked child sees: the parent's entry under a pid that is not its own
-    monkeypatch.setattr(noise, "getpid", lambda: -1)
+    # a real forked child closes the pipe ends it inherited and forgets the pool
+    child = os.fork()
+    if child == 0:
+        code = 1
+        try:
+            fds = [fd for _, *ends in inherited.workers for fd in ends]
+            code = 0 if noise._POOLS == {} and not any(_open(fd) for fd in fds) else 2
+        finally:
+            os._exit(code)
+    assert os.waitpid(child, 0)[1] == 0, "the child kept the inherited pool or its pipe ends"
+    # what a forked child would see without that: the parent's entry under a
+    # pid that is not its own
+    noise._POOLS[-1] = noise._POOLS.pop(os.getpid())
     run_noisy(circ, NoiseProfile("t", 200.0, 200.0), **kwargs)
-    assert list(noise._POOLS) == [-1] and noise._POOLS[-1][1] is not inherited
-    # the child drops the entry without shutting the parent's pool down
-    assert all(w.is_alive() for w in inherited._processes.values())
-    inherited.shutdown(wait=True)
+    assert list(noise._POOLS) == [os.getpid()] and _cached_pool() is not inherited
+    # the child drops the entry without closing the parent's pool
+    assert all(_alive(pid) for pid in _pids(inherited))
+    _shut_pools()  # first: the new pool's workers hold the inherited pool's pipe ends
+    inherited.close()
+
+
+def _open(fd: int) -> bool:
+    try:
+        os.fstat(fd)
+    except OSError:
+        return False
+    return True
 
 
 def _kill_a_worker(pool) -> int:
-    victim = min(pool._processes)
+    victim = min(_pids(pool))
     os.kill(victim, signal.SIGKILL)
-    # wait on its sentinel: reaping it here would race the pool's own thread
-    assert wait([pool._processes[victim].sentinel], timeout=30)
+    # wait until it has exited, but leave it for the pool to reap
+    deadline = time.monotonic() + 30
+    while _alive(victim):
+        assert time.monotonic() < deadline, f"worker {victim} runs 30 s after SIGKILL"
+        time.sleep(0.01)
     return victim
 
 
@@ -452,6 +484,95 @@ def test_a_dead_worker_is_an_error_and_the_next_run_starts_a_new_pool(g4, fresh_
     assert code == 1 and out.out == ""
     assert out.err.startswith(f"error: a trajectory worker died: pid {victim} (exit code -9)")
     assert out.err.count("\n") == 1
+
+
+def _failing_job(job, run=noise._run_trajectory_blocks):
+    """A job of a run seeded 99 raises, one seeded 98 ends its process with
+    exit code 3; any other job runs as before."""
+    if job[-1][0][1].entropy == 99:
+        raise ArithmeticError(f"a job of {len(job[-1])} blocks failed in pid {os.getpid()}")
+    if job[-1][0][1].entropy == 98:
+        os._exit(3)
+    return run(job)
+
+
+def test_a_job_that_raises_in_a_worker_raises_in_the_caller(g4, fresh_pool, monkeypatch):
+    circ = assemble(g4, 3, "w", "checking")
+    kwargs = dict(shots=2000, trajectories=2000, measure=list(range(4)), workers=2)
+    # patched before the pool forks; 2000 trajectories are 8 blocks, 4 a job
+    monkeypatch.setattr(noise, "_run_trajectory_blocks", _failing_job)
+    with pytest.raises(ArithmeticError, match=r"^a job of 4 blocks failed in pid \d+$") as err:
+        run_noisy(circ, load_profile("ibmq_singapore"), seed=99, **kwargs)
+    assert int(str(err.value).rsplit(" ", 1)[1]) != os.getpid()
+    assert "_failing_job" in str(err.value.__cause__)  # the worker's traceback
+    pool = _cached_pool()
+    hist = run_noisy(circ, load_profile("ibmq_singapore"), seed=17, **kwargs)
+    assert _cached_pool() is pool  # the same workers ran it
+    assert _histogram_hash(hist) == "ba08988a47d9f344"  # test_kraus_histogram_is_pinned
+
+
+def test_a_worker_that_dies_in_a_job_is_an_error(g4, fresh_pool, monkeypatch):
+    circ = assemble(g4, 3, "w", "checking")
+    kwargs = dict(shots=2000, trajectories=2000, measure=list(range(4)), workers=2)
+    monkeypatch.setattr(noise, "_run_trajectory_blocks", _failing_job)
+    run_noisy(circ, load_profile("ibmq_singapore"), seed=17, **kwargs)  # start the pool
+    first = min(_pids(_cached_pool()))
+    # both workers end mid-job; the first one read is named
+    with pytest.raises(ChildProcessError, match=rf"pid {first} \(exit code 3\)"):
+        run_noisy(circ, load_profile("ibmq_singapore"), seed=98, **kwargs)
+    assert noise._POOLS == {}
+    hist = run_noisy(circ, load_profile("ibmq_singapore"), seed=17, **kwargs)
+    assert _histogram_hash(hist) == "ba08988a47d9f344"  # test_kraus_histogram_is_pinned
+
+
+def test_more_than_one_worker_needs_fork(g4, monkeypatch, capsys):
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(noise, "compile_noisy_program", lambda *_: pytest.fail("compiled"))
+    with pytest.raises(ValueError, match=r"workers must be 1 where os\.fork is missing, got 2"):
+        run_noisy(assemble(g4, 3, "w", "checking"), NoiseProfile("t", 100.0, 100.0), shots=400,
+                  trajectories=400, seed=1, workers=2)
+    code = main(["solve", "--graph", "g4", "--k", "3", "--shots", "400",
+                 "--trajectories", "400", "--noise", "500:500", "--workers", "2"])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert out.err == "error: workers must be 1 where os.fork is missing, got 2\n"
+
+
+def _python(script: str, **kwargs) -> subprocess.Popen:
+    """``script`` run by a new interpreter that imports qclique from this tree."""
+    src = str(Path(noise.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.Popen([sys.executable, "-c", script], env=env, text=True, **kwargs)
+
+
+# a process that starts a two-worker pool and prints its worker pids
+POOL_SCRIPT = (
+    "import os, signal, sys\n"
+    "from qclique import noise\n"
+    "from qclique.circuit import Circuit\n"
+    "circ = Circuit(8)\n"
+    "circ.add('X', 0)\n"
+    "noise.run_noisy(circ, noise.NoiseProfile('t', 100.0, 100.0), shots=400,\n"
+    "                trajectories=400, seed=1, workers=2)\n"
+    "print(*[pid for pid, _, _ in noise._POOLS[os.getpid()].workers], flush=True)\n")
+
+
+def test_no_qclique_process_imports_multiprocessing():
+    script = (
+        "import sys\n"
+        "import qclique\n"
+        "import qclique.cli\n"
+        "from qclique.circuit import Circuit\n"
+        "circ = Circuit(8)\n"
+        "circ.add('X', 0)\n"
+        "hist = qclique.run_noisy(circ, qclique.NoiseProfile('t', 100.0, 100.0), shots=400,\n"
+        "                         trajectories=400, seed=1, workers=1)\n"
+        "assert sum(hist.counts.values()) == 400\n"
+        "print(*[m for m in ('multiprocessing', 'concurrent.futures', 'socket', 'subprocess')\n"
+        "        if m in sys.modules])\n")
+    with _python(script, stdout=subprocess.PIPE) as proc:
+        out = proc.stdout.read()
+    assert proc.returncode == 0 and out == "\n", out
 
 
 def _stat(pid: int) -> list[str] | None:
@@ -479,6 +600,11 @@ def _running(pid: int, started: int | None) -> bool:
     return fields is not None and fields[0] != "Z" and int(fields[19]) == started
 
 
+def _states(pids) -> str:
+    """Each pid with its ``/proc/<pid>/stat`` state, for a failure message."""
+    return ", ".join(f"pid {pid} ({(_stat(pid) or ['gone'])[0]})" for pid in pids)
+
+
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
 def test_a_pid_with_another_start_time_counts_as_exited():
     me = os.getpid()
@@ -488,27 +614,32 @@ def test_a_pid_with_another_start_time_counts_as_exited():
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_workers_exit_with_their_process():
+    # the process waits for a line on stdin after it prints, so the worker
+    # start times are read while the workers surely run
+    script = POOL_SCRIPT + "sys.stdin.readline()\n"
+    with _python(script, stdin=subprocess.PIPE, stdout=subprocess.PIPE) as proc:
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+        workers = {pid: _start_time(pid) for pid in pids}
+        proc.stdin.close()
+        code = proc.wait(timeout=120)
+    assert code == 0, f"exit status {code}; worker pids read: {pids}"
+    assert len(workers) == 2, f"worker pids read: {pids}"
+    running = [pid for pid, started in workers.items() if _running(pid, started)]
+    assert not running, f"still running when their process ended: {_states(running)}"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
 def test_workers_exit_when_their_parent_is_killed():
     # a process that starts a pool, prints its worker pids and dies by SIGKILL
-    script = (
-        "import os, signal\n"
-        "from qclique import noise\n"
-        "from qclique.circuit import Circuit\n"
-        "circ = Circuit(8)\n"
-        "circ.add('X', 0)\n"
-        "noise.run_noisy(circ, noise.NoiseProfile('t', 100.0, 100.0), shots=400,\n"
-        "                trajectories=400, seed=1, workers=2)\n"
-        "print(*noise._POOLS[os.getpid()][1]._processes, flush=True)\n"
-        "os.kill(os.getpid(), signal.SIGKILL)\n")
-    src = str(Path(noise.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    with subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
-                          env=env) as proc:
+    script = POOL_SCRIPT + "os.kill(os.getpid(), signal.SIGKILL)\n"
+    with _python(script, stdout=subprocess.PIPE) as proc:
         pids = [int(pid) for pid in proc.stdout.readline().split()]
         # start times, read before any worker can exit and its pid be reused
         workers = {pid: _start_time(pid) for pid in pids}
-        assert proc.wait(timeout=120) == -signal.SIGKILL
-    assert len(workers) == 2
+        code = proc.wait(timeout=120)
+    assert code == -signal.SIGKILL, f"exit status {code}; worker pids read: {pids}"
+    assert len(workers) == 2, f"worker pids read: {pids}"
 
     def running() -> list[int]:
         return [pid for pid, started in workers.items() if _running(pid, started)]
@@ -517,7 +648,8 @@ def test_workers_exit_when_their_parent_is_killed():
         deadline = time.monotonic() + 30
         while running() and time.monotonic() < deadline:
             time.sleep(0.1)
-        assert not running()
+        left = running()
+        assert not left, f"still running 30 s after their parent died: {_states(left)}"
     finally:
         for pid in running():
             os.kill(pid, signal.SIGKILL)
@@ -611,7 +743,7 @@ BLOCK_KINDS = ("X", "CX", "CCX", "MCX", "Z", "MCZ", "H", "RY", "CRY", "CCRY")
 @pytest.mark.parametrize("spec", ["3:2", "2:3"], ids=["mixture", "kraus"])
 @settings(max_examples=30)
 @given(data=st.data())
-def test_a_sparse_block_ends_byte_equal_to_its_dense_twin_property(spec, columns, data):
+def test_a_sparse_block_matches_its_dense_twin_property(spec, columns, data):
     # a random circuit from a random start on a random support; 3:2 runs the
     # mixture with phase flips and resets, 2:3 the Kraus channel.  The dense
     # reference (helpers.dense_program) takes the same pre-drawn numbers, but
