@@ -39,6 +39,11 @@ outcome in ascending index order (:func:`qclique.sim.marginal_probabilities`).
 None of them goes through BLAS, so seeded results do not depend on its
 kernel.
 
+:meth:`RelaxationChannel.apply` has this one implementation.  A dense
+``(2**n,)`` or ``(2**n, B)`` array, passed with a generator, runs on the block
+path at full support, over a view of its amplitudes: it draws its one step's
+branches as a block does and ends in the same bytes.
+
 Narrow blocks run in stacks: up to ``_STACK_COLUMNS // B`` of a job's blocks
 (8 at 12 qubits, 1 at 8) are one sparse state whose index holds the block
 number in the bits above the register, so each gate is one call per stack.
@@ -237,7 +242,7 @@ class RelaxationChannel:
             self.p_z = max((self.decay1 - self.decay2) / 2.0, 0.0)
         else:
             # |0>, |1> amplitude factors without a jump, before renormalizing
-            self.no_jump = np.array([1.0, math.sqrt(self.decay1)]).reshape(2, 1, 1)
+            self.no_jump = np.array([1.0, math.sqrt(self.decay1)]).reshape(2, 1)
             # residual pure dephasing after amplitude damping: T2 <= 2*T1
             self.p_phi = max((1.0 - self.decay2 / math.sqrt(self.decay1)) / 2.0, 0.0)
 
@@ -254,75 +259,41 @@ class RelaxationChannel:
     def apply(self, state: np.ndarray | SparseState, qubit: int, rng) -> None:
         """One stochastic application, in place and renormalized.
 
-        ``state`` is a dense array, one pure state ``(2**n,)`` or a block
-        ``(2**n, B)`` of them, one per column, and ``rng`` a
-        :class:`numpy.random.Generator`.  Or ``state`` is a
-        :class:`~qclique.sim.SparseState` block, or a stack of blocks
-        (:class:`_Stack`, :meth:`_apply_sparse`), and ``rng`` the step's
-        branches that each block drew up front (:func:`_draw`), one item per
-        block.  Each column takes its own branch.
-        The amplitudes may be complex128 or float64: every factor the channel
-        applies is real, so a real state stays real.
-        """
-        if self.t_ns == 0.0:
-            return
-        if isinstance(state, SparseState):
-            self._apply_sparse(state, qubit, rng)
-            return
-        # (qubits above, qubit value, qubits below, column)
-        view = state.reshape(state.shape[0] >> (qubit + 1), 2, 1 << qubit, -1)
-        if self.implementation == "mixture":
-            u = rng.random(view.shape[-1])
-            event = u < self.p_reset + self.p_z
-            if not np.count_nonzero(event):
-                return
-            # events are rare: each column that draws one is handled on its own view
-            for column in event.nonzero()[0]:
-                if u[column] < self.p_reset:
-                    _reset(view[..., column], rng)
-                else:
-                    view[:, 1, :, column] *= -1.0
-            return
-        # kraus: amplitude damping with Born-weighted branch selection, then a
-        # phase flip for the residual pure dephasing; one factor per half and
-        # column, shaped (2, 1, B) to multiply the view
-        draws = rng.random((2, view.shape[-1]))
-        p1 = _column_norms(view[:, 1])
-        factors, jump = self._kraus_factors(draws, p1)
-        if np.count_nonzero(jump):
-            view[:, 0, :, jump] = view[:, 1, :, jump]
-        view *= factors
+        ``state`` is a :class:`~qclique.sim.SparseState` block, or a stack of
+        blocks (:class:`_Stack`), and ``rng`` the step's branches that each
+        block drew up front (:func:`_draw`), one item per block.  Or ``state``
+        is a dense array, one pure state ``(2**n,)`` or a block ``(2**n, B)``
+        of them, and ``rng`` a :class:`numpy.random.Generator`: a view of the
+        array runs as a block at full support, drawing this step's branches
+        as :func:`_draw` does.  Each column takes its own branch.  The
+        amplitudes may be complex128 or float64: every factor the channel
+        applies is real, so a real state stays real.  A qubit outside the
+        register, or a dense length that is not a power of two, raises
+        :class:`ValueError`.
 
-    def _kraus_factors(self, draws: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A Kraus step's factors, shaped ``(2, 1, B)`` (one per half and
-        column), and its jump mask: a column that jumps takes its |1> half,
-        scaled, as its |0> half."""
-        damped = self.gamma * p1
-        factors = self.no_jump * (1.0 - damped) ** -0.5
-        jump = draws[0] < damped
-        if np.count_nonzero(jump):
-            factors[0, 0, jump] = p1[jump] ** -0.5
-            factors[1, 0, jump] = 0.0
-        flip = draws[1] < self.p_phi
-        if np.count_nonzero(flip):
-            factors[1, 0, flip] *= -1.0
-        return factors, jump
-
-    def _apply_sparse(self, state: SparseState, qubit: int, draws) -> None:
-        """:meth:`apply` on a stack of ``len(draws)`` sparse blocks, block
-        ``g`` taking the branches ``draws[g]`` that it drew for this step
-        (:func:`_draw`).
-
-        Block ``g`` is the rows whose index holds ``g`` in the bits from
-        ``n_qubits`` up (:func:`_block_bounds`), in its first
-        ``state.columns[g]`` columns (:class:`_Stack`; every column of a
-        plain :class:`~qclique.sim.SparseState`).  A mixture step works on
-        the blocks that drew an event, a Kraus step on every block, each on
-        a :class:`~qclique.sim.SparseState` view of its own rows and columns
+        Block ``g`` of a stack is the rows whose index holds ``g`` in the
+        bits from ``n_qubits`` up (:func:`_block_bounds`), in its first
+        ``state.columns[g]`` columns (every column of a plain
+        :class:`~qclique.sim.SparseState`).  A mixture step works on the
+        blocks that drew an event, a Kraus step on every block, each on a
+        :class:`~qclique.sim.SparseState` view of its own rows and columns
         (:meth:`_mixture_block`, :meth:`_kraus_block`), and the rows it adds
         are inserted after them (:func:`_insert_rows`).
         """
+        dense = isinstance(state, np.ndarray)
+        if dense:
+            rows = len(state)
+            if not rows or rows & (rows - 1):
+                raise ValueError(f"a dense state has 2**n amplitudes per column, got {rows}")
+            state = SparseState(rows.bit_length() - 1, np.arange(rows, dtype=np.int64),
+                                state.reshape(rows, -1))
         n, width = state.n_qubits, state.amplitudes.shape[1]
+        if not 0 <= qubit < n:
+            raise ValueError(f"qubit {qubit} is outside the {n}-qubit state")
+        if self.t_ns == 0.0:
+            return
+        # a one-step program's branches are one block's branches for this step
+        draws = _draw([self], rng, width) if dense else rng
         columns = state.columns if isinstance(state, _Stack) else (width,) * len(draws)
         mixture = self.implementation == "mixture"
         idx, amp = state.index, state.amplitudes
@@ -382,21 +353,32 @@ class RelaxationChannel:
 
     def _kraus_block(self, state: SparseState, qubit: int, draws: np.ndarray):
         """A Kraus step on one sparse block with the step's ``(2, B)``
-        uniforms ``draws``; it returns the rows to add, as :func:`_move_down`
-        does.  A jump takes each row with the qubit set to its partner with
-        the qubit clear.  The column norms are :func:`_half_norms`."""
+        uniforms ``draws``: amplitude damping with Born-weighted branch
+        selection, then a phase flip for the residual pure dephasing.  It
+        returns the rows to add, as :func:`_move_down` does.
+
+        Each column takes one factor per half: without a jump the no-jump
+        factors, renormalized; a column that jumps takes each row with the
+        qubit set to its partner with the qubit clear, scaled.  The column
+        norms are :func:`_half_norms`."""
         ones = _ones(state, qubit)
         if not len(ones):
             return None  # p1 = 0 in every column: the factors leave the |0> half as it is
         halves = state.amplitudes.take(ones, axis=0)
-        factors, jump = self._kraus_factors(draws, _half_norms(halves))
+        p1 = _half_norms(halves)
+        damped = self.gamma * p1
+        factors = self.no_jump * (1.0 - damped) ** -0.5  # (2, B): a row per half
+        jump = draws[0] < damped
+        flip = draws[1] < self.p_phi
+        if np.count_nonzero(flip):
+            factors[1, flip] *= -1.0
         added = None
         if np.count_nonzero(jump):
             columns = jump.nonzero()[0]
             added = _move_down(state, qubit, ones, columns, halves.take(columns, axis=1),
-                               factors[0, 0, columns])
-            factors[:, 0, columns] = 1.0  # those columns are done
-        state.amplitudes *= factors[:, 0][state.index >> qubit & 1]
+                               p1[columns] ** -0.5)
+            factors[:, columns] = 1.0  # those columns are done
+        state.amplitudes *= factors[state.index >> qubit & 1]
         return added
 
 
@@ -428,33 +410,6 @@ def _draw(channels: list, rng: np.random.Generator, columns: int):
     events = tuple((c, next(outcomes) if r else None) for c, r in zip(column.tolist(), reset))
     starts = step.searchsorted(np.arange(steps + 1)).tolist()
     return [events[a:b] for a, b in zip(starts, starts[1:])]  # () for a step without one
-
-
-def _reset(state: np.ndarray, rng: np.random.Generator) -> None:
-    """Reset instruction on one state viewed as ``(above, 2, below)``: a
-    projective measurement of the qubit, then set |0>.
-
-    Measured 0 means p1 <= the draw < 1, so 1 - p1 > 0.  Each half is written
-    once: the 0 half gets the scaled survivor, and a scale of 1.0, as at
-    p1 = 0, leaves it as it is.
-    """
-    one = state[:, 1]
-    p1 = np.add.reduce(one.conj() * one, axis=None).real
-    if rng.random() < p1:
-        np.multiply(one, p1 ** -0.5, out=state[:, 0])
-    else:
-        scale = (1.0 - p1) ** -0.5
-        if scale != 1.0:
-            state[:, 0] *= scale
-    one[...] = 0.0
-
-
-def _column_norms(half: np.ndarray) -> np.ndarray:
-    """Squared norm of each column of an ``(above, below, B)`` float64 or
-    complex128 view; a complex column adds its real and imaginary sums."""
-    re_im = half.view(np.float64)  # the last axis is contiguous, so this is a view
-    squares = np.einsum("ijk,ijk->k", re_im, re_im)  # innermost loop: all B or 2B floats
-    return squares.reshape(half.shape[-1], -1).sum(axis=1)
 
 
 #: Nonzero terms up to which a reset's norm is summed exactly (:func:`_reset_norm`).

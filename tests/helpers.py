@@ -51,14 +51,14 @@ def dense_statevector(circuit: Circuit, initial: int = 0) -> StateVector:
 
 def dense_program(amp: np.ndarray, n: int, steps: list, rng: np.random.Generator) -> None:
     """Run a compiled noisy program in place on dense amplitudes ``(2**n, B)``:
-    each gate through :func:`dense_apply` and each relaxation step through
-    the dense branch of ``RelaxationChannel.apply``, which is handed the
-    numbers a sparse trajectory block draws from ``rng`` before its first
-    step.  A Kraus program draws ``(R, 2, B)`` uniforms for its R steps, one
-    ``(2, B)`` row a step.  A mixture program draws ``(R, B)`` uniforms, one
-    row a step, then one uniform per reset (a uniform below the step's
-    ``p_reset``), in step and column order, for each reset's measurement.
-    Every number drawn must be used."""
+    each gate through :func:`dense_apply` and each relaxation step on a
+    strided view of the amplitudes, with the numbers a sparse trajectory
+    block draws from ``rng`` before its first step, and no relaxation code of
+    the package.  A Kraus program draws ``(R, 2, B)`` uniforms for its R
+    steps, one ``(2, B)`` row a step.  A mixture program draws ``(R, B)``
+    uniforms, one row a step, then one uniform per reset (a uniform below the
+    step's ``p_reset``), in step and column order, for each reset's
+    measurement.  Every number drawn must be used."""
     channels = [step[2] for step in steps if step[0] == "relax"]
     columns = amp.shape[1]
     if channels[0].implementation == "kraus":
@@ -67,18 +67,39 @@ def dense_program(amp: np.ndarray, n: int, steps: list, rng: np.random.Generator
         u = rng.random((len(channels), columns))
         resets = np.count_nonzero(u < np.array([[ch.p_reset] for ch in channels]))
         rows, outcomes = iter(u), iter(rng.random(resets))
-
-    class Replay:
-        """Hands the dense branch the pre-drawn numbers in the order it asks."""
-
-        def random(self, size=None):
-            return next(outcomes) if size is None else next(rows)
-
     for step in steps:
         if step[0] == "gate":
             dense_apply(amp, n, step[1])
-        else:
-            step[2].apply(amp, step[1], Replay())
+            continue
+        _, qubit, channel = step
+        view = amp.reshape(-1, 2, 1 << qubit, columns)  # (above, qubit value, below, column)
+        zero, one = view[:, 0], view[:, 1]
+        squares = (one * one.conj()).real
+        p1 = [math.fsum(squares[..., column].ravel().tolist()) for column in range(columns)]
+        draws = next(rows)
+        if channel.implementation == "kraus":
+            # amplitude damping with Born-weighted jumps, then the residual dephasing
+            for column in range(columns):
+                if draws[0, column] < channel.gamma * p1[column]:  # a jump: |1> decays to |0>
+                    zero[..., column] = one[..., column] * p1[column] ** -0.5
+                    one[..., column] = 0.0
+                    continue
+                scale = (1.0 - channel.gamma * p1[column]) ** -0.5
+                zero[..., column] *= scale
+                one[..., column] *= scale * math.sqrt(channel.decay1)
+                if draws[1, column] < channel.p_phi:
+                    one[..., column] *= -1.0
+            continue
+        for column in (draws < channel.p_reset + channel.p_z).nonzero()[0]:
+            if draws[column] >= channel.p_reset:  # a phase flip
+                one[..., column] *= -1.0
+                continue
+            # a reset: measure the qubit, then set |0>
+            if next(outcomes) < p1[column]:
+                zero[..., column] = one[..., column] * p1[column] ** -0.5
+            else:
+                zero[..., column] *= (1.0 - p1[column]) ** -0.5
+            one[..., column] = 0.0
     assert next(rows, None) is None and next(outcomes, None) is None
 
 

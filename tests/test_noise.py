@@ -199,10 +199,9 @@ def test_channel_on_a_float64_block_matches_closed_form(implementation):
         assert columns.dtype == np.float64
         assert np.allclose(np.linalg.norm(columns, axis=0), 1.0)
         assert np.abs(columns @ columns.T / columns.shape[1] - expected).max() < 0.02
-        if implementation == "kraus":  # real factors: the real parts, bit for bit
-            assert np.array_equal(columns, complex_columns.real)
-        else:  # a reset's norm sums in another order
-            assert np.allclose(columns, complex_columns.real, rtol=1e-12, atol=1e-15)
+        # real factors, and norms that the zero imaginary parts leave as they
+        # are: the real parts, bit for bit
+        assert np.array_equal(columns, complex_columns.real)
 
 
 @pytest.mark.parametrize("implementation", ["mixture", "kraus"])
@@ -220,6 +219,45 @@ def test_channel_on_a_complex_state_commutes_with_a_global_phase(implementation,
         channel.apply(twin, qubit, np.random.default_rng(seed))
         assert twin.dtype == np.complex128
         assert np.allclose(twin, state * phase, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("spec", ["3:2", "2:3"], ids=["mixture", "kraus"])
+def test_a_dense_state_relaxes_as_a_full_support_block(spec, dtype):
+    # the dense form is the production step on the full support: the same
+    # bytes, the same numbers drawn from the generator
+    channel = RelaxationChannel(1000.0, load_profile(spec))  # gamma 0.28 (3:2), 0.39 (2:3)
+    n = 4
+    for seed, columns in itertools.product(range(40), (1, 3)):
+        start = np.random.default_rng(seed + 1000)
+        dense = start.normal(size=(1 << n, columns)).astype(dtype)
+        if dtype == np.complex128:
+            dense += 1j * start.normal(size=dense.shape)
+        dense /= np.linalg.norm(dense, axis=0)
+        qubit = seed % n
+        block = SparseState(n, np.arange(1 << n), dense.copy())
+        dense_rng, block_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        channel.apply(dense, qubit, dense_rng)
+        noise._run_program(block, [("relax", qubit, channel)], [block_rng])
+        assert block.index.tolist() == list(range(1 << n))
+        assert dense.tobytes() == block.amplitudes.tobytes(), seed
+        assert dense_rng.bit_generator.state == block_rng.bit_generator.state, seed
+
+
+@pytest.mark.parametrize("spec", ["3:2", "2:3"], ids=["mixture", "kraus"])
+def test_a_qubit_outside_the_state_is_an_error(spec):
+    channel = RelaxationChannel(1000.0, load_profile(spec))
+    block = SparseState(3, np.arange(8), np.full((8, 2), 0.5 ** 1.5))
+    branches = [np.zeros((2, 2))] if spec == "2:3" else [((0, 0.0),)]
+    for qubit in (3, 5, -1):
+        with pytest.raises(ValueError, match=f"qubit {qubit} is outside the 3-qubit state"):
+            channel.apply(block, qubit, branches)
+        with pytest.raises(ValueError, match=f"qubit {qubit} is outside the 3-qubit state"):
+            channel.apply(np.full(8, 0.5 ** 1.5), qubit, np.random.default_rng(0))
+    assert np.array_equal(block.amplitudes, np.full((8, 2), 0.5 ** 1.5))
+    for rows in (6, 0):
+        with pytest.raises(ValueError, match=f"2\\*\\*n amplitudes per column, got {rows}"):
+            channel.apply(np.ones((rows, 2)), 0, np.random.default_rng(0))
 
 
 # -- schedule compilation --------------------------------------------------------
