@@ -90,6 +90,7 @@ from .sim import (
     SparseState,
     _amplitude_dtype,
     _check_index_width,
+    _check_seed,
     _find,
     _histogram,
     _measured_qubits,
@@ -293,7 +294,7 @@ class RelaxationChannel:
         if self.t_ns == 0.0:
             return
         # a one-step program's branches are one block's branches for this step
-        draws = _draw([self], rng, width) if dense else rng
+        draws = _draw([self], rng, width, _odds([self])) if dense else rng
         columns = state.columns if isinstance(state, _Stack) else (width,) * len(draws)
         mixture = self.implementation == "mixture"
         idx, amp = state.index, state.amplitudes
@@ -347,6 +348,8 @@ class RelaxationChannel:
             col[ones] = 0.0
         if not moves:
             return None
+        if len(moves) == 1:
+            return _move_down(state, qubit, ones, *moves[0])
         columns, halves, scales = zip(*moves)
         return _move_down(state, qubit, ones, np.array(columns), np.array(halves).T,
                           np.array(scales))
@@ -375,21 +378,35 @@ class RelaxationChannel:
         added = None
         if np.count_nonzero(jump):
             columns = jump.nonzero()[0]
-            added = _move_down(state, qubit, ones, columns, halves.take(columns, axis=1),
-                               p1[columns] ** -0.5)
+            scales = p1[columns] ** -0.5
+            if len(columns) == 1:
+                columns, halves, scales = columns[0], halves[:, columns[0]], scales[0]
+            else:
+                halves = halves.take(columns, axis=1)
+            added = _move_down(state, qubit, ones, columns, halves, scales)
             factors[:, columns] = 1.0  # those columns are done
         state.amplitudes *= factors[state.index >> qubit & 1]
         return added
 
 
-def _draw(channels: list, rng: np.random.Generator, columns: int):
+def _odds(channels: list):
+    """A mixture program's ``p_reset`` and ``p_reset + p_z`` per step, as
+    two ``(R,)`` arrays for :func:`_draw`; ``None`` for a Kraus program."""
+    if channels and channels[0].implementation == "kraus":
+        return None
+    p_reset = np.array([ch.p_reset for ch in channels])
+    return p_reset, p_reset + np.array([ch.p_z for ch in channels])
+
+
+def _draw(channels: list, rng: np.random.Generator, columns: int, odds):
     """One trajectory block's channel branches for every relaxation step of
     a program, drawn from its generator at once, before the first step runs,
     one item per step.
 
     ``channels`` are the program's relaxation channels in step order, all of
     one implementation (:func:`compile_noisy_program` picks one per
-    profile), and ``columns`` the block's width B.  A Kraus block draws
+    profile), ``columns`` the block's width B, and ``odds`` the program's
+    :func:`_odds`.  A Kraus block draws
     ``(R, 2, B)`` uniforms for its R steps, the numbers it would draw step
     by step, and a step's branches are its ``(2, B)`` row.  A mixture block
     draws ``(R, B)`` uniforms and keeps only the (step, column) pairs that
@@ -399,15 +416,16 @@ def _draw(channels: list, rng: np.random.Generator, columns: int):
     flip (:meth:`RelaxationChannel._mixture_block`).
     """
     steps = len(channels)
-    if channels and channels[0].implementation == "kraus":
+    if odds is None:  # a Kraus program
         return rng.random((steps, 2, columns))
+    p_reset, p_event = odds
     u = rng.random((steps, columns))
-    p_reset = np.array([ch.p_reset for ch in channels])
-    p_event = p_reset + np.array([ch.p_z for ch in channels])
     step, column = (u < p_event[:, None]).nonzero()  # in step, then column order
-    reset = (u[step, column] < p_reset[step]).tolist()
-    outcomes = iter(rng.random(sum(reset)).tolist())
-    events = tuple((c, next(outcomes) if r else None) for c, r in zip(column.tolist(), reset))
+    reset = (u[step, column] < p_reset[step]).nonzero()[0]
+    outcomes = [None] * len(column)  # a phase flip's
+    for event, outcome in zip(reset.tolist(), rng.random(len(reset)).tolist()):
+        outcomes[event] = outcome
+    events = tuple(zip(column.tolist(), outcomes))
     starts = step.searchsorted(np.arange(steps + 1)).tolist()
     return [events[a:b] for a, b in zip(starts, starts[1:])]  # () for a step without one
 
@@ -429,11 +447,12 @@ def _reset_norm(half: np.ndarray) -> float:
     the BLAS kernel."""
     re_im = half.view(np.float64)
     squares = re_im * re_im
-    terms = np.count_nonzero(squares)
-    if terms <= _FSUM_TERMS:
-        return math.fsum(squares.tolist())
-    squares.sort()  # the zeros come first
-    return float(np.add.reduce(squares[len(squares) - terms:]))
+    if len(squares) > _FSUM_TERMS:  # else so are its nonzero terms
+        terms = np.count_nonzero(squares)
+        if terms > _FSUM_TERMS:
+            squares.sort()  # the zeros come first
+            return float(np.add.reduce(squares[len(squares) - terms:]))
+    return math.fsum(squares.tolist())
 
 
 def _ones(state: SparseState, qubit: int) -> np.ndarray:
@@ -460,7 +479,7 @@ def _half_norms(half: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", re_im, re_im).reshape(half.shape[1], -1).sum(axis=1)
 
 
-def _move_down(state: SparseState, qubit: int, ones: np.ndarray, columns: np.ndarray,
+def _move_down(state: SparseState, qubit: int, ones: np.ndarray, columns,
                halves: np.ndarray, scales):
     """A reset that measures 1, or a Kraus jump, in ``columns`` of a sparse
     block: each index with ``qubit`` clear takes the amplitude of its partner
@@ -468,20 +487,29 @@ def _move_down(state: SparseState, qubit: int, ones: np.ndarray, columns: np.nda
     not listed, and each index with the qubit set takes 0.  ``ones`` are the
     rows with the qubit set and ``halves`` their amplitudes in ``columns``.
 
-    Only the rows of ``ones`` that are nonzero in some of ``columns`` look up
-    their partners.  A partner that is not listed is not added here: it is
-    returned, as ``(index, amplitudes)`` rows that are zero outside
-    ``columns``, for the caller to insert; without one, ``None``."""
-    live = halves.any(axis=1)
+    ``columns`` is one column, with 1-D ``halves`` and one scale, moved on
+    its 1-D view, or an array of columns, with 2-D ``halves`` and an array
+    of scales.  Only the rows of ``ones`` that are nonzero in some of
+    ``columns`` look up their partners.  A partner that is not listed is not
+    added here: it is returned, as ``(index, amplitudes)`` rows that are
+    zero outside ``columns``, for the caller to insert; without one,
+    ``None``."""
+    live = halves.nonzero()[0] if halves.ndim == 1 else halves.any(axis=1)
     keys = state.index[ones[live]] ^ (1 << qubit)
     moved = halves[live] * scales
     partners = _find(state, keys)
-    found = partners >= 0
-    state.amplitudes[:, columns] = 0.0
-    state.amplitudes[partners[found][:, None], columns] = moved[found]
-    if found.all():
+    lone = partners < 0
+    some_lone = np.count_nonzero(lone)
+    rows, values = (partners[~lone], moved[~lone]) if some_lone else (partners, moved)
+    if halves.ndim == 1:
+        column = state.amplitudes[:, columns]
+        column.fill(0.0)
+        column[rows] = values
+    else:
+        state.amplitudes[:, columns] = 0.0
+        state.amplitudes[rows[:, None], columns] = values
+    if not some_lone:
         return None
-    lone = ~found
     moved = moved[lone]
     added = np.zeros_like(state.amplitudes, shape=(len(moved), state.amplitudes.shape[1]))
     added[:, columns] = moved
@@ -608,9 +636,10 @@ def _run_program(state: SparseState, steps: list, rngs: list) -> None:
     step, which rescales every column, always runs.
     """
     channels = [step[2] for step in steps if step[0] == "relax"]
+    odds = _odds(channels)
     columns = (state.columns if isinstance(state, _Stack)
                else (state.amplitudes.shape[1],) * len(rngs))
-    draws = zip(*[_draw(channels, rng, width) for rng, width in zip(rngs, columns)])
+    draws = zip(*[_draw(channels, rng, width, odds) for rng, width in zip(rngs, columns)])
     for step in steps:
         if step[0] == "gate":
             apply_gate(state, step[1])
@@ -620,11 +649,21 @@ def _run_program(state: SparseState, steps: list, rngs: list) -> None:
             step[2].apply(state, step[1], drawn)
 
 
+#: Bytes of the array that :func:`_run_trajectory_blocks` maps and frees
+#: before a stack of narrow blocks.  Freeing it raises glibc's 128 KiB mmap
+#: threshold to its size, so the stack's temporaries (128-300 KiB at 12
+#: qubits) come from the heap, not from fresh mappings.  numpy advises huge
+#: pages for an array from 4 MiB up, which would bloat the heap.
+_HEAP_BYTES = 3 << 20
+
+
 def _run_trajectory_blocks(args) -> np.ndarray:
     steps, n_qubits, dtype, measured, shots, trajectories, blocks = args
     size = _block_size(n_qubits, dtype)
     base, extra = divmod(shots, trajectories)
     counts = np.zeros(1 << len(measured), dtype=np.int64)
+    if 2 * size <= _STACK_COLUMNS:  # wider blocks run alone, where the heap bought nothing
+        np.empty(_HEAP_BYTES, np.uint8)  # mapped and freed at once
     for stack in _stacks(blocks, size, n_qubits):
         rngs = [np.random.default_rng(seed_sequence) for _, seed_sequence in stack]
         columns = tuple(min(size, trajectories - block * size) for block, _ in stack)
@@ -851,11 +890,15 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, trajectories:
     workers exit as soon as the process dies.  A job that raises re-raises
     its exception here; a worker that dies mid-run raises
     :class:`ChildProcessError`, and the next call starts a new pool.  A
-    circuit wider than the 63 qubits an int64 basis index holds raises
+    circuit wider than the 63 qubits an int64 basis index holds, a ``seed``
+    below 0 and a ``workers`` below 1, or either not an integer, raise
     :class:`ValueError` before anything runs.
     """
     if shots < 1 or trajectories < 1:
         raise ValueError("shots and trajectories must be >= 1")
+    _check_seed(seed)
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if workers > 1 and not hasattr(os, "fork"):

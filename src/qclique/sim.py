@@ -100,6 +100,13 @@ def _check_index_width(n_qubits: int) -> None:
                          f"which holds at most {_MAX_INDEX_QUBITS} qubits")
 
 
+def _check_seed(seed) -> None:
+    """Raise :class:`ValueError` for a run seed that is not a non-negative
+    integer; a bool is not a seed."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass
 class SparseState:
     """The basis states of an ``n_qubits`` register that carry amplitude:
@@ -403,7 +410,8 @@ def run_ideal(circuit: Circuit, shots: int, seed: int,
     ``measure`` defaults to all qubits; pass the node register to read out a
     Grover result.  An empty list, a qubit outside the circuit or one listed
     twice raises :class:`ValueError` before anything runs, and so does a
-    circuit wider than the 63 qubits an int64 basis index holds.  Returns a
+    ``seed`` that is not a non-negative integer, or a circuit wider than
+    the 63 qubits an int64 basis index holds.  Returns a
     :class:`MeasurementHistogram`, or a ``(histogram, state)`` pair when
     ``return_state`` is set.
 
@@ -423,6 +431,7 @@ def run_ideal(circuit: Circuit, shots: int, seed: int,
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    _check_seed(seed)
     n = circuit.n_qubits
     qubits = _measured_qubits(measure, n)
     _check_index_width(n)

@@ -1,5 +1,5 @@
-"""Shared test machinery: a dense reference engine, oracle phase extraction,
-random graphs, hypothesis strategies."""
+"""Shared test machinery: a dense reference engine, a reference relaxation
+move, oracle phase extraction, random graphs, hypothesis strategies."""
 from __future__ import annotations
 
 import math
@@ -101,6 +101,33 @@ def dense_program(amp: np.ndarray, n: int, steps: list, rng: np.random.Generator
                 zero[..., column] *= (1.0 - p1[column]) ** -0.5
             one[..., column] = 0.0
     assert next(rows, None) is None and next(outcomes, None) is None
+
+
+def move_down_2d(state, qubit: int, ones: np.ndarray, columns: np.ndarray,
+                 halves: np.ndarray, scales: np.ndarray):
+    """:func:`qclique.noise._move_down` in its two-dimensional form, for any
+    number of columns: the reference its moves are checked against.
+
+    ``halves`` are the ``(rows, len(columns))`` amplitudes of the rows
+    ``ones`` with ``qubit`` set, and ``scales`` one scale per column.  The
+    rows that are nonzero in some column look up their partners, the columns
+    are zeroed and the partners found take the scaled halves by one 2-D
+    fancy setitem; the rest are returned as ``(index, amplitudes)`` rows to
+    insert, or ``None``."""
+    live = halves.any(axis=1)
+    keys = state.index[ones[live]] ^ (1 << qubit)
+    moved = halves[live] * scales
+    partners = sim._find(state, keys)
+    found = partners >= 0
+    state.amplitudes[:, columns] = 0.0
+    state.amplitudes[partners[found][:, None], columns] = moved[found]
+    if found.all():
+        return None
+    lone = ~found
+    moved = moved[lone]
+    added = np.zeros_like(state.amplitudes, shape=(len(moved), state.amplitudes.shape[1]))
+    added[:, columns] = moved
+    return keys[lone], added
 
 
 def oracle_action(oracle: Circuit, n_nodes: int):

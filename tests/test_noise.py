@@ -4,6 +4,7 @@ import json
 import math
 import os
 import platform
+import re
 import resource
 import signal
 import subprocess
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qclique import noise
+from qclique import noise, sim
 from qclique.circuit import Circuit, Gate, decompose_mc
 from qclique.cli import load_profile, main
 from qclique.graph import builtin_graph
@@ -30,7 +31,7 @@ from qclique.noise import (
     run_noisy,
 )
 from qclique.sim import SparseState, StateVector, marginal_probabilities, run_ideal
-from helpers import dense_program, gates_on
+from helpers import dense_program, gates_on, move_down_2d
 from test_sim import BAD_MEASURE_LISTS
 
 
@@ -362,6 +363,33 @@ def test_a_warm_run_keeps_its_blocks_on_the_heap(g4):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     run_noisy(circ, NoiseProfile("t", 500.0, 500.0), **kwargs)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 512
+
+
+# noisy_full12's run in a fresh interpreter, numpy.random imported first
+COLD_RUN_SCRIPT = (
+    "import resource\n"
+    "import numpy.random\n"
+    "from qclique.cli import load_graph\n"
+    "from qclique.grover import assemble\n"
+    "from qclique.noise import NoiseProfile, run_noisy\n"
+    "circ = assemble(load_graph('g4'), 3, 'full', 'checking')\n"
+    "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+    "run_noisy(circ, NoiseProfile('500:500', 500.0, 500.0), shots=300, trajectories=300,\n"
+    "          seed=7, measure=[0, 1, 2, 3], workers=1)\n"
+    "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_a_cold_run_keeps_its_stack_temporaries_on_the_heap():
+    # a stack's temporaries at 12 qubits (inserted rows, the 2x2 slow path)
+    # are 128-300 KiB, at glibc's 128 KiB mmap threshold: without the array
+    # that _run_trajectory_blocks maps and frees first, each was mapped,
+    # faulted in and unmapped, and the run took 1,320-3,080 minor faults
+    # over five seeds, against 360-420 with it
+    with _python(COLD_RUN_SCRIPT, stdout=subprocess.PIPE) as proc:
+        out = proc.stdout.read()
+    assert proc.returncode == 0, out
+    assert int(out) < 800
 
 
 def test_trajectory_blocks_take_the_circuit_dtype(g4, monkeypatch):
@@ -726,6 +754,47 @@ def test_run_noisy_validation(g4):
         run_noisy(circ, prof, shots=10, trajectories=0, seed=1)
 
 
+BAD_SEEDS = [-1, 1.5, True, "3", None, np.float64(2.0)]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+def test_a_seed_that_is_not_a_non_negative_integer_is_an_error(seed, monkeypatch):
+    monkeypatch.setattr(noise, "compile_noisy_program", lambda *_: pytest.fail("compiled"))
+    monkeypatch.setattr(sim, "apply_gate", lambda *_: pytest.fail("simulated"))
+    circ = Circuit(3, ops=[Gate("H", (0,)), Gate("CX", (0, 2))])
+    message = rf"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"
+    with pytest.raises(ValueError, match=message):
+        run_noisy(circ, NoiseProfile("t", 100.0, 100.0), shots=10, trajectories=10, seed=seed)
+    with pytest.raises(ValueError, match=message):
+        run_ideal(circ, shots=10, seed=seed)
+
+
+@pytest.mark.parametrize("workers, message", [
+    (1.5, "workers must be an integer >= 1, got 1.5"),
+    (True, "workers must be an integer >= 1, got True"),
+    ("2", "workers must be an integer >= 1, got '2'"),
+    (0, "workers must be >= 1, got 0"),
+], ids=repr)
+def test_workers_that_is_not_an_integer_of_one_or_more_is_an_error(workers, message,
+                                                                    monkeypatch):
+    # 300 trajectories at 12 qubits are 19 blocks, which a float count of
+    # workers used to reach inside range() only
+    monkeypatch.setattr(noise, "compile_noisy_program", lambda *_: pytest.fail("compiled"))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_noisy(Circuit(12), NoiseProfile("t", 100.0, 100.0), shots=300, trajectories=300,
+                  seed=1, workers=workers)
+
+
+def test_a_numpy_integer_seed_and_worker_count_are_integers(g4):
+    circ = assemble(g4, 3, "w", "checking")
+    kwargs = dict(shots=200, trajectories=200, measure=list(range(4)))
+    prof = NoiseProfile("t", 100.0, 100.0)
+    assert (run_noisy(circ, prof, seed=np.int64(3), workers=np.int32(1), **kwargs).counts
+            == run_noisy(circ, prof, seed=3, **kwargs).counts)
+    assert (run_ideal(circ, shots=200, seed=np.uint8(3)).counts
+            == run_ideal(circ, shots=200, seed=3).counts)
+
+
 def test_run_noisy_rejects_a_circuit_wider_than_an_int64_index():
     # a block lists int64 basis indices; nothing is compiled or allocated
     with pytest.raises(ValueError, match="cannot run a 64-qubit circuit"):
@@ -865,6 +934,72 @@ def test_a_block_sums_the_same_whatever_its_row_order_and_zero_rows(spec, column
         assert np.array_equal(*dense), (seed, terms)
         assert (marginal_probabilities(blocks[0], [0, 2, 3]).tobytes()
                 == marginal_probabilities(blocks[1], [0, 2, 3]).tobytes()), (seed, terms)
+
+
+def _move_with(reference: bool, calls: list):
+    """A stand-in for ``noise._move_down`` that records the rank of each
+    call's halves and runs the package's move, or with ``reference`` the
+    two-dimensional one (helpers.move_down_2d), a one-column call as a
+    ``(rows, 1)`` one."""
+    package = noise._move_down
+
+    def move(state, qubit, ones, columns, halves, scales):
+        calls.append(halves.ndim)
+        if not reference:
+            return package(state, qubit, ones, columns, halves, scales)
+        if halves.ndim == 1:
+            columns, halves, scales = np.array([columns]), halves[:, None], np.array([scales])
+        return move_down_2d(state, qubit, ones, columns, halves, scales)
+
+    return move
+
+
+@pytest.mark.parametrize("listed", [True, False], ids=["partners listed", "some not listed"])
+@pytest.mark.parametrize("moving", [[2], [0, 2, 3]], ids=["one column", "three columns"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("spec", ["3:2", "2:3"], ids=["mixture", "kraus"])
+def test_a_move_ends_as_the_two_dimensional_reference(spec, dtype, moving, listed):
+    # resets that measure 1 (mixture) or jumps (Kraus) in one column or three
+    # of a 4-column block, with a phase flip in column 1: the block ends in
+    # the same bytes as with the 2-D move, and a one-column move still goes
+    # through noise._move_down, on 1-D halves.  The block's rows are
+    # shuffled; one |1> row is zero in every column and one in a moving column
+    n, qubit, width = 5, 2, 4
+    bit = 1 << qubit
+    channel = RelaxationChannel(1000.0, load_profile(spec))
+    if channel.implementation == "mixture":
+        drawn = tuple(sorted([(c, 0.0) for c in moving] + [(1, None)]))
+    else:
+        drawn = np.ones((2, width))
+        drawn[0, moving] = 0.0  # below gamma * p1: a jump
+        drawn[1, 1] = 0.0  # below p_phi: a flip
+    clear = np.array([i for i in range(1 << n) if not i & bit])
+    for seed in range(10):
+        start = np.random.default_rng(seed)
+        zeros = start.choice(clear, size=6, replace=False)
+        # six rows with the qubit clear, and six with it set whose partners
+        # are those six, or three of them and three rows not listed
+        partners = (zeros if listed
+                    else np.concatenate((zeros[:3], np.setdiff1d(clear, zeros)[:3])))
+        index = np.concatenate((zeros, partners | bit))
+        amp = start.normal(size=(len(index), width)).astype(dtype)
+        if dtype == np.complex128:
+            amp += 1j * start.normal(size=amp.shape)
+        amp[6] = 0.0
+        amp[7, moving[0]] = 0.0
+        amp /= np.linalg.norm(amp, axis=0)
+        order = start.permutation(len(index))
+        ends = []
+        for reference in (False, True):
+            block = SparseState(n, index[order], amp[order])
+            calls = []
+            with mock.patch.object(noise, "_move_down", _move_with(reference, calls)):
+                channel.apply(block, qubit, [drawn])
+            assert calls == [1 if len(moving) == 1 else 2]
+            assert not block.amplitudes[block.index & bit != 0][:, moving].any()
+            assert (len(block.index) > len(index)) == (not listed)
+            ends.append((block.index.tobytes(), block.amplitudes.tobytes()))
+        assert ends[0] == ends[1], seed
 
 
 # -- stacks of trajectory blocks ------------------------------------------------
